@@ -5,7 +5,7 @@ PYTHON ?= python
 .PHONY: install test test-fast test-slow lint lint-repro lint-graph bench \
 	bench-quick bench-check bench-report bench-promote gradcheck \
 	reproduce report api serve-smoke serve-net-smoke index-smoke \
-	train-smoke clean
+	perfbench-smoke train-smoke clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -117,6 +117,19 @@ index-smoke:
 	  --name entity-0 --name entity-42 --k 5
 	timeout 60 $(PYTHON) -m repro index stats --dir .index-smoke
 	rm -rf .index-smoke
+
+# One-second run of each real-encoder benchmark workload (perfbench/): a
+# non-zero exit means a correctness check failed (served vector vs the
+# offline encode, knn/rca/eap/fct replies, finite stage-2 losses) or the
+# benchmark could not run.  The first run builds and caches the `small`
+# checkpoint under .bench_build/.
+PERFBENCH_WORKLOADS = serve_cold_bulk serve_hot_mix train_stage2
+
+perfbench-smoke:
+	set -e; for workload in $(PERFBENCH_WORKLOADS); do \
+	  timeout 600 python3 perfbench/run.py --workload $$workload \
+	    --seed 1 --seconds 1 --trace 0; \
+	done
 
 # Exercise the fault-tolerant training runtime end to end: train two steps,
 # pause (simulated interruption), resume from the snapshot, finish the

@@ -17,7 +17,7 @@ from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear
 from repro.nn.module import Module
 from repro.nn.transformer import TransformerEncoder
 from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, is_inference_mode
 
 
 @dataclass
@@ -90,9 +90,16 @@ class BertEncoder(Module):
     def cls_embeddings(self, ids: np.ndarray,
                        attention_mask: np.ndarray | None = None,
                        embedding_overrides=None) -> Tensor:
-        """The ``[CLS]`` (position 0) output embeddings — the service vectors."""
-        hidden = self.forward(ids, attention_mask=attention_mask,
-                              embedding_overrides=embedding_overrides)
+        """The ``[CLS]`` (position 0) output embeddings — the service vectors.
+
+        Under :func:`~repro.tensor.inference_mode` the last layer runs for
+        the ``[CLS]`` row only (keys and values still span every position).
+        Training keeps the full forward: with dropout on, computing fewer
+        rows would change the dropout draws and so the trained model.
+        """
+        embedded = self.embed(ids, embedding_overrides=embedding_overrides)
+        hidden = self.encoder(embedded, attention_mask=attention_mask,
+                              cls_only=is_inference_mode())
         return hidden[:, 0, :]
 
 

@@ -34,7 +34,7 @@ from repro.prompts.templates import (
     REL,
 )
 from repro.tensor import functional as F
-from repro.tensor import no_grad
+from repro.tensor import inference_mode
 from repro.tensor.tensor import Tensor
 from repro.tokenization.tokenizer import WordTokenizer
 from repro.training.masking import DynamicMasker
@@ -115,7 +115,6 @@ class KTeleBert:
             use_contrastive=config.use_contrastive)
         self.ke_objective = KnowledgeEmbeddingObjective(gamma=config.ke_gamma)
         self._num_token_id = tokenizer.vocab.token_to_id(NUM)
-        self.last_batch_tokens = 0  # set by _prepare; journal throughput
 
     # ------------------------------------------------------------------
     # Construction from stage 1
@@ -190,13 +189,16 @@ class KTeleBert:
         embedded = self.mlm_model.bert.token_embedding(ids)
         return F.masked_mean(embedded, mask, axis=1)
 
-    def _prepare(self, rows: list) -> dict:
-        """Tokenize rows; locate ``[NUM]`` slots for numeric rows."""
+    def prepare(self, rows: list) -> dict:
+        """Tokenize rows; locate ``[NUM]`` slots for numeric rows.
+
+        ``token_count`` (the batch's non-padding tokens) feeds the training
+        journal's throughput without a second tokenization pass.  It rides
+        in the returned batch, never on the model, so a concurrent encode
+        cannot overwrite a training step's count.
+        """
         texts = [r.text for r in rows]
         ids, mask, tokens = self.tokenizer.encode_batch_with_tokens(texts)
-        # Cheap throughput accounting for the training runtime's journal;
-        # counting here avoids a second tokenization pass per step.
-        self.last_batch_tokens = int(mask.sum())
         numeric_rows: list[int] = []
         numeric_positions: list[tuple[int, int]] = []
         values: list[float] = []
@@ -218,6 +220,7 @@ class KTeleBert:
                 excluded[i].add(position + 1)  # the literal value token
         return {
             "ids": ids, "mask": mask, "tokens": tokens,
+            "token_count": int(mask.sum()),
             "numeric_rows": numeric_rows,
             "numeric_positions": np.array(numeric_positions, dtype=np.int64)
             if numeric_positions else np.zeros((0, 2), dtype=np.int64),
@@ -235,10 +238,15 @@ class KTeleBert:
     # ------------------------------------------------------------------
     # Objectives
     # ------------------------------------------------------------------
-    def masked_lm_loss(self, rows: list, masker: DynamicMasker
+    def masked_lm_loss(self, rows: list, masker: DynamicMasker,
+                       prepared: dict | None = None
                        ) -> tuple[Tensor, NumericLossOutput | None]:
-        """`L_mask` (+ `L_num` when numeric rows are present and ANEnc is on)."""
-        prep = self._prepare(rows)
+        """`L_mask` (+ `L_num` when numeric rows are present and ANEnc is on).
+
+        ``prepared`` is :meth:`prepare`'s batch for ``rows`` when the caller
+        already holds it (the training step reads its ``token_count``).
+        """
+        prep = prepared if prepared is not None else self.prepare(rows)
         masked = masker.mask_batch(prep["ids"], prep["mask"],
                                    tokens=prep["tokens"],
                                    excluded_positions=prep["excluded"])
@@ -290,16 +298,19 @@ class KTeleBert:
     # Service delivery (Sec. V-A3)
     # ------------------------------------------------------------------
     def encode(self, rows: list) -> np.ndarray:
-        """Deterministic service embeddings ([CLS] outputs) for mixed rows."""
-        self.eval()
-        prep = self._prepare(rows)
-        with no_grad():
+        """Deterministic service embeddings ([CLS] outputs) for mixed rows.
+
+        Runs under :func:`~repro.tensor.inference_mode`: dropout is off for
+        this call only and draws nothing from ``rng``, and the modules'
+        train/eval mode is neither read nor changed.  Encodes may therefore
+        overlap each other and a training step on the same model.
+        """
+        prep = self.prepare(rows)
+        with inference_mode():
             overrides, _ = self._numeric_overrides(prep)
-            out = self.mlm_model.bert.cls_embeddings(
+            return self.mlm_model.bert.cls_embeddings(
                 prep["ids"], prep["mask"],
                 embedding_overrides=overrides).data.copy()
-        self.train()
-        return out
 
     def encode_texts(self, texts: list[str]) -> np.ndarray:
         """Service embeddings for plain strings."""

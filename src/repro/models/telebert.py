@@ -19,10 +19,11 @@ from repro.models.bert import BertConfig, BertEncoder
 from repro.models.electra import ElectraPretrainer
 from repro.nn.losses import info_nce
 from repro.nn.optim import Adam, clip_grad_norm
+from repro.tensor import inference_mode
 from repro.tokenization.tokenizer import WordTokenizer, basic_tokenize
 from repro.tokenization.wwm import WholeWordSegmenter
 from repro.training.batching import BatchIterator
-from repro.training.masking import DynamicMasker
+from repro.training.masking import IGNORE_INDEX, DynamicMasker
 
 
 @dataclass
@@ -119,19 +120,18 @@ class TeleBertTrainer:
 
     # ------------------------------------------------------------------
     def encode_sentences(self, sentences: list[str]) -> np.ndarray:
-        """Service embeddings: deterministic [CLS] vectors for raw sentences."""
-        from repro.tensor import no_grad
-        self.pretrainer.eval()
+        """Service embeddings: deterministic [CLS] vectors for raw sentences.
+
+        Runs under :func:`~repro.tensor.inference_mode`, so the encoder's
+        train/eval mode is left as it was.
+        """
         ids, mask = self.tokenizer.encode_batch(sentences)
         # Stage 2 may have grown the shared vocabulary after this encoder was
         # trained; map tokens it never saw to [UNK].
         table_size = self.encoder.token_embedding.num_embeddings
         ids = np.where(ids < table_size, ids, self.tokenizer.vocab.unk_id)
-        with no_grad():
-            out = self.encoder.cls_embeddings(ids, mask).data.copy()
-        self.pretrainer.train()
-        return out
-
+        with inference_mode():
+            return self.encoder.cls_embeddings(ids, mask).data.copy()
 
     def evaluate_mlm_accuracy(self, sentences: list[str],
                               masking_rate: float = 0.15,
@@ -142,24 +142,19 @@ class TeleBertTrainer:
         sentences once (deterministically via ``seed``) and measure the
         fraction of masked tokens the ELECTRA generator recovers exactly.
         """
-        from repro.tensor import no_grad
-        from repro.training.masking import DynamicMasker, IGNORE_INDEX
-
         if not sentences:
             raise ValueError("no evaluation sentences")
-        self.pretrainer.eval()
         masker = DynamicMasker(self.tokenizer.vocab,
                                np.random.default_rng(seed),
                                masking_rate=masking_rate)
         ids, mask = self.tokenizer.encode_batch(sentences)
         masked = masker.mask_batch(ids, mask)
-        with no_grad():
+        with inference_mode():
             logits = self.pretrainer.generator(masked.ids,
                                                attention_mask=mask)
         predictions = logits.data.argmax(axis=-1)
         targets = masked.labels
         keep = targets != IGNORE_INDEX
-        self.pretrainer.train()
         if not keep.any():
             return 0.0
         return float((predictions[keep] == targets[keep]).mean())

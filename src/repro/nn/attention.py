@@ -24,6 +24,10 @@ class MultiHeadSelfAttention(Module):
     ``return_weights=True`` returns the *pre-dropout* attention
     distributions — rows always sum to one, which is what the Fig. 10
     numeric-attention visualisations plot.
+
+    ``queries=n`` computes the output for the first ``n`` positions only,
+    shape ``(batch, n, d_model)``; keys and values still come from every
+    position.  The encoder's ``[CLS]``-only last layer uses ``queries=1``.
     """
 
     def __init__(self, d_model: int, num_heads: int, rng: np.random.Generator,
@@ -50,9 +54,11 @@ class MultiHeadSelfAttention(Module):
 
     def forward(self, x: Tensor, attention_mask: np.ndarray | None = None,
                 mask_bias: np.ndarray | None = None,
-                return_weights: bool = False):
+                return_weights: bool = False, queries: int | None = None):
         batch, seq, _ = x.shape
-        q = self._split_heads(self.query(x), batch, seq)
+        q_in = x if queries is None else x[:, :queries]
+        rows = q_in.shape[1]
+        q = self._split_heads(self.query(q_in), batch, rows)
         k = self._split_heads(self.key(x), batch, seq)
         v = self._split_heads(self.value(x), batch, seq)
 
@@ -64,8 +70,9 @@ class MultiHeadSelfAttention(Module):
             workspace=self._workspace)
         dropped = self.dropout(weights)
 
-        context = dropped @ v  # (B, H, T, Dh)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
+        context = dropped @ v  # (B, H, rows, Dh)
+        context = context.transpose(0, 2, 1, 3).reshape(batch, rows,
+                                                         self.d_model)
         out = self.output(context)
         if return_weights:
             return out, weights

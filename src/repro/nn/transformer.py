@@ -12,7 +12,13 @@ from repro.tensor.tensor import Tensor
 
 
 class TransformerEncoderLayer(Module):
-    """One encoder block: self-attention + FFN, each with residual + LayerNorm."""
+    """One encoder block: self-attention + FFN, each with residual + LayerNorm.
+
+    ``queries=n`` returns the block's output for the first ``n`` positions
+    only, ``(B, n, D)``: attention reads keys and values from every
+    position, while the attention, FFN and both LayerNorms work on ``n``
+    rows instead of ``T``.
+    """
 
     def __init__(self, d_model: int, num_heads: int, d_ff: int,
                  rng: np.random.Generator, dropout: float = 0.0):
@@ -26,9 +32,12 @@ class TransformerEncoderLayer(Module):
         self.dropout = Dropout(dropout, rng)
 
     def forward(self, x: Tensor, attention_mask: np.ndarray | None = None,
-                mask_bias: np.ndarray | None = None) -> Tensor:
+                mask_bias: np.ndarray | None = None,
+                queries: int | None = None) -> Tensor:
         attended = self.attention(x, attention_mask=attention_mask,
-                                  mask_bias=mask_bias)
+                                  mask_bias=mask_bias, queries=queries)
+        if queries is not None:
+            x = x[:, :queries]
         x = self.attention_norm(x + self.dropout(attended))
         hidden = self.ffn_out(F.gelu(self.ffn_in(x)))
         return self.ffn_norm(x + self.dropout(hidden))
@@ -40,6 +49,8 @@ class TransformerEncoder(Module):
     ``forward`` returns the final hidden states ``(B, T, D)``; pass
     ``return_all_layers=True`` to also receive every intermediate layer (the
     NDec numeric decoder consumes multi-layer interactions, Sec. IV-B1).
+    ``cls_only=True`` runs the last layer for position 0 only, so the final
+    hidden states are ``(B, 1, D)``.
     """
 
     def __init__(self, num_layers: int, d_model: int, num_heads: int,
@@ -51,14 +62,16 @@ class TransformerEncoder(Module):
         ])
 
     def forward(self, x: Tensor, attention_mask: np.ndarray | None = None,
-                return_all_layers: bool = False):
+                return_all_layers: bool = False, cls_only: bool = False):
         # Build the additive attention bias once for the whole stack rather
         # than once per layer.
         mask_bias = (F.attention_scores_mask(attention_mask, dtype=x.dtype)
                      if attention_mask is not None else None)
         all_layers = []
-        for layer in self.layers:
-            x = layer(x, mask_bias=mask_bias)
+        last = len(self.layers) - 1
+        for index, layer in enumerate(self.layers):
+            queries = 1 if cls_only and index == last else None
+            x = layer(x, mask_bias=mask_bias, queries=queries)
             if return_all_layers:
                 all_layers.append(x)
         if return_all_layers:

@@ -12,12 +12,16 @@ The public surface mirrors a small subset of ``torch``:
 * :func:`tensor` / :func:`zeros` / :func:`ones` / :func:`randn` — constructors.
 * ``repro.tensor.functional`` — composite ops (softmax, layer_norm, gelu, ...).
 * :func:`no_grad` — context manager disabling graph construction.
+* :func:`inference_mode` — per-call, per-thread serving mode: no graph, bare
+  result tensors, dropout off, ``[CLS]``-only last encoder layer.
 """
 
 from repro.tensor.tensor import (
     Tensor,
     concat,
+    inference_mode,
     is_grad_enabled,
+    is_inference_mode,
     no_grad,
     ones,
     ones_like,
@@ -33,7 +37,9 @@ __all__ = [
     "Tensor",
     "concat",
     "functional",
+    "inference_mode",
     "is_grad_enabled",
+    "is_inference_mode",
     "no_grad",
     "ones",
     "ones_like",

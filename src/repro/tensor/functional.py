@@ -1,9 +1,11 @@
 """Composite differentiable operations built from :class:`~repro.tensor.Tensor` primitives.
 
-These are written as compositions of the primitive ops in
+Most are written as compositions of the primitive ops in
 ``repro.tensor.tensor`` so that their gradients come for free from the
 autograd engine; only numerically delicate pieces (softmax, log-softmax) use
-the usual max-subtraction stabilisation.
+the usual max-subtraction stabilisation.  The encoder's hot ops (``gelu``,
+``layer_norm`` and the fused ops at the end) are single nodes with a
+hand-written backward, shared by training and serving.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, concat, stack  # noqa: F401 (re-export)
+from repro.tensor.tensor import Tensor, concat, is_inference_mode, stack  # noqa: F401 (re-export)
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -36,9 +38,33 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation, as in BERT)."""
-    inner = (x + x * x * x * 0.044715) * _SQRT_2_OVER_PI
-    return x * 0.5 * (inner.tanh() + 1.0)
+    """Gaussian error linear unit (tanh approximation, as in BERT).
+
+    ``0.5 x (1 + tanh(c (x + 0.044715 x^3)))`` as one autograd node.  The
+    forward runs the same numpy operations, in the same order, as the
+    former nine-node composition, so its values are bit-identical to it.
+    """
+    data = x.data
+    inner = data * data
+    inner *= data
+    inner *= 0.044715
+    inner += data
+    inner *= _SQRT_2_OVER_PI
+    tanh = np.tanh(inner)
+    out = data * 0.5
+    out *= tanh + 1.0
+
+    def backward(g):
+        slope = data * data
+        slope *= 3.0 * 0.044715
+        slope += 1.0
+        slope *= _SQRT_2_OVER_PI * 0.5
+        slope *= data
+        slope *= 1.0 - tanh * tanh
+        slope += 0.5 * (tanh + 1.0)
+        return (np.asarray(g) * slope,)
+
+    return x._make_child(out, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -52,18 +78,45 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalisation over the last axis."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centred = x - mean
-    variance = (centred * centred).mean(axis=-1, keepdims=True)
-    normalised = centred / (variance + eps).sqrt()
-    return normalised * weight + bias
+    """Layer normalisation over the last axis, as one autograd node.
+
+    The forward runs the same numpy operations, in the same order, as the
+    former composition (mean, centre, mean square, ``+ eps``, sqrt, divide,
+    scale, shift), so its values are bit-identical to it.  The backward is
+    the closed form ``dx = (dxh - mean(dxh) - xh * mean(dxh * xh)) / std``
+    with ``xh`` the normalised input and ``dxh = g * weight``; it keeps
+    only ``xh`` and ``std`` alive instead of every intermediate of the
+    composition.  ``bias`` must broadcast to the output's shape.
+    """
+    data = x.data
+    inv_n = 1.0 / data.shape[-1]
+    normalised = data - data.sum(axis=-1, keepdims=True) * inv_n
+    variance = (normalised * normalised).sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(variance + eps)
+    normalised /= std
+    weight_data = weight.data
+    out = normalised * weight_data
+    out += bias.data
+
+    def backward(g):
+        g = np.asarray(g)
+        grad_normalised = g * weight_data
+        grad_x = grad_normalised - normalised * (
+            (grad_normalised * normalised).sum(axis=-1, keepdims=True)
+            * inv_n)
+        grad_x -= grad_normalised.sum(axis=-1, keepdims=True) * inv_n
+        grad_x /= std
+        return (grad_x, g * normalised, g)
+
+    return x._make_child(out, (x, weight, bias), backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,
             training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or ``rate`` is 0."""
-    if not training or rate <= 0.0:
+    """Inverted dropout; identity when not training, when ``rate`` is 0, or
+    under :func:`~repro.tensor.inference_mode` (which draws nothing from
+    ``rng``)."""
+    if not training or rate <= 0.0 or is_inference_mode():
         return x
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")

@@ -21,24 +21,59 @@ from typing import Callable, Sequence
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
+_DEFAULT_DESCR = np.dtype(DEFAULT_DTYPE)
 
-_grad_state = threading.local()
+
+class _GradState(threading.local):
+    """Per-thread autograd switches; every thread starts from these."""
+
+    enabled = True
+    inference = False
+
+
+_grad_state = _GradState()
 
 
 def is_grad_enabled() -> bool:
     """Return True when operations should record the autograd graph."""
-    return getattr(_grad_state, "enabled", True)
+    return _grad_state.enabled
+
+
+def is_inference_mode() -> bool:
+    """Return True inside :func:`inference_mode` on this thread."""
+    return _grad_state.inference
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph recording (inference mode)."""
-    previous = is_grad_enabled()
+    """Context manager that disables graph recording."""
+    previous = _grad_state.enabled
     _grad_state.enabled = False
     try:
         yield
     finally:
         _grad_state.enabled = previous
+
+
+@contextlib.contextmanager
+def inference_mode():
+    """Per-call serving mode for the current thread.
+
+    As :func:`no_grad`, no graph is recorded; in addition, op results are
+    bare tensors (no ``__init__`` checks, parents or backward closure),
+    dropout is the identity whatever ``Module.training`` says, and
+    ``BertEncoder.cls_embeddings`` runs its last layer for the ``[CLS]``
+    row only.  The switch is thread-local, so a serving forward never
+    changes what a concurrent training forward on the same modules does
+    (flipping ``Module.train``/``eval`` on shared modules would).
+    """
+    state = _grad_state
+    previous = state.enabled, state.inference
+    state.enabled, state.inference = False, True
+    try:
+        yield
+    finally:
+        state.enabled, state.inference = previous
 
 
 def _as_array(value, dtype=None) -> np.ndarray:
@@ -80,7 +115,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, *, dtype=None):
         self.data = _as_array(data, dtype)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and is_grad_enabled()
+        self.requires_grad = bool(requires_grad) and _grad_state.enabled
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self.name: str | None = None
@@ -134,8 +169,10 @@ class Tensor:
     # ------------------------------------------------------------------
     def _make_child(self, data: np.ndarray, parents: Sequence["Tensor"],
                     backward: Callable[[np.ndarray], None]) -> "Tensor":
+        if _grad_state.inference:
+            return _bare_tensor(data)
         out = Tensor(data)
-        if is_grad_enabled() and any(p.requires_grad for p in parents):
+        if _grad_state.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -465,6 +502,24 @@ class Tensor:
 
     def __le__(self, other):
         return self.data <= _as_array(other)
+
+
+def _bare_tensor(data) -> Tensor:
+    """A graph-free op result, skipping :meth:`Tensor.__init__`.
+
+    Holds the same float array ``Tensor(data)`` would; used for every op
+    result under :func:`inference_mode`.
+    """
+    if type(data) is not np.ndarray or data.dtype is not _DEFAULT_DESCR:
+        data = np.asarray(data, dtype=DEFAULT_DTYPE)
+    out = object.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = False
+    out._backward = None
+    out._parents = ()
+    out.name = None
+    return out
 
 
 # ----------------------------------------------------------------------

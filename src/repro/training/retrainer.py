@@ -74,10 +74,11 @@ def compute_stage2_losses(model: KTeleBert, masker: DynamicMasker,
     reg_value = 0.0
     tokens = 0
     if rows:
-        loss, numeric = model.masked_lm_loss(rows, masker)
+        prepared = model.prepare(rows)
+        loss, numeric = model.masked_lm_loss(rows, masker, prepared=prepared)
         total = loss
         mask_value = float(loss.data)
-        tokens += getattr(model, "last_batch_tokens", 0)
+        tokens += prepared["token_count"]
         if numeric is not None:
             reg_value = numeric.regression
     if triples:

@@ -34,7 +34,7 @@ class TestPrepareEdgeCases:
         long_prefix = " ".join(["word"] * 50)
         row = NumericRow(text=f"[KPI] {long_prefix} | [NUM] 5.0",
                          tag="some tag", value=5.0)
-        prep = model._prepare([row])
+        prep = model.prepare([row])
         assert len(prep["numeric_positions"]) == 0
         out = model.encode([row])
         assert out.shape == (1, 16)
@@ -50,14 +50,14 @@ class TestPrepareEdgeCases:
                 NumericRow(text="[KPI] rate | [NUM] 0.5", tag="rate",
                            value=0.5),
                 TextRow("[ALM] another alarm")]
-        prep = model._prepare(rows)
+        prep = model.prepare(rows)
         assert prep["numeric_rows"] == [1]
         out = model.encode(rows)
         assert out.shape == (3, 16)
 
     def test_value_token_excluded_from_masking(self, model):
         row = NumericRow(text="[KPI] rate | [NUM] 0.5", tag="rate", value=0.5)
-        prep = model._prepare([row])
+        prep = model.prepare([row])
         position = int(prep["numeric_positions"][0, 1])
         assert position in prep["excluded"][0]
         assert position + 1 in prep["excluded"][0]

@@ -78,7 +78,11 @@ class TestBertEncoder:
         ids = np.array([[5, 6, 7]])
         vectors = Tensor(np.ones((1, 16)), requires_grad=True)
         out = enc(ids, embedding_overrides=(np.array([[0, 1]]), vectors))
-        out.sum().backward()
+        # A plain sum would be a degenerate probe: the last LayerNorm
+        # (weight 1, bias 0) sums to the constant 0 per row, so its exact
+        # gradient is zero.  Project onto fixed random weights instead.
+        probe = Tensor(np.random.default_rng(0).normal(size=out.shape))
+        (out * probe).sum().backward()
         assert vectors.grad is not None
         assert np.abs(vectors.grad).sum() > 0
 
