@@ -127,7 +127,7 @@ PERFBENCH_WORKLOADS = serve_cold_bulk serve_hot_mix train_stage2
 
 perfbench-smoke:
 	set -e; for workload in $(PERFBENCH_WORKLOADS); do \
-	  timeout 600 python3 perfbench/run.py --workload $$workload \
+	  timeout 600 $(PYTHON) perfbench/run.py --workload $$workload \
 	    --seed 1 --seconds 1 --trace 0; \
 	done
 

@@ -238,15 +238,13 @@ class KTeleBert:
     # ------------------------------------------------------------------
     # Objectives
     # ------------------------------------------------------------------
-    def masked_lm_loss(self, rows: list, masker: DynamicMasker,
-                       prepared: dict | None = None
+    def masked_lm_loss(self, prep: dict, masker: DynamicMasker
                        ) -> tuple[Tensor, NumericLossOutput | None]:
         """`L_mask` (+ `L_num` when numeric rows are present and ANEnc is on).
 
-        ``prepared`` is :meth:`prepare`'s batch for ``rows`` when the caller
-        already holds it (the training step reads its ``token_count``).
+        ``prep`` is :meth:`prepare`'s batch, which the training step also
+        reads for its ``token_count``.
         """
-        prep = prepared if prepared is not None else self.prepare(rows)
         masked = masker.mask_batch(prep["ids"], prep["mask"],
                                    tokens=prep["tokens"],
                                    excluded_positions=prep["excluded"])
@@ -302,8 +300,11 @@ class KTeleBert:
 
         Runs under :func:`~repro.tensor.inference_mode`: dropout is off for
         this call only and draws nothing from ``rng``, and the modules'
-        train/eval mode is neither read nor changed.  Encodes may therefore
-        overlap each other and a training step on the same model.
+        train/eval mode is neither read nor changed.  Encodes therefore never
+        switch dropout on or off for each other or for a training forward.
+        They still read the weights in place, so an encode must not overlap
+        an optimizer step on the same model: it could read one layer before
+        the update and the next after it.
         """
         prep = self.prepare(rows)
         with inference_mode():

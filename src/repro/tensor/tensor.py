@@ -46,7 +46,11 @@ def is_inference_mode() -> bool:
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph recording."""
+    """Context manager that disables graph recording.
+
+    Op results inside it are bare tensors: no ``__init__`` checks, parents
+    or backward closure.
+    """
     previous = _grad_state.enabled
     _grad_state.enabled = False
     try:
@@ -59,13 +63,13 @@ def no_grad():
 def inference_mode():
     """Per-call serving mode for the current thread.
 
-    As :func:`no_grad`, no graph is recorded; in addition, op results are
-    bare tensors (no ``__init__`` checks, parents or backward closure),
-    dropout is the identity whatever ``Module.training`` says, and
-    ``BertEncoder.cls_embeddings`` runs its last layer for the ``[CLS]``
-    row only.  The switch is thread-local, so a serving forward never
-    changes what a concurrent training forward on the same modules does
-    (flipping ``Module.train``/``eval`` on shared modules would).
+    As :func:`no_grad`, no graph is recorded and op results are bare
+    tensors; in addition, dropout is the identity whatever
+    ``Module.training`` says, and ``BertEncoder.cls_embeddings`` runs its
+    last layer for the ``[CLS]`` row only.  The switch is thread-local, so
+    a serving forward never switches dropout on or off for a concurrent
+    forward on the same modules (flipping ``Module.train``/``eval`` on
+    shared modules would).
     """
     state = _grad_state
     previous = state.enabled, state.inference
@@ -169,10 +173,10 @@ class Tensor:
     # ------------------------------------------------------------------
     def _make_child(self, data: np.ndarray, parents: Sequence["Tensor"],
                     backward: Callable[[np.ndarray], None]) -> "Tensor":
-        if _grad_state.inference:
+        if not _grad_state.enabled:
             return _bare_tensor(data)
         out = Tensor(data)
-        if _grad_state.enabled and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -508,7 +512,8 @@ def _bare_tensor(data) -> Tensor:
     """A graph-free op result, skipping :meth:`Tensor.__init__`.
 
     Holds the same float array ``Tensor(data)`` would; used for every op
-    result under :func:`inference_mode`.
+    result while graph recording is off (:func:`no_grad`,
+    :func:`inference_mode`).
     """
     if type(data) is not np.ndarray or data.dtype is not _DEFAULT_DESCR:
         data = np.asarray(data, dtype=DEFAULT_DTYPE)

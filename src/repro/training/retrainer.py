@@ -75,7 +75,7 @@ def compute_stage2_losses(model: KTeleBert, masker: DynamicMasker,
     tokens = 0
     if rows:
         prepared = model.prepare(rows)
-        loss, numeric = model.masked_lm_loss(rows, masker, prepared=prepared)
+        loss, numeric = model.masked_lm_loss(prepared, masker)
         total = loss
         mask_value = float(loss.data)
         tokens += prepared["token_count"]

@@ -89,8 +89,8 @@ class TestRoundTrip:
         restored = load_ktelebert(tmp_path / "ckpt")
         masker = DynamicMasker(restored.tokenizer.vocab,
                                np.random.default_rng(0), masking_rate=0.3)
-        loss, _ = restored.masked_lm_loss([TextRow(s) for s in SENTENCES],
-                                          masker)
+        loss, _ = restored.masked_lm_loss(
+            restored.prepare([TextRow(s) for s in SENTENCES]), masker)
         loss.backward()
         grads = [p.grad is not None for p in restored.parameters()]
         assert any(grads)

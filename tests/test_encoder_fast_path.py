@@ -112,16 +112,19 @@ class TestFusedNodes:
 # inference_mode() itself
 # ----------------------------------------------------------------------
 class TestInferenceMode:
-    def test_records_no_graph_and_builds_bare_results(self):
+    @pytest.mark.parametrize("context", [no_grad, inference_mode])
+    def test_records_no_graph_and_builds_bare_results(self, context):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
-        with inference_mode():
-            assert is_inference_mode() and not is_grad_enabled()
+        with context():
+            assert not is_grad_enabled()
+            assert is_inference_mode() == (context is inference_mode)
             y = F.gelu(x * 2.0 + 1.0)
             z = y.sum()
         assert not y.requires_grad and y._parents == () and y._backward is None
         assert y.grad is None and y.name is None and y.data.dtype == np.float64
         assert isinstance(z.data, np.ndarray)  # numpy scalars become arrays
         assert not is_inference_mode() and is_grad_enabled()
+        assert (x * 2.0).requires_grad  # recording is back on outside
 
     def test_matches_no_grad_values(self):
         rng = np.random.default_rng(3)

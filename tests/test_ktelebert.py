@@ -124,7 +124,7 @@ class TestKTeleBertModel:
         masker = DynamicMasker(model.tokenizer.vocab,
                                np.random.default_rng(0), masking_rate=0.4)
         rows = data.mask_rows[:6]
-        loss, numeric = model.masked_lm_loss(rows, masker)
+        loss, numeric = model.masked_lm_loss(model.prepare(rows), masker)
         assert np.isfinite(loss.data)
 
     def test_ke_loss_finite(self, setup):

@@ -70,7 +70,8 @@ class TestPrepareEdgeCases:
         masker = DynamicMasker(model.tokenizer.vocab,
                                np.random.default_rng(0), masking_rate=0.4)
         loss, numeric = model.masked_lm_loss(
-            [TextRow("[DOC] the quick check"), TextRow("[DOC] another")],
+            model.prepare([TextRow("[DOC] the quick check"),
+                           TextRow("[DOC] another")]),
             masker)
         assert numeric is None  # no numeric rows -> no L_num
         assert np.isfinite(loss.data)
@@ -81,7 +82,7 @@ class TestPrepareEdgeCases:
         row = NumericRow(text="[KPI] rate | [NUM] 0.5", tag="rate", value=0.5)
         model.config.use_anenc = False
         try:
-            loss, numeric = model.masked_lm_loss([row], masker)
+            loss, numeric = model.masked_lm_loss(model.prepare([row]), masker)
             assert numeric is None
         finally:
             model.config.use_anenc = True
