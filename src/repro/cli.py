@@ -252,7 +252,7 @@ def _build_service(args: argparse.Namespace, adapters: dict | None = None):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serving import serve_loop
+    from repro.netserve.protocol import serve_loop
 
     with _build_service(args) as service:
         metrics = service.metrics
@@ -504,24 +504,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import lint_main
-
-    return lint_main(args.lint_args)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import bench_main
-
-    return bench_main(args.bench_args)
-
-
-def _cmd_index(args: argparse.Namespace) -> int:
-    from repro.index import index_main
-
-    return index_main(args.index_args)
-
-
 def _add_serve_args(parser: argparse.ArgumentParser) -> None:
     """Service flags shared by ``serve`` (stdin) and ``serve-net`` (TCP)."""
     parser.add_argument("--checkpoint", default=None,
@@ -746,7 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="forwarded to the lint driver — e.g. "
                            "--baseline tools/lint_baseline.json, "
                            "--format json, --list-rules")
-    lint.set_defaults(func=_cmd_lint)
 
     bench = sub.add_parser(
         "bench",
@@ -756,7 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="forwarded to the bench driver — "
                             "check | report | promote | list, e.g. "
                             "'check --names train_step'")
-    bench.set_defaults(func=_cmd_bench)
 
     index = sub.add_parser(
         "index",
@@ -766,29 +746,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="forwarded to the index driver — "
                             "build | query | stats, e.g. "
                             "'build --dir idx --synthetic 10000'")
-    index.set_defaults(func=_cmd_index)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["lint"]:
-        # Forwarded verbatim: argparse.REMAINDER refuses option-like
-        # leading arguments, and the lint driver owns its own --help.
+    if argv[:1] in (["lint"], ["bench"], ["index"]):
+        # Forwarded verbatim, before argparse: REMAINDER refuses
+        # option-like leading arguments, and each sub-driver owns its own
+        # subcommands and --help.  The subparsers in build_parser() only
+        # list these commands in --help.
+        from repro.bench import bench_main
+        from repro.index import index_main
         from repro.lint import lint_main
 
-        return lint_main(argv[1:])
-    if argv[:1] == ["bench"]:
-        # Same passthrough discipline as lint: the bench driver owns its
-        # own subcommands and --help.
-        from repro.bench import bench_main
-
-        return bench_main(argv[1:])
-    if argv[:1] == ["index"]:
-        from repro.index import index_main
-
-        return index_main(argv[1:])
+        drivers = {"lint": lint_main, "bench": bench_main,
+                   "index": index_main}
+        return drivers[argv[0]](argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

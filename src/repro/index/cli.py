@@ -21,6 +21,7 @@ import json
 import sys
 
 from repro.index.index import DEFAULT_NUM_SHARDS, VectorIndex
+from repro.index.provider import build_from_store
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -36,14 +37,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
         store = EmbeddingStore(args.store, fingerprint=args.fingerprint,
                                label=args.label, mode=args.mode)
-        names = store.names()
-        if not names:
+        if not len(store):
             print(f"index build: store at {args.store} holds no names in "
                   f"namespace ({args.fingerprint!r}, {args.label!r}, "
                   f"{args.mode!r})", file=sys.stderr)
             return 1
-        vectors = store.get_many(names)
-        count = index.build(vectors)
+        count = build_from_store(index, store)
     else:
         from repro.index.synthetic import synthetic_world
 

@@ -5,26 +5,46 @@
 :class:`~repro.serving.store.PersistentProvider` already wired into the
 serving stack) and keeps a :class:`~repro.index.index.VectorIndex` in
 sync with everything it encodes: bulk ingestion from an
-:class:`~repro.serving.store.EmbeddingStore` via the batched
-``get_many`` path, plus online capture of fresh encodes through the
-index's ``add`` buffer.  The index directory is keyed by the same
-checkpoint fingerprint as the store, so a re-trained encoder can never
-serve neighbours from a stale geometry — opening the mismatch raises
-instead.
+:class:`~repro.serving.store.EmbeddingStore` via :func:`build_from_store`,
+plus online capture of fresh encodes through the index's ``add`` buffer.
+The index directory is keyed by the same checkpoint fingerprint as the
+store, so a re-trained encoder can never serve neighbours from a stale
+geometry — opening the mismatch raises instead.
+
+Serving imports this module, so it names the store only as an annotation
+(under ``TYPE_CHECKING``) and never imports :mod:`repro.serving` at run
+time.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.index.index import VectorIndex
-from repro.serving.store import EmbeddingStore
 from repro.service.providers import EmbeddingProvider
+
+if TYPE_CHECKING:
+    from repro.serving.store import EmbeddingStore
 
 #: Pending ``add()`` rows that trigger an automatic fold into the shards.
 DEFAULT_AUTO_FLUSH = 4096
 #: Store names read per ``get_many`` batch during bulk ingestion.
 INGEST_BATCH = 2048
+
+
+def build_from_store(index: VectorIndex, store: EmbeddingStore) -> int:
+    """Rebuild ``index`` from every name ``store`` holds; returns rows built.
+
+    Reads the store through the batched ``get_many`` path, one lock
+    acquisition and at most one file open per :data:`INGEST_BATCH` names.
+    """
+    names = store.names()
+    vectors: dict[str, np.ndarray] = {}
+    for start in range(0, len(names), INGEST_BATCH):
+        vectors.update(store.get_many(names[start:start + INGEST_BATCH]))
+    return index.build(vectors)
 
 
 class IndexedEmbeddingProvider(EmbeddingProvider):
@@ -38,8 +58,8 @@ class IndexedEmbeddingProvider(EmbeddingProvider):
         The retrieval tier to keep in sync.  Must carry the same
         fingerprint as ``store`` when one is given.
     store:
-        Optional persistent store to bulk-ingest from
-        (:meth:`populate_from_store`).
+        Optional embedding store to bulk-ingest from
+        (:meth:`ensure_indexed`).
     auto_flush:
         Fold the index's pending buffer into shards once it holds this
         many rows (``0`` disables; call :meth:`flush` manually).
@@ -87,55 +107,20 @@ class IndexedEmbeddingProvider(EmbeddingProvider):
         return self.retrieve(self.encode_names(names), k=k, nprobe=nprobe)
 
     # -- Bulk ingestion ------------------------------------------------
-    def populate_from_store(self, rebuild: bool = False) -> int:
-        """Index every name the store holds; returns rows ingested.
-
-        Uses the batched ``get_many`` read path (one open + one lock
-        acquisition per :data:`INGEST_BATCH` names).  With ``rebuild``
-        the index is rebuilt from scratch; otherwise only names the
-        index does not already hold are added and folded in.
-        """
-        if self.store is None:
-            raise ValueError("no store attached to populate from")
-        names = self.store.names()
-        if rebuild:
-            gathered: dict[str, np.ndarray] = {}
-            for start in range(0, len(names), INGEST_BATCH):
-                gathered.update(
-                    self.store.get_many(names[start:start + INGEST_BATCH]))
-            self.index.build(gathered)
-            return len(gathered)
-        ingested = 0
-        for start in range(0, len(names), INGEST_BATCH):
-            batch = [n for n in names[start:start + INGEST_BATCH]
-                     if n not in self.index]
-            if not batch:
-                continue
-            found = self.store.get_many(batch)
-            if found:
-                self.index.add(found)
-                ingested += len(found)
-        if ingested:
-            self.index.flush()
-        return ingested
-
     def ensure_indexed(self) -> int:
-        """Populate from the store only when the index is empty."""
-        if self.store is not None and len(self.index) == 0:
-            return self.populate_from_store(rebuild=True)
+        """Build from the store when the index is empty and the store is not.
+
+        An empty store builds nothing, so a service that starts with no
+        stored vectors commits no empty index generation.
+        """
+        if self.store is not None and len(self.index) == 0 and len(self.store):
+            return build_from_store(self.index, self.store)
         return 0
 
     def flush(self) -> int:
         """Fold any pending buffered rows into the shards."""
         return self.index.flush()
 
-    def stats(self) -> dict:
-        """Index stats plus the inner provider's (when it has any)."""
-        stats = {"index": self.index.stats()}
-        inner_stats = getattr(self.inner, "stats", None)
-        if callable(inner_stats):
-            stats["inner"] = inner_stats()
-        return stats
 
-
-__all__ = ["DEFAULT_AUTO_FLUSH", "INGEST_BATCH", "IndexedEmbeddingProvider"]
+__all__ = ["DEFAULT_AUTO_FLUSH", "INGEST_BATCH", "IndexedEmbeddingProvider",
+           "build_from_store"]

@@ -14,10 +14,8 @@ from repro.service.providers import (
     RandomProvider,
     WordEmbeddingProvider,
 )
-from repro.service.cache import CachedProvider
 
 __all__ = [
-    "CachedProvider",
     "EmbeddingProvider",
     "KTeleBertProvider",
     "PlmProvider",

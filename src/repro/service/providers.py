@@ -11,6 +11,8 @@ Data-type modes for PLM providers follow Sec. V-A3:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.kg.graph import TeleKG
@@ -39,7 +41,9 @@ class RandomProvider(EmbeddingProvider):
     """The paper's "Random" baseline: uniform random vectors per name.
 
     Vectors are cached per name so repeated queries are consistent within a
-    run (as they would be with a fixed random init).
+    run (as they would be with a fixed random init).  The check-draw-store
+    runs under a lock, so concurrent callers (the service's fallback runs
+    on request threads) never give one name two vectors.
     """
 
     label = "Random"
@@ -48,18 +52,24 @@ class RandomProvider(EmbeddingProvider):
         self.dim = dim
         self.rng = np.random.default_rng(seed)
         self._cache: dict[str, np.ndarray] = {}
+        self._lock = threading.Lock()
 
     def encode_names(self, names: list[str]) -> np.ndarray:
         rows = []
-        for name in names:
-            if name not in self._cache:
-                self._cache[name] = self.rng.uniform(-1, 1, size=self.dim)
-            rows.append(self._cache[name])
+        with self._lock:
+            for name in names:
+                if name not in self._cache:
+                    self._cache[name] = self.rng.uniform(-1, 1, size=self.dim)
+                rows.append(self._cache[name])
         return np.stack(rows)
 
 
 class WordEmbeddingProvider(EmbeddingProvider):
-    """The EAP "Word Embeddings" baseline: average of per-word random vectors."""
+    """The EAP "Word Embeddings" baseline: average of per-word random vectors.
+
+    Word vectors are drawn once per word under a lock, like
+    :class:`RandomProvider`'s per-name vectors.
+    """
 
     label = "Word Embeddings"
 
@@ -67,11 +77,13 @@ class WordEmbeddingProvider(EmbeddingProvider):
         self.dim = dim
         self.rng = np.random.default_rng(seed)
         self._cache: dict[str, np.ndarray] = {}
+        self._lock = threading.Lock()
 
     def _word_vector(self, word: str) -> np.ndarray:
-        if word not in self._cache:
-            self._cache[word] = self.rng.normal(0, 1, size=self.dim)
-        return self._cache[word]
+        with self._lock:
+            if word not in self._cache:
+                self._cache[word] = self.rng.normal(0, 1, size=self.dim)
+            return self._cache[word]
 
     def encode_names(self, names: list[str]) -> np.ndarray:
         rows = []

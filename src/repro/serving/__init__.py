@@ -7,9 +7,9 @@ imply (Sec. V-A3) and that industrial tele-PLM systems build around:
 * :class:`MicroBatcher` — dynamic micro-batching with cross-request
   deduplication (flush on size or deadline), deadline-aware waits, and a
   flush watchdog that bounds provider calls;
-* :class:`EmbeddingStore` / :class:`PersistentProvider` — append-only
-  on-disk embedding cache keyed by checkpoint fingerprint, with an LRU
-  memory tier and versioned invalidation;
+* :class:`EmbeddingStore` / :class:`PersistentProvider` — the one
+  embedding cache: an LRU memory tier, optionally over an append-only
+  on-disk log keyed by checkpoint fingerprint (versioned invalidation);
 * :class:`FaultAnalysisService` — one façade exposing ``embed`` plus the
   three fault-analysis calls (``rank_root_causes`` / ``propagate_alarms``
   / ``classify_fault``) with per-request deadlines, bounded retry with
@@ -21,9 +21,10 @@ imply (Sec. V-A3) and that industrial tele-PLM systems build around:
 * :class:`CancellableWorkerPool` — the façade's daemon-thread retry pool
   with hung-thread accounting and bounded replacement;
 * :class:`MetricsRegistry` — counters, gauges, latency histograms with
-  p50/p95/p99, and structured event logging;
-* :func:`serve_loop` — the stdin/stdout JSON-lines transport behind
-  ``python -m repro serve``.
+  p50/p95/p99, and structured event logging.
+
+The request language and the stdin/stdout loop behind
+``python -m repro serve`` live in :mod:`repro.netserve.protocol`.
 """
 
 from repro.serving.batcher import MicroBatcher
@@ -39,11 +40,9 @@ from repro.serving.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_hit_stats,
     replay_journal,
 )
 from repro.serving.pool import CancellableWorkerPool
-from repro.serving.server import handle_request, serve_loop
 from repro.serving.service import (
     FaultAnalysisService,
     ServiceConfig,
@@ -73,8 +72,5 @@ __all__ = [
     "ProviderShapeError",
     "ServiceConfig",
     "ServingError",
-    "handle_request",
-    "merge_hit_stats",
     "replay_journal",
-    "serve_loop",
 ]

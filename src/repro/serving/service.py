@@ -8,7 +8,7 @@ Composes the serving stack the rest of :mod:`repro.serving` provides::
                MicroBatcher  (coalesce + cross-request dedup,
                   │           deadline-aware waits, flush watchdog)
                   ▼
-               PersistentProvider ──▶ EmbeddingStore (LRU + disk log)
+               PersistentProvider ──▶ EmbeddingStore (LRU + optional disk log)
                   ▼
                primary EmbeddingProvider (the frozen encoder)
 
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.index.provider import IndexedEmbeddingProvider
 from repro.serving import metric_names as mn
 from repro.serving.batcher import MicroBatcher
 from repro.serving.deadline import (
@@ -46,10 +47,9 @@ from repro.serving.deadline import (
     DeadlineExceeded,
     FlushTimeout,
 )
-from repro.serving.metrics import MetricsRegistry, merge_hit_stats
+from repro.serving.metrics import MetricsRegistry
 from repro.serving.pool import CancellableWorkerPool
 from repro.serving.store import EmbeddingStore, PersistentProvider
-from repro.service.cache import CachedProvider
 from repro.service.providers import EmbeddingProvider
 
 #: Grace added to the *external* wait on a pool job beyond the attempt
@@ -130,8 +130,8 @@ class FaultAnalysisService:
         (timeouts/errors after retries) — e.g. a
         :class:`~repro.service.WordEmbeddingProvider` of the same ``dim``.
     store_dir:
-        Directory for the persistent embedding store; ``None`` serves
-        purely from memory.
+        Directory for the embedding store's disk log; ``None`` keeps the
+        store memory-only (its LRU tier alone).
     fingerprint:
         Version key for the store — pass
         :func:`repro.models.checkpoint.checkpoint_fingerprint` (or
@@ -167,24 +167,14 @@ class FaultAnalysisService:
         if fallback is not None and fallback.dim != provider.dim:
             raise ValueError("fallback dim must match the primary provider")
 
-        self.store: EmbeddingStore | None = None
-        stack: EmbeddingProvider = provider
-        if store_dir is not None:
-            self.store = EmbeddingStore(
-                store_dir, fingerprint=fingerprint, label=provider.label,
-                mode=mode or getattr(provider, "mode", "name"),
-                lru_capacity=self.config.lru_capacity)
-            stack = PersistentProvider(stack, self.store)
-        else:
-            stack = CachedProvider(stack)
-        self._cache = stack
+        self.store = EmbeddingStore(
+            store_dir, fingerprint=fingerprint, label=provider.label,
+            mode=mode or getattr(provider, "mode", "name"),
+            lru_capacity=self.config.lru_capacity)
+        stack: EmbeddingProvider = PersistentProvider(provider, self.store)
         self.index = index
         self._retriever = None
         if index is not None:
-            # Local import: repro.index imports repro.serving at module
-            # level, so the reverse edge must stay call-time only.
-            from repro.index.provider import IndexedEmbeddingProvider
-
             self._retriever = IndexedEmbeddingProvider(
                 stack, index, store=self.store)
             self._retriever.ensure_indexed()
@@ -318,7 +308,7 @@ class FaultAnalysisService:
         hung first encode must not serialize every other task call behind
         the lock.  Concurrent first calls may both pay for the embed; the
         re-check under the lock makes exactly one of them fit the adapter
-        (same liveness-over-dedup trade as ``CachedProvider``).
+        (same liveness-over-dedup trade as ``PersistentProvider``).
         """
         if adapter is None:
             raise ValueError(f"no {op} adapter configured on this service")
@@ -396,17 +386,18 @@ class FaultAnalysisService:
     def stats(self) -> dict:
         """Request counts, cache hit rate, latency percentiles, tiers."""
         snapshot = self.metrics.snapshot()
-        tiers = [self._cache.stats()] if hasattr(self._cache, "stats") else []
+        store = self.store.stats()
         latency = snapshot["histograms"].get(
             mn.SERVING_LATENCY, {"count": 0, "mean": 0.0,
                                  "p50": 0.0, "p95": 0.0, "p99": 0.0})
         return {
             "requests": snapshot["counters"].get(mn.SERVING_REQUESTS, 0),
-            "cache": merge_hit_stats(tiers),
+            "cache": {key: store[key]
+                      for key in ("hits", "misses", "hit_rate")},
             "latency": latency,
             "batcher": self.batcher.stats(),
             "pool": self._pool.stats(),
-            "store": self.store.stats() if self.store else None,
+            "store": store,
             "index": self.index.stats() if self.index else None,
             "metrics": snapshot,
         }

@@ -1,11 +1,12 @@
-"""Persistent embedding store: append-only disk log + in-memory LRU tier.
+"""Embedding store: in-memory LRU tier over an optional append-only disk log.
 
-Every embedding consumer in the repo re-encodes the same target names on
-every process start (the per-process :class:`~repro.service.CachedProvider`
-memo dies with the interpreter).  :class:`EmbeddingStore` makes the cache
-survive: vectors live in an append-only JSON-lines log on disk, keyed by
-``(fingerprint, provider label, mode, name)``, with a bounded LRU dict in
-front so hot names never touch the disk twice.
+:class:`EmbeddingStore` is the one per-name embedding cache of the
+serving stack.  With a directory, vectors live in an append-only
+JSON-lines log on disk, keyed by ``(fingerprint, provider label, mode,
+name)``, with a bounded LRU dict in front so hot names never touch the
+disk twice; the cache then survives process restarts.  With
+``directory=None`` the store is the LRU tier alone: nothing is written,
+and vectors live as long as the process and the LRU bound allow.
 
 *Versioned invalidation* falls out of the key: the fingerprint component
 comes from :func:`repro.models.checkpoint.checkpoint_fingerprint` (or
@@ -50,20 +51,26 @@ class EmbeddingStore:
     mode)`` — and maps names to vectors within it.  Entries written under
     other namespaces coexist in the same log file but are invisible, which
     is what makes checkpoint-fingerprint invalidation free.
+
+    ``directory=None`` makes a memory-only store: the LRU tier alone, with
+    no log file, so ``compact()`` has nothing to rewrite.
     """
 
-    def __init__(self, directory: str | Path, fingerprint: str = "unversioned",
+    def __init__(self, directory: str | Path | None,
+                 fingerprint: str = "unversioned",
                  label: str = "provider", mode: str = "name",
                  lru_capacity: int = 4096):
         if lru_capacity < 1:
             raise ValueError("lru_capacity must be positive")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.directory = None if directory is None else Path(directory)
+        self.path = None
+        if self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self.path = self.directory / _LOG_NAME
         self.fingerprint = fingerprint
         self.label = label
         self.mode = mode
         self.lru_capacity = lru_capacity
-        self.path = self.directory / _LOG_NAME
         self._lock = threading.RLock()
         self._lru: OrderedDict[str, np.ndarray] = OrderedDict()
         # name -> byte offset of its newest record in the log (this
@@ -83,7 +90,7 @@ class EmbeddingStore:
 
     def _scan(self) -> None:
         """Index the log: newest offset per name in this namespace."""
-        if not self.path.exists():
+        if self.path is None or not self.path.exists():
             return
         with open(self.path, "rb") as handle:
             offset = 0
@@ -98,20 +105,6 @@ class EmbeddingStore:
                     continue  # torn trailing write from a killed process
                 if self._matches(record):
                     self._offsets[record["n"]] = start
-
-    def _read_at(self, offset: int) -> np.ndarray | None:
-        """Decode the record at ``offset``; ``None`` if torn/unreadable.
-
-        A record that indexed cleanly can still fail to read later (the
-        file truncated or corrupted underneath a live store).  That must
-        degrade to a cache miss — the provider re-encodes — never to a
-        ``JSONDecodeError`` escaping ``get()``.
-        """
-        try:
-            with open(self.path, "rb") as handle:
-                return self._decode_at(handle, offset)
-        except OSError:
-            return None
 
     @staticmethod
     def _decode_at(handle, offset: int) -> np.ndarray | None:
@@ -144,21 +137,7 @@ class EmbeddingStore:
     # ------------------------------------------------------------------
     def get(self, name: str) -> np.ndarray | None:
         """The stored vector for ``name``, or ``None`` on a full miss."""
-        with self._lock:
-            vector = self._lru_get(name)
-            if vector is None and name in self._offsets:
-                vector = self._read_at(self._offsets[name])
-                if vector is None:
-                    # Torn/unreadable record: forget the offset so the
-                    # miss is permanent rather than re-read every call.
-                    del self._offsets[name]
-                else:
-                    self._lru_put(name, vector)
-            if vector is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return vector
+        return self.get_many([name]).get(name)
 
     def get_many(self, names: list[str]) -> dict[str, np.ndarray]:
         """Vectors for every known name (missing names are absent).
@@ -190,8 +169,9 @@ class EmbeddingStore:
                         vector = (self._decode_at(handle, offset)
                                   if handle is not None else None)
                         if vector is None:
-                            # Torn/unreadable record: same permanent-miss
-                            # policy as get().
+                            # Torn/unreadable record: forget the offset so
+                            # the miss is permanent rather than re-read on
+                            # every call.
                             del self._offsets[name]
                             self.misses += 1
                         else:
@@ -215,22 +195,23 @@ class EmbeddingStore:
                 handle.write(b"\n")
 
     def put_many(self, vectors: dict[str, np.ndarray]) -> None:
-        """Append vectors to the log and refresh both tiers."""
+        """Append vectors to the log (if any) and refresh both tiers."""
         if not vectors:
             return
         with self._lock:
-            self._ensure_newline_terminated()
-            with open(self.path, "ab") as handle:
-                for name, vector in vectors.items():
-                    record = {"v": self.fingerprint, "p": self.label,
-                              "m": self.mode, "n": name,
-                              "e": [float(x) for x in np.asarray(vector)]}
-                    start = handle.tell()
-                    handle.write(json.dumps(record,
-                                            ensure_ascii=False).encode())
-                    handle.write(b"\n")
-                    self._offsets[name] = start
-                    self._lru_put(name, np.asarray(vector, dtype=np.float64))
+            if self.path is not None:
+                self._ensure_newline_terminated()
+                with open(self.path, "ab") as handle:
+                    for name, vector in vectors.items():
+                        record = {"v": self.fingerprint, "p": self.label,
+                                  "m": self.mode, "n": name,
+                                  "e": [float(x) for x in np.asarray(vector)]}
+                        self._offsets[name] = handle.tell()
+                        handle.write(json.dumps(record,
+                                                ensure_ascii=False).encode())
+                        handle.write(b"\n")
+            for name, vector in vectors.items():
+                self._lru_put(name, np.asarray(vector, dtype=np.float64))
 
     def __contains__(self, name: str) -> bool:
         with self._lock:
@@ -262,8 +243,11 @@ class EmbeddingStore:
         (:func:`repro.ioutil.atomic_writer`) still guarantees a crash
         mid-compaction leaves the previous complete log, never a partial
         one.  Names alive only in the LRU (their disk record was torn and
-        evicted) are re-persisted from memory rather than dropped.
+        evicted) are re-persisted from memory rather than dropped.  A
+        memory-only store has no log: it writes nothing and returns 0.
         """
+        if self.path is None:
+            return 0
         with self._lock:
             disk_only = {name: offset
                          for name, offset in self._offsets.items()
@@ -327,9 +311,10 @@ class PersistentProvider(EmbeddingProvider):
     """Provider decorator backed by an :class:`EmbeddingStore`.
 
     Drop-in for any :class:`~repro.service.providers.EmbeddingProvider`:
-    names found in the store (from *any* earlier process with the same
-    fingerprint) skip the inner encoder entirely; fresh names are encoded
-    once, persisted, and served from memory afterwards.
+    names found in the store (from this process or, with a disk log, from
+    *any* earlier process with the same fingerprint) skip the inner
+    encoder entirely; fresh names are encoded once, stored, and served
+    from memory afterwards.
     """
 
     def __init__(self, inner: EmbeddingProvider, store: EmbeddingStore):

@@ -285,6 +285,34 @@ class TestIndexedProvider:
         # idempotent: a populated index is not rebuilt
         assert indexed.ensure_indexed() == 0
 
+    def test_empty_store_builds_no_generation(self, tmp_path):
+        store = EmbeddingStore(None, fingerprint="fp")
+        index = VectorIndex(tmp_path / "idx", fingerprint="fp")
+        indexed = IndexedEmbeddingProvider(RandomProvider(dim=8, seed=0),
+                                           index, store=store)
+        assert indexed.ensure_indexed() == 0
+        assert index.stats()["generation"] == 0
+
+    def test_build_from_store_reads_in_batches(self, tmp_path, monkeypatch):
+        import repro.index.provider as provider_mod
+
+        store = EmbeddingStore(tmp_path / "store", fingerprint="fp")
+        PersistentProvider(RandomProvider(dim=8, seed=0),
+                           store).encode_names([f"n-{i}" for i in range(20)])
+        batches = []
+        real_get_many = store.get_many
+
+        def get_many(names):
+            batches.append(len(names))
+            return real_get_many(names)
+
+        monkeypatch.setattr(provider_mod, "INGEST_BATCH", 8)
+        monkeypatch.setattr(store, "get_many", get_many)
+        index = VectorIndex(tmp_path / "idx", fingerprint="fp")
+        assert provider_mod.build_from_store(index, store) == 20
+        assert batches == [8, 8, 4]
+        assert len(index) == 20
+
     def test_store_index_fingerprint_mismatch_rejected(self, tmp_path):
         store = EmbeddingStore(tmp_path / "store", fingerprint="ckpt-a")
         index = VectorIndex(tmp_path / "idx", fingerprint="ckpt-b")
@@ -350,6 +378,12 @@ class TestCli:
                            "--store", store_dir,
                            "--fingerprint", "fp"]) == 0
         assert json.loads(capsys.readouterr().out)["built"] == 20
+
+    def test_build_from_empty_store_fails(self, tmp_path, capsys):
+        assert index_main(["build", "--dir", str(tmp_path / "idx"),
+                           "--store", str(tmp_path / "store"),
+                           "--fingerprint", "fp"]) == 1
+        assert "holds no names" in capsys.readouterr().err
 
     def test_build_flag_validation_and_unknown_name(self, tmp_path,
                                                     capsys):

@@ -669,13 +669,6 @@ def test_serve_net_cli_sigterm_drains_cleanly(tmp_path):
 # Shared dispatch core: the stdin loop stays byte-compatible
 # ----------------------------------------------------------------------
 class TestSharedDispatchCore:
-    def test_serving_server_reexports_protocol(self):
-        from repro.serving import server as serving_server
-
-        assert serving_server.handle_request is protocol.handle_request
-        assert serving_server.serve_loop is protocol.serve_loop
-        assert serving_server.dispatch_line is protocol.dispatch_line
-
     def test_stdin_envelope_has_no_socket_fields(self):
         with FaultAnalysisService(RandomProvider(dim=4, seed=0),
                                   config=_tight_config()) as service:

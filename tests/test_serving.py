@@ -16,12 +16,10 @@ from repro.serving import (
     PersistentProvider,
     ServiceConfig,
     ServingError,
-    handle_request,
-    merge_hit_stats,
-    serve_loop,
 )
+from repro.netserve.protocol import handle_request, serve_loop
 from repro.serving.metrics import Histogram
-from repro.service import CachedProvider, RandomProvider
+from repro.service import RandomProvider
 
 
 class CountingProvider(RandomProvider):
@@ -135,36 +133,26 @@ class TestMetrics:
         assert len(lines) == 5
         assert json.loads(lines[0])["kind"] == "tick"
 
-    def test_merge_hit_stats(self):
-        merged = merge_hit_stats([{"hits": 3, "misses": 1},
-                                  {"hits": 1, "misses": 3}])
-        assert merged == {"hits": 4, "misses": 4, "hit_rate": 0.5}
-        assert merge_hit_stats([])["hit_rate"] == 0.0
-
 
 # ----------------------------------------------------------------------
-# CachedProvider hardening (satellite)
+# Memory-only store cache (PersistentProvider over EmbeddingStore(None))
 # ----------------------------------------------------------------------
+def _memory_cached(inner):
+    return PersistentProvider(inner, EmbeddingStore(None, label=inner.label))
+
+
 class TestCachedProvider:
-    def test_clear_resets_hit_rate_stats(self):
-        provider = CachedProvider(RandomProvider(dim=4, seed=0))
-        provider.encode_names(["a", "a", "b"])
-        assert provider.stats()["hits"] == 1
-        provider.clear()
-        stats = provider.stats()
-        assert stats == {"hits": 0, "misses": 0, "hit_rate": 0.0, "size": 0}
-
     def test_stats_shape_feeds_merge(self):
-        provider = CachedProvider(RandomProvider(dim=4, seed=0))
+        provider = _memory_cached(RandomProvider(dim=4, seed=0))
         provider.encode_names(["a", "b"])
         provider.encode_names(["a", "b"])
         stats = provider.stats()
         assert stats["hit_rate"] == 0.5
-        assert merge_hit_stats([stats])["hits"] == 2
+        assert (stats["hits"], stats["misses"]) == (2, 2)
 
     def test_concurrent_encodes_are_consistent(self):
         inner = CountingProvider(dim=4)
-        provider = CachedProvider(inner)
+        provider = _memory_cached(inner)
         errors = []
 
         def worker():
@@ -186,7 +174,7 @@ class TestCachedProvider:
         # cache settles every further iteration is a pure hit: the call
         # count is bounded by the number of racing threads, not 8 * 20.
         assert 1 <= inner.calls <= 8
-        assert provider.cache_size == 2
+        assert len(provider.store) == 2
 
 
 # ----------------------------------------------------------------------
@@ -559,6 +547,29 @@ class TestFaultAnalysisService:
             service.embed(names)
             assert inner.calls == 0
             assert service.stats()["store"]["disk_entries"] == 20
+
+    def test_memory_only_store_is_the_cache(self):
+        with FaultAnalysisService(CountingProvider(dim=8),
+                                  config=_fast_config()) as service:
+            service.embed(["a", "b"])
+            service.embed(["a"])
+            stats = service.stats()
+        assert stats["cache"] == {"hits": 1, "misses": 2, "hit_rate": 1 / 3}
+        assert stats["store"]["memory_entries"] == 2
+        assert stats["store"]["disk_entries"] == 0
+        assert service.store.path is None
+
+    def test_index_without_store_dir_stays_at_generation_zero(
+            self, tmp_path):
+        from repro.index import VectorIndex
+
+        index = VectorIndex(tmp_path / "idx", fingerprint="f1")
+        with FaultAnalysisService(RandomProvider(dim=8, seed=0),
+                                  config=_fast_config(), fingerprint="f1",
+                                  index=index) as service:
+            assert index.stats()["generation"] == 0
+            service.embed(["a"])
+        assert list(tmp_path.iterdir()) == [tmp_path / "idx"]
 
 
 # ----------------------------------------------------------------------

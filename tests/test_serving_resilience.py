@@ -600,9 +600,15 @@ class TestStoreDurability:
 # ----------------------------------------------------------------------
 # PersistentProvider: slow encodes must not serialize cache hits
 # ----------------------------------------------------------------------
+@pytest.fixture(params=["disk", "memory"])
+def store_dir(request, tmp_path):
+    """A disk-log store directory, or ``None`` for the memory-only store."""
+    return tmp_path if request.param == "disk" else None
+
+
 class TestPersistentProviderConcurrency:
     @pytest.mark.timeout(30)
-    def test_warm_reads_bypass_a_slow_encode(self, tmp_path):
+    def test_warm_reads_bypass_a_slow_encode(self, store_dir):
         class SlowProvider(RandomProvider):
             label = "Slow"
 
@@ -617,7 +623,7 @@ class TestPersistentProviderConcurrency:
                 return super().encode_names(names)
 
         slow = SlowProvider()
-        store = EmbeddingStore(tmp_path, fingerprint="f1", label="Slow")
+        store = EmbeddingStore(store_dir, fingerprint="f1", label="Slow")
         store.put_many({"hot": np.ones(4)})
         provider = PersistentProvider(slow, store)
 
@@ -640,10 +646,10 @@ class TestPersistentProviderConcurrency:
         assert cold_result["out"].shape == (1, 4)
 
     @pytest.mark.timeout(30)
-    def test_racing_encodes_of_one_name_stay_consistent(self, tmp_path):
+    def test_racing_encodes_of_one_name_stay_consistent(self, store_dir):
         provider = PersistentProvider(
             RandomProvider(dim=4, seed=0),
-            EmbeddingStore(tmp_path, fingerprint="f1"))
+            EmbeddingStore(store_dir, fingerprint="f1"))
         outputs = []
         barrier = threading.Barrier(4)
 

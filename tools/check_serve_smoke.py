@@ -2,9 +2,11 @@
 
 Reads the server's JSON-lines responses from stdin and asserts the shape
 the protocol promises: every line parses, every request succeeded, embed
-responses carry vectors, and the stats response reports the request count
-and cache counters.  Exits non-zero (with a message) on any violation so
-``make serve-smoke`` fails loudly in CI.
+responses carry vectors, and the stats response reports the request count,
+latency, and at least one cache hit (the canned session embeds one name
+twice, so the second embed must come from the cache).  Exits non-zero
+(with a message) on any violation so ``make serve-smoke`` fails loudly in
+CI.
 
 Usage::
 
@@ -47,6 +49,8 @@ def check(lines: list[str]) -> list[dict]:
         if stats.get("requests", 0) < 1 or "cache" not in stats \
                 or "p95" not in stats.get("latency", {}):
             raise SystemExit(f"stats response incomplete: {stats}")
+        if stats["cache"].get("hits", 0) < 1:
+            raise SystemExit(f"stats response shows no cache hit: {stats}")
     return responses
 
 
