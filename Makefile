@@ -87,15 +87,21 @@ api:
 	$(PYTHON) tools/gen_api_docs.py docs/api.md
 
 # Pipe a few JSON-lines requests through the serving loop and validate
-# every response (uses the stub encoder; no checkpoint needed).
+# every response (uses the stub encoder; no checkpoint needed).  The
+# session runs twice against one --store directory: the first pass hits
+# the cache once (the repeated name), the restarted second pass also
+# reads both names of the first embed back from the disk log.
 serve-smoke:
-	printf '%s\n' \
-	  '{"op": "ping"}' \
-	  '{"op": "embed", "names": ["link failure", "paging storm"]}' \
-	  '{"op": "embed", "names": ["link failure"]}' \
-	  '{"op": "stats"}' \
-	  | $(PYTHON) -m repro serve --stats --max-wait-ms 2 \
-	  | $(PYTHON) tools/check_serve_smoke.py
+	store=$$(mktemp -d); trap 'rm -rf "$$store"' EXIT; \
+	for hits in 1 3; do \
+	  printf '%s\n' \
+	    '{"op": "ping"}' \
+	    '{"op": "embed", "names": ["link failure", "paging storm"]}' \
+	    '{"op": "embed", "names": ["link failure"]}' \
+	    '{"op": "stats"}' \
+	    | $(PYTHON) -m repro serve --stats --max-wait-ms 2 --store "$$store" \
+	    | $(PYTHON) tools/check_serve_smoke.py --min-hits $$hits || exit 1; \
+	done
 
 # Boot the TCP frontend as a real subprocess, drive a short open-loop
 # mix over the tenant quota with the load generator, and SIGTERM it:

@@ -149,6 +149,7 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     from repro.models import load_ktelebert
+    from repro.netserve.protocol import round_rows
 
     model = load_ktelebert(args.checkpoint)
     texts = args.text or [line.strip() for line in sys.stdin
@@ -156,9 +157,9 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if not texts:
         print("no input texts", file=sys.stderr)
         return 2
-    vectors = model.encode_texts(texts)
+    vectors = round_rows(model.encode_texts(texts))
     for text, vector in zip(texts, vectors):
-        payload = {"text": text, "embedding": [round(v, 6) for v in vector]}
+        payload = {"text": text, "embedding": vector}
         print(json.dumps(payload, ensure_ascii=False))
     return 0
 

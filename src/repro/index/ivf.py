@@ -79,18 +79,30 @@ def coarse_cluster(vectors: np.ndarray, nlist: int, seed: int = 0,
     else:
         train = vectors
     centroids = _seed_centroids(train, nlist, rng)
+    dim = train.shape[1]
+    # Flat (cell, column) slot of each element of ``train``, row-major.
+    columns = np.arange(dim)
     for _ in range(max(1, iterations)):
         # Cosine assignment: nearest centroid = highest dot product.
         assignments = np.argmax(train @ centroids.T, axis=1)
-        for cell in range(nlist):
-            members = train[assignments == cell]
-            if len(members):
-                centroids[cell] = members.mean(axis=0)
-            else:
-                # Re-seed an empty cell on the row farthest from its
-                # centroid, keeping all nlist cells populated.
-                similarity = (train * centroids[assignments]).sum(axis=1)
-                centroids[cell] = train[int(np.argmin(similarity))]
+        # One scatter-add sums each cell's rows in row order, the order
+        # ``mean(axis=0)`` adds them in, so the means are bit-identical.
+        sums = np.zeros(nlist * dim, dtype=np.float32)
+        np.add.at(sums, (assignments[:, None] * dim + columns).ravel(),
+                  train.ravel())
+        counts = np.bincount(assignments, minlength=nlist)
+        means = sums.reshape(nlist, dim) / np.maximum(counts, 1)[:, None]
+        updated = 0
+        for cell in np.flatnonzero(counts == 0):
+            # Re-seed an empty cell on the row farthest from its
+            # centroid, keeping all nlist cells populated.  Cells below
+            # it already hold their means, cells above it their old
+            # centroids, as when cells were updated one by one.
+            centroids[updated:cell] = means[updated:cell]
+            similarity = (train * centroids[assignments]).sum(axis=1)
+            centroids[cell] = train[int(np.argmin(similarity))]
+            updated = cell + 1
+        centroids[updated:] = means[updated:]
         centroids = _normalise(centroids).astype(np.float32)
     assignments = np.argmax(vectors @ centroids.T, axis=1).astype(np.int64)
     return centroids, assignments

@@ -30,6 +30,8 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, IO
 
+import numpy as np
+
 from repro.serving import metric_names as mn
 
 if TYPE_CHECKING:  # import only for annotations; avoids a package cycle
@@ -58,8 +60,6 @@ RETRYABLE_CODES = frozenset({
 
 def parse_rca_state(request: dict):
     """Validate and build the RCA inference state from a request dict."""
-    import numpy as np
-
     from repro.tasks.rca.serve import state_for_inference
 
     nodes = request.get("nodes")
@@ -109,6 +109,27 @@ def parse_eap_pairs(request: dict):
     return pairs
 
 
+def round_rows(matrix) -> list[list[float]]:
+    """``matrix`` as nested lists of floats rounded to 6 decimals.
+
+    Every element equals ``round(float(x), 6)``, computed in one numpy
+    pass: ``rint(x * 1e6) / 1e6`` agrees with it unless the product's
+    rounding error changes how a tie breaks, which needs the scaled value
+    within an ulp (under 1.2e-7 for ``|x| <= 1e3``) of a half-integer.
+    Elements within 1e-6 of one, larger ones and non-finite ones take
+    Python's ``round``.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = matrix * 1e6
+        rows = (np.rint(scaled) / 1e6).tolist()
+        exact = (np.abs(matrix) <= 1e3) & \
+            (np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-6)
+    for i, j in zip(*np.nonzero(~exact)):
+        rows[i][j] = round(float(matrix[i, j]), 6)
+    return rows
+
+
 def handle_request(service: "FaultAnalysisService", request: dict,
                    deadline: "Deadline | None" = None) -> dict:
     """Dispatch one request dict to the service; returns the response.
@@ -128,9 +149,7 @@ def handle_request(service: "FaultAnalysisService", request: dict,
                 not all(isinstance(n, str) for n in names):
             raise ValueError("embed needs a non-empty 'names' string list")
         vectors = service.embed(names, deadline=deadline)
-        return {"ok": True, "op": "embed",
-                "embeddings": [[round(float(x), 6) for x in row]
-                               for row in vectors]}
+        return {"ok": True, "op": "embed", "embeddings": round_rows(vectors)}
     if op == "classify_fault":
         alarm = request.get("alarm")
         if not isinstance(alarm, str):

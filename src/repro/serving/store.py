@@ -14,12 +14,21 @@ comes from :func:`repro.models.checkpoint.checkpoint_fingerprint` (or
 encoder changes the namespace and stale vectors are simply never matched
 again.  ``compact()`` rewrites the log keeping only the live namespace.
 
+Each log line is one JSON record: ``{"v": fingerprint, "p": label,
+"m": mode, "n": name, "b": vector}``, where ``"b"`` is the base64 of the
+vector's little-endian float64 bytes, so a vector read back from the log
+equals the one written bit for bit.  Records of the earlier layout, which
+carried the vector as a JSON float list under ``"e"``, match no namespace:
+their names are encoded once more on first use, and ``compact()`` drops
+them, as after a fingerprint change.
+
 The append-only format is crash-tolerant by construction: a torn final
 line (killed process) is detected and skipped on the next open.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import threading
 from collections import OrderedDict
@@ -31,6 +40,8 @@ from repro.ioutil import atomic_writer
 from repro.service.providers import EmbeddingProvider
 
 _LOG_NAME = "embeddings.jsonl"
+#: Byte layout of a logged vector: little-endian float64.
+_VECTOR_DTYPE = np.dtype("<f8")
 
 
 class ProviderShapeError(ValueError):
@@ -84,9 +95,18 @@ class EmbeddingStore:
     # Disk log
     # ------------------------------------------------------------------
     def _matches(self, record: dict) -> bool:
+        """A record of this namespace in the current (``"b"``) layout."""
         return (record.get("v") == self.fingerprint
                 and record.get("p") == self.label
-                and record.get("m") == self.mode)
+                and record.get("m") == self.mode
+                and "b" in record)
+
+    def _record_line(self, name: str, vector: np.ndarray) -> bytes:
+        """One newline-terminated log record for ``name``."""
+        packed = np.asarray(vector, dtype=_VECTOR_DTYPE).tobytes()
+        record = {"v": self.fingerprint, "p": self.label, "m": self.mode,
+                  "n": name, "b": base64.b64encode(packed).decode("ascii")}
+        return json.dumps(record, ensure_ascii=False).encode() + b"\n"
 
     def _scan(self) -> None:
         """Index the log: newest offset per name in this namespace."""
@@ -112,9 +132,10 @@ class EmbeddingStore:
         try:
             handle.seek(offset)
             record = json.loads(handle.readline().decode("utf-8"))
-            return np.asarray(record["e"], dtype=np.float64)
-        except (OSError, json.JSONDecodeError, KeyError, UnicodeDecodeError,
-                TypeError, ValueError):
+            packed = base64.b64decode(record["b"], validate=True)
+            return np.frombuffer(packed, dtype=_VECTOR_DTYPE).astype(
+                np.float64)
+        except (OSError, KeyError, TypeError, ValueError):
             return None
 
     # ------------------------------------------------------------------
@@ -201,15 +222,14 @@ class EmbeddingStore:
         with self._lock:
             if self.path is not None:
                 self._ensure_newline_terminated()
+                lines = [self._record_line(name, vector)
+                         for name, vector in vectors.items()]
                 with open(self.path, "ab") as handle:
-                    for name, vector in vectors.items():
-                        record = {"v": self.fingerprint, "p": self.label,
-                                  "m": self.mode, "n": name,
-                                  "e": [float(x) for x in np.asarray(vector)]}
-                        self._offsets[name] = handle.tell()
-                        handle.write(json.dumps(record,
-                                                ensure_ascii=False).encode())
-                        handle.write(b"\n")
+                    offset = handle.tell()
+                    handle.write(b"".join(lines))
+                for name, line in zip(vectors, lines):
+                    self._offsets[name] = offset
+                    offset += len(line)
             for name, vector in vectors.items():
                 self._lru_put(name, np.asarray(vector, dtype=np.float64))
 
@@ -265,11 +285,7 @@ class EmbeddingStore:
 
                     def emit(name: str, vector: np.ndarray) -> None:
                         nonlocal position
-                        record = {"v": self.fingerprint, "p": self.label,
-                                  "m": self.mode, "n": name,
-                                  "e": [float(x) for x in vector]}
-                        line = json.dumps(
-                            record, ensure_ascii=False).encode() + b"\n"
+                        line = self._record_line(name, vector)
                         out.write(line)
                         offsets[name] = position
                         position += len(line)

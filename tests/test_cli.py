@@ -70,6 +70,49 @@ class TestEncodeRoundTrip:
         assert payload["text"].startswith("[ALM]")
         assert len(payload["embedding"]) == 32
 
+    def test_encode_rounds_like_the_serving_envelope(self, capsys, tmp_path):
+        """``encode`` prints ``round(float(x), 6)`` of ``encode_texts``."""
+        from repro.corpus import build_tele_corpus
+        from repro.kg import build_tele_kg
+        from repro.models import (
+            KTeleBert,
+            KTeleBertConfig,
+            TeleBertTrainer,
+            load_ktelebert,
+            save_ktelebert,
+        )
+        from repro.training.stage2 import build_stage2_data
+        from repro.world import TelecomWorld
+
+        world = TelecomWorld.generate(seed=43, alarms_per_theme=2,
+                                      kpis_per_theme=2, topology_nodes=6)
+        corpus = build_tele_corpus(world, seed=43)
+        trainer = TeleBertTrainer(corpus.sentences, seed=43, d_model=16,
+                                  num_layers=1, num_heads=2, d_ff=32,
+                                  max_len=24)
+        data = build_stage2_data(corpus, world.simulate_episodes(2),
+                                 build_tele_kg(world), seed=43,
+                                 ke_negatives=2)
+        model = KTeleBert.from_telebert(
+            trainer, KTeleBertConfig(anenc_layers=1, anenc_meta=2,
+                                     lora_rank=2),
+            tag_names=data.tag_names, normalizer=data.normalizer,
+            extra_vocabulary=data.vocabulary(), seed=43)
+        checkpoint = save_ktelebert(model, tmp_path / "ckpt")
+        texts = ["[ALM] The link is down", "[KPI] paging success rate 97.5",
+                 "[DOC] routine check completed"]
+        argv = ["encode", "--checkpoint", str(checkpoint)]
+        for text in texts:
+            argv += ["--text", text]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        vectors = load_ktelebert(checkpoint).encode_texts(texts)
+        assert lines == [
+            json.dumps({"text": text,
+                        "embedding": [round(float(x), 6) for x in vector]},
+                       ensure_ascii=False)
+            for text, vector in zip(texts, vectors)]
+
 
 class TestLint:
     """``python -m repro lint`` forwards to the repro.lint driver."""

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import build_tele_corpus
+from repro.index import VectorIndex
 from repro.kg import build_tele_kg
 from repro.models import KTeleBert, KTeleBertConfig, NumericRow, TeleBertTrainer, TextRow
 from repro.nn import Dropout
@@ -371,12 +372,39 @@ class TestEncodeSharesNoModuleState:
 # ----------------------------------------------------------------------
 # Served equals offline
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module", params=[1, 32], ids=["batch1", "batch32"])
-def served(request, model):
+def _service_config(max_batch_size=32, lru_capacity=4096):
+    return ServiceConfig(max_batch_size=max_batch_size, max_wait_ms=2,
+                         timeout_s=10.0, max_retries=1, backoff_s=0.001,
+                         lru_capacity=lru_capacity)
+
+
+_FINGERPRINT = "served-equals-offline"
+
+
+@pytest.fixture(scope="module", params=[
+    ("memory", 1), ("memory", 32), ("disk", 1), ("disk", 32),
+    ("index", 1), ("index", 32)],
+    ids=["batch1", "batch32", "disk-batch1", "disk-batch32",
+         "index-batch1", "index-batch32"])
+def served(request, model, tmp_path_factory):
+    """A service over one of three stacks, at batcher size 1 or 32.
+
+    Plain ids are the memory-only store.  ``disk`` is a log-backed store
+    whose LRU holds 8 names, so most repeats are read back from the log;
+    ``index`` mirrors every encode into a :class:`VectorIndex`.
+    """
+    stack, batch_size = request.param
     provider = KTeleBertProvider(model, mode="name")
-    config = ServiceConfig(max_batch_size=request.param, max_wait_ms=2,
-                           timeout_s=10.0, max_retries=1, backoff_s=0.001)
-    with FaultAnalysisService(provider, config=config) as service:
+    tmp = tmp_path_factory.mktemp(stack)
+    options = {}
+    if stack == "disk":
+        options = dict(store_dir=tmp, fingerprint=_FINGERPRINT)
+    elif stack == "index":
+        options = dict(index=VectorIndex(tmp, fingerprint=_FINGERPRINT),
+                       fingerprint=_FINGERPRINT)
+    config = _service_config(batch_size,
+                             lru_capacity=8 if stack == "disk" else 4096)
+    with FaultAnalysisService(provider, config=config, **options) as service:
         yield service, provider
 
 
@@ -397,3 +425,24 @@ class TestServedEqualsOffline:
         for name, vector in zip(names, vectors):
             offline = provider.encode_names([name])[0]
             np.testing.assert_allclose(vector, offline, rtol=0, atol=1e-6)
+
+    def test_reopened_disk_store_serves_the_same_bits(self, model, tmp_path):
+        """A second service on the same log starts with an empty LRU."""
+        provider = KTeleBertProvider(model, mode="name")
+        names = ["link failure", "board power loss", "cell delay #7",
+                 "link failure"]
+        with FaultAnalysisService(provider, config=_service_config(),
+                                  store_dir=tmp_path,
+                                  fingerprint=_FINGERPRINT) as first:
+            written = first.embed(names)
+        with FaultAnalysisService(provider, config=_service_config(),
+                                  store_dir=tmp_path,
+                                  fingerprint=_FINGERPRINT) as second:
+            assert second.store.stats()["memory_entries"] == 0
+            read_back = second.embed(names)
+            assert second.stats()["cache"] == {"hits": 3, "misses": 0,
+                                               "hit_rate": 1.0}
+        assert read_back.tobytes() == written.tobytes()
+        for name, vector in zip(names, read_back):
+            np.testing.assert_allclose(vector, provider.encode_names([name])[0],
+                                       rtol=0, atol=1e-6)

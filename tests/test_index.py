@@ -32,6 +32,7 @@ from repro.index import (
     synthetic_queries,
     synthetic_world,
 )
+from repro.index import ivf
 from repro.serving import EmbeddingStore, PersistentProvider
 from repro.service import RandomProvider
 
@@ -66,6 +67,98 @@ class TestPrimitives:
         assert default_nlist(1) == 1
         assert default_nlist(100) <= default_nlist(10_000)
         assert default_nlist(10**9) == 1024
+
+
+# ----------------------------------------------------------------------
+# The vectorised Lloyd update against the per-cell loop it replaced
+# ----------------------------------------------------------------------
+def _per_cell_coarse_cluster(vectors, nlist, seed=0, reseeds=None):
+    """``coarse_cluster`` as a Python loop over cells: the reference.
+
+    ``reseeds`` (a list) collects one entry per empty-cell re-seed.
+    """
+    vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+    count = vectors.shape[0]
+    nlist = max(1, min(int(nlist), count))
+    rng = np.random.default_rng(seed)
+    if count > ivf.TRAIN_SAMPLE_CAP:
+        sample = rng.choice(count, size=ivf.TRAIN_SAMPLE_CAP, replace=False)
+        sample.sort()
+        train = vectors[sample]
+    else:
+        train = vectors
+    centroids = ivf._seed_centroids(train, nlist, rng)
+    for _ in range(ivf.DEFAULT_ITERATIONS):
+        assignments = np.argmax(train @ centroids.T, axis=1)
+        for cell in range(nlist):
+            members = train[assignments == cell]
+            if len(members):
+                centroids[cell] = members.mean(axis=0)
+            else:
+                similarity = (train * centroids[assignments]).sum(axis=1)
+                centroids[cell] = train[int(np.argmin(similarity))]
+                if reseeds is not None:
+                    reseeds.append(cell)
+        centroids = ivf._normalise(centroids).astype(np.float32)
+    assignments = np.argmax(vectors @ centroids.T, axis=1).astype(np.int64)
+    return centroids, assignments
+
+
+def _duplicated_world(count, dim, copies, seed):
+    """``copies`` rows repeat one of two points; the rest are distinct.
+
+    k-means++ seeds several cells on one repeated point, so the later
+    ones go empty and take the re-seed branch.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((2, dim))
+    rows = np.concatenate([base[rng.integers(2, size=copies)],
+                           rng.standard_normal((count - copies, dim))])
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows.astype(np.float32)
+
+
+def _assert_same_clustering(vectors, nlist, seed, reseeds=None):
+    want = _per_cell_coarse_cluster(vectors, nlist, seed, reseeds)
+    got = coarse_cluster(vectors, nlist, seed)
+    assert got[0].dtype == want[0].dtype
+    assert got[0].tobytes() == want[0].tobytes()
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestCoarseClusterMatchesPerCellLoop:
+    @pytest.mark.parametrize("count,dim,nlist,seed", [
+        (300, 8, 16, 3),
+        (300, 8, 16, 4),
+        (1024, 32, default_nlist(1024), 0),
+        (2048, 32, default_nlist(2048), 7),
+        (500, 2, 40, 1),
+    ])
+    def test_clustered_worlds(self, count, dim, nlist, seed):
+        _, vectors, _ = _world(count, dim, seed=seed)
+        _assert_same_clustering(vectors, nlist, seed)
+
+    @pytest.mark.parametrize("count,dim,nlist,copies,seed", [
+        (200, 2, 54, 170, 0),
+        (200, 2, 54, 170, 12),
+        (60, 3, 30, 40, 19),
+    ])
+    def test_empty_cell_reseeds_in_cell_order(self, count, dim, nlist,
+                                              copies, seed):
+        """A re-seed sees lower cells at their means, higher ones not.
+
+        In these worlds, re-seeding only after every mean is taken picks
+        different rows, so the order is pinned too.
+        """
+        reseeds = []
+        vectors = _duplicated_world(count, dim, copies, seed)
+        _assert_same_clustering(vectors, nlist, seed, reseeds)
+        assert len(reseeds) > 1
+
+    def test_subsampled_training_set(self):
+        count = ivf.TRAIN_SAMPLE_CAP + 500
+        _, vectors, _ = _world(count, 4, seed=5)
+        _assert_same_clustering(vectors, 24, seed=5)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,11 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.netserve import (
     AdmissionConfig,
@@ -684,6 +688,82 @@ class TestSharedDispatchCore:
             "busy", code="overload", request_id=3, retry_after_s=0.125)
         assert rich == {"ok": False, "error": "busy", "code": "overload",
                         "retry_after_s": 0.125, "id": 3}
+
+
+# ----------------------------------------------------------------------
+# One-pass reply rounding equals Python's round(float(x), 6)
+# ----------------------------------------------------------------------
+def _python_rounded(matrix):
+    return [[round(float(x), 6) for x in row] for row in matrix]
+
+
+def _hex(rows):
+    """Exact spelling of nested floats: tells -0.0 from 0.0."""
+    return [[float.hex(x) for x in row] for row in rows]
+
+
+@st.composite
+def _near_ties(draw):
+    """``(k + 0.5) / 1e6`` moved by a few ulps, within +-1e3."""
+    k = draw(st.integers(-10**9, 10**9 - 1))
+    x = (k + 0.5) / 1e6
+    for _ in range(draw(st.integers(0, 4))):
+        x = float(np.nextafter(x, draw(st.sampled_from([-np.inf, np.inf]))))
+    return x
+
+
+_elements = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3),
+    _near_ties(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+    st.floats(1e3, 1e12) | st.floats(-1e12, -1e3),
+)
+_matrices = arrays(np.float64, st.tuples(st.integers(1, 6),
+                                         st.integers(1, 8)),
+                   elements=_elements)
+
+
+class _FixedEmbedService:
+    """Answers every embed with one fixed matrix."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def embed(self, names, deadline=None):
+        return self.matrix
+
+
+class TestRoundRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_matrices)
+    def test_equals_python_round(self, matrix):
+        rows = protocol.round_rows(matrix)
+        assert _hex(rows) == _hex(_python_rounded(matrix))
+        assert all(type(x) is float for row in rows for x in row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_matrices)
+    def test_embed_envelope_bytes_unchanged(self, matrix):
+        names = [f"n{i}" for i in range(len(matrix))]
+        response = protocol.handle_request(
+            _FixedEmbedService(matrix), {"op": "embed", "names": names})
+        legacy = {"ok": True, "op": "embed",
+                  "embeddings": _python_rounded(matrix)}
+        assert json.dumps(response) == json.dumps(legacy)
+
+    def test_exact_ties_and_non_finite(self):
+        matrix = np.array([[0.0078125, -0.0078125, 2.5e-6, -2.5e-6],
+                           [np.nan, np.inf, -np.inf, 1e-7],
+                           [999.9999995, -999.9999995, 1e3, 1e3 + 1e-7]])
+        assert json.dumps(protocol.round_rows(matrix)) == \
+            json.dumps(_python_rounded(matrix))
+
+    def test_float32_rows_round_as_doubles(self):
+        matrix = np.random.default_rng(0).standard_normal(
+            (4, 32)).astype(np.float32)
+        assert _hex(protocol.round_rows(matrix)) == \
+            _hex(_python_rounded(matrix))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the online serving subsystem (:mod:`repro.serving`)."""
 
+import base64
 import io
 import json
 import threading
@@ -344,6 +345,72 @@ class TestEmbeddingStore:
         survivor.put_many({"b": np.zeros(2)})
         assert np.allclose(EmbeddingStore(tmp_path,
                                           fingerprint="f1").get("b"), 0.0)
+
+
+_SPECIAL_FLOATS = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+                            1e300, -1e300, 1 / 3, np.pi, 0.1])
+
+
+class TestStoreRecordLayout:
+    """Vectors are logged as base64 of their little-endian float64 bytes."""
+
+    def test_float64_round_trip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(0)
+        vectors = {"special": _SPECIAL_FLOATS,
+                   "random": rng.standard_normal(32),
+                   "float32": rng.standard_normal(8).astype(np.float32)}
+        EmbeddingStore(tmp_path, fingerprint="f1").put_many(vectors)
+        found = EmbeddingStore(tmp_path, fingerprint="f1").get_many(
+            list(vectors))
+        for name, vector in vectors.items():
+            assert found[name].dtype == np.float64
+            assert found[name].tobytes() == \
+                np.asarray(vector, dtype=np.float64).tobytes()
+        found["special"][0] = 1.0  # a decoded vector is a private copy
+
+    def test_record_carries_base64_little_endian_bytes(self, tmp_path):
+        EmbeddingStore(tmp_path, fingerprint="f1", label="P").put_many(
+            {"a": _SPECIAL_FLOATS})
+        line = (tmp_path / "embeddings.jsonl").read_text().strip()
+        record = json.loads(line)
+        assert record == {
+            "v": "f1", "p": "P", "m": "name", "n": "a",
+            "b": base64.b64encode(_SPECIAL_FLOATS.astype("<f8").tobytes()
+                                  ).decode("ascii")}
+
+    def test_old_layout_record_is_reencoded_and_compacted(self, tmp_path):
+        inner = CountingProvider(dim=4)
+        legacy = {"v": "f1", "p": inner.label, "m": "name", "n": "old",
+                  "e": [9.0, 9.0, 9.0, 9.0]}
+        (tmp_path / "embeddings.jsonl").write_text(json.dumps(legacy) + "\n")
+        store = EmbeddingStore(tmp_path, fingerprint="f1", label=inner.label)
+        assert "old" not in store and store.get("old") is None
+        vector = PersistentProvider(inner, store).encode_names(["old"])[0]
+        assert inner.calls == 1                    # encoded once more
+        assert not np.allclose(vector, 9.0)
+        assert store.compact() == 1
+        lines = (tmp_path / "embeddings.jsonl").read_text().splitlines()
+        assert len(lines) == 1 and "e" not in json.loads(lines[0])
+        reopened = PersistentProvider(
+            inner, EmbeddingStore(tmp_path, fingerprint="f1",
+                                  label=inner.label))
+        np.testing.assert_array_equal(reopened.encode_names(["old"])[0],
+                                      vector)
+        assert inner.calls == 1                    # now served from disk
+
+    def test_torn_base64_tail_is_skipped_on_reopen(self, tmp_path):
+        store = EmbeddingStore(tmp_path, fingerprint="f1")
+        store.put_many({"a": np.ones(4), "b": np.full(4, 2.0)})
+        path = tmp_path / "embeddings.jsonl"
+        raw = path.read_bytes()
+        path.write_bytes(raw[:raw.rindex(b'"b": "') + 12])  # mid-base64
+        reopened = EmbeddingStore(tmp_path, fingerprint="f1")
+        assert reopened.names() == ["a"]
+        np.testing.assert_array_equal(reopened.get("a"), np.ones(4))
+        reopened.put_many({"b": np.full(4, 3.0)})
+        np.testing.assert_array_equal(
+            EmbeddingStore(tmp_path, fingerprint="f1").get("b"),
+            np.full(4, 3.0))
 
 
 class TestPersistentProvider:
