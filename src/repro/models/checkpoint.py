@@ -47,15 +47,19 @@ _TRAIN_STATE_VERSION = 1
 
 
 def _component_states(model: KTeleBert) -> dict[str, dict[str, np.ndarray]]:
-    states = {
-        "mlm_model": model.mlm_model.state_dict(),
-        "anenc": model.anenc.state_dict(),
-        "ndec": model.ndec.state_dict(),
-        "awl": model.numeric_loss.awl.state_dict(),
-    }
-    if model.tgc is not None:
-        states["tgc"] = model.tgc.state_dict()
-    return states
+    return {name: part.state_dict()
+            for name, part in model.components().items()}
+
+
+def _load_components(model: KTeleBert,
+                     states: dict[str, dict[str, np.ndarray]],
+                     source: str) -> None:
+    """Load every component of ``model``; a missing one is a ValueError."""
+    for name, part in model.components().items():
+        if name not in states:
+            raise ValueError(f"{source} lacks {name!r} weights, which the "
+                             f"model's config requires")
+        part.load_state_dict(states[name])
 
 
 def save_ktelebert(model: KTeleBert, path: str | Path) -> Path:
@@ -169,15 +173,7 @@ def load_ktelebert(path: str | Path, seed: int = 0) -> KTeleBert:
         for key in archive.files:
             component, _, name = key.partition("/")
             grouped.setdefault(component, {})[name] = archive[key]
-    model.mlm_model.load_state_dict(grouped["mlm_model"])
-    model.anenc.load_state_dict(grouped["anenc"])
-    model.ndec.load_state_dict(grouped["ndec"])
-    model.numeric_loss.awl.load_state_dict(grouped["awl"])
-    if model.tgc is not None:
-        if "tgc" not in grouped:
-            raise ValueError("checkpoint lacks TGC weights but the config "
-                             "enables the tag classifier")
-        model.tgc.load_state_dict(grouped["tgc"])
+    _load_components(model, grouped, "checkpoint")
     return model
 
 
@@ -204,15 +200,7 @@ class TrainState:
 
     def apply(self, model: KTeleBert, optimizer: Optimizer) -> None:
         """Restore this snapshot into an identically-built model/optimizer."""
-        model.mlm_model.load_state_dict(self.model_arrays["mlm_model"])
-        model.anenc.load_state_dict(self.model_arrays["anenc"])
-        model.ndec.load_state_dict(self.model_arrays["ndec"])
-        model.numeric_loss.awl.load_state_dict(self.model_arrays["awl"])
-        if model.tgc is not None:
-            if "tgc" not in self.model_arrays:
-                raise ValueError("train state lacks TGC weights but the "
-                                 "config enables the tag classifier")
-            model.tgc.load_state_dict(self.model_arrays["tgc"])
+        _load_components(model, self.model_arrays, "train state")
         optimizer.load_state_dict({"kind": self.optimizer_kind,
                                    "scalars": self.optimizer_scalars,
                                    "arrays": self.optimizer_arrays})

@@ -22,6 +22,7 @@ import numpy as np
 from repro.models.bert import BertConfig, BertForMaskedLM
 from repro.models.ke import KnowledgeEmbeddingObjective
 from repro.models.telebert import TeleBertTrainer
+from repro.nn.module import Module, Parameter
 from repro.numeric.anenc import AdaptiveNumericEncoder
 from repro.numeric.heads import NumericDecoder, TagClassifier
 from repro.numeric.losses import NumericLossComputer, NumericLossOutput
@@ -159,26 +160,30 @@ class KTeleBert:
     # ------------------------------------------------------------------
     # Parameters
     # ------------------------------------------------------------------
-    def parameters(self):
-        params = self.mlm_model.parameters() + self.anenc.parameters() + \
-            self.ndec.parameters() + self.numeric_loss.parameters()
+    def components(self) -> dict[str, Module]:
+        """The trainable parts, keyed as in checkpoints, in parameter order.
+
+        ``mlm_model``, ``anenc``, ``ndec`` and ``awl``, plus ``tgc`` when the
+        tag classifier is enabled.  Parameters, train/eval switching and
+        every checkpoint format walk this one table.
+        """
+        parts = {"mlm_model": self.mlm_model, "anenc": self.anenc,
+                 "ndec": self.ndec, "awl": self.numeric_loss.awl}
         if self.tgc is not None:
-            params += self.tgc.parameters()
-        return params
+            parts["tgc"] = self.tgc
+        return parts
+
+    def parameters(self) -> list[Parameter]:
+        return [param for part in self.components().values()
+                for param in part.parameters()]
 
     def train(self):
-        self.mlm_model.train()
-        self.anenc.train()
-        self.ndec.train()
-        if self.tgc is not None:
-            self.tgc.train()
+        for part in self.components().values():
+            part.train()
 
     def eval(self):
-        self.mlm_model.eval()
-        self.anenc.eval()
-        self.ndec.eval()
-        if self.tgc is not None:
-            self.tgc.eval()
+        for part in self.components().values():
+            part.eval()
 
     # ------------------------------------------------------------------
     # Batch preparation

@@ -17,12 +17,28 @@ from repro.tensor.tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A trainable tensor; created with ``requires_grad=True``."""
+    """A trainable tensor; created with ``requires_grad=True``.
+
+    An :class:`~repro.nn.optim.Optimizer` owns its parameters' memory:
+    ``data`` becomes a view of the optimizer's ``flat`` buffer and
+    ``grad_slot`` a view of its ``grad`` buffer at the same offset.  The
+    first gradient of a backward pass is written into the slot and later
+    ones are added to it, so ``grad`` is the slot whenever it is set.
+    Rebinding ``data`` after the optimizer is built detaches the parameter:
+    the optimizer keeps updating its buffer, not the new array.
+    """
 
     def __init__(self, data, *, dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
         # Parameters are leaves even when constructed inside no_grad blocks.
         self.requires_grad = True
+        self.grad_slot: np.ndarray | None = None
+
+    def _fresh_grad(self, grad: np.ndarray) -> np.ndarray:
+        if self.grad_slot is None:
+            return super()._fresh_grad(grad)
+        self.grad_slot[...] = grad
+        return self.grad_slot
 
 
 class Module:

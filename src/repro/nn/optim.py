@@ -1,4 +1,26 @@
-"""Optimizers and learning-rate schedules."""
+"""Optimizers and learning-rate schedules.
+
+An optimizer owns its parameters' memory.  ``Optimizer.__init__`` copies
+the parameters, in order, into one contiguous float64 array, ``flat``,
+and rebinds each ``param.data`` to a view of it; a second array, ``grad``,
+holds each parameter's gradient slot at the same offset (see
+:class:`~repro.nn.module.Parameter`).  Updates then run over whole runs
+of parameters at once, under three rules that keep them bit-identical to
+a per-parameter loop:
+
+* **Skip rule.** A parameter whose ``grad`` is None is not updated and
+  its moments do not decay.  Each update covers the maximal runs of
+  consecutive parameters that have a gradient, never the whole buffer
+  blindly.
+* **Clip order.** :meth:`Optimizer.clip_grad_norm` adds the
+  per-parameter ``np.vdot`` values in parameter order (one ``vdot`` over
+  the buffer rounds differently); only the scaling is array-wide.
+* **Formats.** ``state_dict()`` keeps one ``m/<i>``, ``v/<i>`` or
+  ``velocity/<i>`` array per parameter, with that parameter's shape.
+
+A parameter belongs to one optimizer at a time: rebinding its ``data``,
+or building a second optimizer over it, detaches it from the first.
+"""
 
 from __future__ import annotations
 
@@ -11,17 +33,65 @@ from repro.nn.module import Parameter
 
 
 class Optimizer:
-    """Base optimizer holding a parameter list and a mutable learning rate."""
+    """Base optimizer: the parameters' flat buffers and a mutable learning rate."""
 
     def __init__(self, parameters: Iterable[Parameter], lr: float):
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
+        if len({id(p) for p in self.parameters}) != len(self.parameters):
+            raise ValueError("a parameter appears twice in the optimizer")
         self.lr = float(lr)
+        offsets = np.cumsum([0] + [p.data.size for p in self.parameters])
+        #: ``(lo, hi, shape)`` of each parameter's slice of the buffers.
+        self._layout = [(int(lo), int(hi), p.data.shape) for p, lo, hi
+                        in zip(self.parameters, offsets[:-1], offsets[1:])]
+        self.flat = np.empty(int(offsets[-1]))
+        self.grad = np.zeros(int(offsets[-1]))
+        for param, (lo, hi, shape) in zip(self.parameters, self._layout):
+            if param.data.dtype != np.float64:
+                raise TypeError(f"optimizer parameters must be float64, "
+                                f"got {param.data.dtype}")
+            self.flat[lo:hi] = param.data.ravel()
+            param.data = self.flat[lo:hi].reshape(shape)
+            param.grad_slot = self.grad[lo:hi].reshape(shape)
 
     def zero_grad(self) -> None:
+        """Drop every gradient and zero the buffer (untouched slots read 0)."""
         for param in self.parameters:
             param.zero_grad()
+        self.grad[...] = 0.0
+
+    def _runs(self) -> list[tuple[int, int]]:
+        """``[lo, hi)`` buffer bounds of the maximal runs of parameters with
+        a gradient (the skip rule).
+
+        A gradient assigned by hand rather than by backward is copied into
+        its slot first, so the buffer holds every gradient the step uses.
+        """
+        runs: list[tuple[int, int]] = []
+        for param, (lo, hi, _) in zip(self.parameters, self._layout):
+            if param.grad is None:
+                continue
+            if param.grad is not param.grad_slot:
+                param.grad_slot[...] = param.grad
+                param.grad = param.grad_slot
+            if runs and runs[-1][1] == lo:
+                runs[-1] = (runs[-1][0], hi)
+            else:
+                runs.append((lo, hi))
+        return runs
+
+    def clip_grad_norm(self, max_norm: float) -> float:
+        """:func:`clip_grad_norm` over this optimizer's parameters, scaling
+        the buffer run by run; returns the pre-clip norm."""
+        runs = self._runs()
+        norm = _global_norm(self.parameters, max_norm)
+        if norm > max_norm:
+            scale = max_norm / (norm + 1e-12)
+            for lo, hi in runs:
+                self.grad[lo:hi] *= scale
+        return norm
 
     def step(self) -> None:
         raise NotImplementedError
@@ -50,31 +120,26 @@ class Optimizer:
         if arrays:
             raise ValueError(f"unexpected moment arrays: {sorted(arrays)}")
 
-    @staticmethod
-    def _check_moments(name: str, moments: list[np.ndarray],
-                       parameters: Sequence[Parameter]) -> None:
-        if len(moments) != len(parameters):
-            raise ValueError(
-                f"{name} count {len(moments)} does not match "
-                f"{len(parameters)} parameters")
-        for moment, param in zip(moments, parameters):
-            if moment.shape != param.data.shape:
+    def _pack(self, name: str, moment: np.ndarray) -> dict[str, np.ndarray]:
+        """One moment buffer as per-parameter views ``name/<i>``."""
+        return {f"{name}/{i}": moment[lo:hi].reshape(shape)
+                for i, (lo, hi, shape) in enumerate(self._layout)}
+
+    def _unpack(self, name: str, arrays: dict[str, np.ndarray]) -> np.ndarray:
+        """Validate :meth:`_pack` output and join it into one flat array."""
+        parts = []
+        for i, (_, _, shape) in enumerate(self._layout):
+            try:
+                part = np.asarray(arrays[f"{name}/{i}"])
+            except KeyError as error:
                 raise ValueError(
-                    f"{name} shape {moment.shape} does not match "
-                    f"parameter shape {param.data.shape}")
-
-    @staticmethod
-    def _pack(name: str, moments: list[np.ndarray]) -> dict[str, np.ndarray]:
-        return {f"{name}/{i}": moment for i, moment in enumerate(moments)}
-
-    @staticmethod
-    def _unpack(name: str, arrays: dict[str, np.ndarray],
-                count: int) -> list[np.ndarray]:
-        try:
-            return [np.array(arrays[f"{name}/{i}"]) for i in range(count)]
-        except KeyError as error:
-            raise ValueError(
-                f"optimizer state lacks {error.args[0]!r}") from error
+                    f"optimizer state lacks {error.args[0]!r}") from error
+            if part.shape != shape:
+                raise ValueError(
+                    f"{name} shape {part.shape} does not match "
+                    f"parameter shape {shape}")
+            parts.append(part.ravel())
+        return np.concatenate(parts)
 
 
 class SGD(Optimizer):
@@ -84,18 +149,18 @@ class SGD(Optimizer):
                  momentum: float = 0.0):
         super().__init__(parameters, lr)
         self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+        self._velocity = np.zeros_like(self.flat)
 
     def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
+        for lo, hi in self._runs():
+            param, grad = self.flat[lo:hi], self.grad[lo:hi]
             if self.momentum > 0:
+                velocity = self._velocity[lo:hi]
                 velocity *= self.momentum
-                velocity += param.grad
-                param.data -= self.lr * velocity
+                velocity += grad
+                param -= self.lr * velocity
             else:
-                param.data -= self.lr * param.grad
+                param -= self.lr * grad
 
     def state_dict(self) -> dict:
         state = super().state_dict()
@@ -108,9 +173,7 @@ class SGD(Optimizer):
         self.momentum = float(state["scalars"]["momentum"])
 
     def _load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        velocity = self._unpack("velocity", arrays, len(self.parameters))
-        self._check_moments("velocity", velocity, self.parameters)
-        self._velocity = velocity
+        self._velocity[...] = self._unpack("velocity", arrays)
 
 
 class Adam(Optimizer):
@@ -123,28 +186,31 @@ class Adam(Optimizer):
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._m = np.zeros_like(self.flat)
+        self._v = np.zeros_like(self.flat)
         self._t = 0
+
+    def _decay(self, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """L2 weight decay: folded into the gradient."""
+        return grad + self.weight_decay * param
 
     def step(self) -> None:
         self._t += 1
         beta1, beta2 = self.betas
         bias1 = 1.0 - beta1 ** self._t
         bias2 = 1.0 - beta2 ** self._t
-        for param, m, v in zip(self.parameters, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
+        for lo, hi in self._runs():
+            param, grad = self.flat[lo:hi], self.grad[lo:hi]
+            m, v = self._m[lo:hi], self._v[lo:hi]
             if self.weight_decay > 0:
-                grad = grad + self.weight_decay * param.data
+                grad = self._decay(param, grad)
             m *= beta1
             m += (1 - beta1) * grad
             v *= beta2
             v += (1 - beta2) * grad * grad
             m_hat = m / bias1
             v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def state_dict(self) -> dict:
         state = super().state_dict()
@@ -166,39 +232,37 @@ class Adam(Optimizer):
         self._t = int(scalars["t"])
 
     def _load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        m = self._unpack("m", arrays, len(self.parameters))
-        v = self._unpack("v", arrays, len(self.parameters))
-        self._check_moments("m", m, self.parameters)
-        self._check_moments("v", v, self.parameters)
-        self._m = m
-        self._v = v
+        m, v = self._unpack("m", arrays), self._unpack("v", arrays)
+        self._m[...] = m
+        self._v[...] = v
 
 
 class AdamW(Adam):
     """Adam with decoupled weight decay (Loshchilov & Hutter)."""
 
-    def step(self) -> None:
-        decay, self.weight_decay = self.weight_decay, 0.0
-        try:
-            if decay > 0:
-                for param in self.parameters:
-                    if param.grad is not None:
-                        param.data -= self.lr * decay * param.data
-            super().step()
-        finally:
-            self.weight_decay = decay
+    def _decay(self, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Decoupled decay: shrinks the weights, leaves the gradient."""
+        param -= self.lr * self.weight_decay * param
+        return grad
+
+
+def _global_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
+    """L2 norm of the set gradients: per-parameter ``vdot`` values added in
+    parameter order."""
+    if max_norm <= 0:
+        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    return math.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                         for p in parameters if p.grad is not None))
 
 
 def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
     """Clip gradients in-place to a global L2 norm; returns the pre-clip norm."""
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    grads = [p.grad for p in parameters if p.grad is not None]
-    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
+    norm = _global_norm(parameters, max_norm)
     if norm > max_norm:
         scale = max_norm / (norm + 1e-12)
-        for grad in grads:
-            grad *= scale
+        for param in parameters:
+            if param.grad is not None:
+                param.grad *= scale
     return norm
 
 

@@ -185,9 +185,13 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad), self.data.shape)
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            self.grad = self._fresh_grad(grad)
         else:
             self.grad += grad
+
+    def _fresh_grad(self, grad: np.ndarray) -> np.ndarray:
+        """Storage for the first gradient this tensor receives."""
+        return grad.astype(self.data.dtype, copy=True)
 
     def zero_grad(self) -> None:
         self.grad = None

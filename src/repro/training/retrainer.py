@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.models.ktelebert import KTeleBert
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import Adam
 from repro.tensor.tensor import Tensor
 from repro.training.batching import BatchIterator
 from repro.training.masking import DynamicMasker
@@ -165,10 +165,10 @@ class KTeleBertRetrainer:
         """Clip gradients, apply the optimizer, and record the losses.
 
         Assumes gradients are already populated — either by
-        ``losses.total.backward()`` on the serial path or by the runtime
-        writing averaged worker gradients into the parameters.
+        ``losses.total.backward()`` on the serial path or by the worker
+        pool folding averaged worker gradients into ``optimizer.grad``.
         """
-        clip_grad_norm(self.optimizer.parameters, self.grad_clip)
+        self.optimizer.clip_grad_norm(self.grad_clip)
         self.optimizer.step()
         value = losses.value
         self.log.total.append(value)

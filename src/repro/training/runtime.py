@@ -224,65 +224,23 @@ class SnapshotStore:
 # ----------------------------------------------------------------------
 # Gradient worker pool (multi-process data parallelism over shared memory)
 # ----------------------------------------------------------------------
-def _flatten(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.asarray(a).ravel() for a in arrays])
-
-
-def _write_flat(flat: np.ndarray, targets: list) -> None:
-    offset = 0
-    for param in targets:
-        size = param.data.size
-        param.data[...] = flat[offset:offset + size].reshape(param.data.shape)
-        offset += size
-
-
-def _fill_flat(flat: np.ndarray, sources: list) -> None:
-    """Write parameter values into a preallocated flat vector in-place."""
-    offset = 0
-    for param in sources:
-        size = param.data.size
-        flat[offset:offset + size] = param.data.ravel()
-        offset += size
-
-
-def _fill_flat_grads(flat: np.ndarray, params: list) -> None:
-    """Write parameter gradients (zeros where absent) into ``flat``."""
-    offset = 0
-    for param in params:
-        size = param.data.size
-        if param.grad is None:
-            flat[offset:offset + size] = 0.0
-        else:
-            flat[offset:offset + size] = param.grad.ravel()
-        offset += size
-
-
-def _split_flat(flat: np.ndarray, like: list) -> list[np.ndarray]:
-    out = []
-    offset = 0
-    for param in like:
-        size = param.data.size
-        out.append(flat[offset:offset + size].reshape(param.data.shape))
-        offset += size
-    return out
-
-
-def _worker_main(conn, model, mask_rows: list, triple_rows: list,
-                 shared: PoolSharedState, base_seed: int,
-                 worker_id: int) -> None:
+def _worker_main(conn, retrainer: KTeleBertRetrainer,
+                 shared: PoolSharedState, worker_id: int) -> None:
     """Worker loop: shared-memory params in, shared-memory gradients out.
 
-    Runs in a forked child, so ``model``, the datasets, and the shared
-    blocks are all inherited without pickling.  Each control message names
-    a step and half-open bounds into the shared index block; the worker
-    refreshes its replica from the shared parameter block, materialises
-    its shard rows from the inherited datasets, runs forward/backward, and
-    writes its flattened gradient into its own shared block — the ``ok``
-    reply carries only scalar losses.  The masking RNG is reseeded per
-    ``(base_seed, worker_id, step)`` so runs are reproducible and resumable
-    regardless of which steps each worker served before.
+    Runs in a forked child, so the retrainer's model, optimizer and
+    datasets, and the shared blocks, are all inherited without pickling.
+    Each control message names a step and half-open bounds into the shared
+    index block; the worker copies the shared parameter block into its
+    replica's ``optimizer.flat``, materialises its shard rows from the
+    inherited datasets, zeroes its gradients, runs forward/backward, and
+    copies its replica's ``optimizer.grad`` into its own shared block —
+    the ``ok`` reply carries only scalar losses.  The masking RNG is
+    reseeded per ``(seed, worker_id, step)`` so runs are reproducible and
+    resumable regardless of which steps each worker served before.
     """
-    params = model.parameters()
+    model, optimizer = retrainer.model, retrainer.optimizer
+    mask_rows, triple_rows = retrainer.data.mask_rows, retrainer.data.triple_rows
     model.train()
     masker = DynamicMasker(model.tokenizer.vocab, np.random.default_rng(0),
                            masking_rate=model.config.masking_rate)
@@ -299,25 +257,24 @@ def _worker_main(conn, model, mask_rows: list, triple_rows: list,
                 break
             _, step, row_lo, row_hi, triple_lo, triple_hi = message
             try:
-                _write_flat(param_block, params)
+                optimizer.flat[...] = param_block
                 rows = [mask_rows[i] for i in index_block[row_lo:row_hi]]
                 triples = [triple_rows[i]
                            for i in index_block[triple_lo:triple_hi]]
-                for param in params:
-                    param.zero_grad()
+                optimizer.zero_grad()
                 # Step-keyed streams make each worker's computation
                 # independent of which steps it served before — required
                 # for bit-exact resume of parallel runs.  Masking and
                 # dropout get distinct SeedSequence branches so their
                 # draws are uncorrelated.
                 masker.rng = np.random.default_rng(
-                    [base_seed, worker_id, step])
+                    [retrainer.seed, worker_id, step])
                 model.rng.bit_generator.state = np.random.default_rng(
-                    [base_seed, worker_id, step, 1]).bit_generator.state
+                    [retrainer.seed, worker_id, step, 1]).bit_generator.state
                 losses = compute_stage2_losses(model, masker,
                                                rows or None, triples or None)
                 losses.total.backward()
-                _fill_flat_grads(grad_block, params)
+                grad_block[...] = optimizer.grad
                 conn.send(("ok", step,
                            {"total": losses.value, "mask": losses.mask,
                             "ke": losses.ke,
@@ -340,55 +297,53 @@ class _WorkerHandle:
 class GradientWorkerPool:
     """N persistent forked replicas sharing parameters and gradients.
 
-    The parent writes the flattened parameter vector into one shared-memory
-    block once per step and the step's batch indices into a small shared
-    index block; each worker computes forward/backward over its shard and
-    writes its flattened gradient into its own shared block.  Pipes carry
+    The parent copies its optimizer's ``flat`` parameter buffer into one
+    shared-memory block once per step and the step's batch indices into a
+    small shared index block; each worker copies the block into its
+    replica's ``flat``, computes forward/backward over its shard and copies
+    its replica's ``grad`` buffer into its own shared block.  Pipes carry
     only tiny control tuples — step index and shard bounds out, scalar
     losses back — never arrays, so per-step cost is the compute itself
     rather than pickling a model-sized payload per worker.
 
-    The parent reduces worker gradients as a shard-size-weighted mean —
-    equivalent in expectation to the serial gradient of the full batch.
-    Reduction overlaps compute: worker *i*'s block is folded into the sum
-    as soon as it reports in (in fixed worker order, so the float sum is
-    deterministic) while later workers are still computing.  ``fork``
-    start method only (replicas inherit the model and datasets without
-    pickling); callers fall back to the serial path when fork is
-    unavailable or startup fails.
+    The parent reduces worker gradients straight into ``optimizer.grad``
+    as a shard-size-weighted mean — equivalent in expectation to the
+    serial gradient of the full batch.  Reduction overlaps compute: worker
+    *i*'s block is folded into the sum as soon as it reports in (in fixed
+    worker order, so the float sum is deterministic) while later workers
+    are still computing.  The model, optimizer, datasets, seed and index
+    capacity all come from the retrainer.  ``fork`` start method only
+    (replicas inherit the retrainer without pickling); callers fall back
+    to the serial path when fork is unavailable or startup fails.
     """
 
-    def __init__(self, model, num_workers: int, base_seed: int,
-                 straggler_timeout_s: float = 120.0, *,
-                 mask_rows: list | None = None,
-                 triple_rows: list | None = None,
-                 index_capacity: int = 64):
+    def __init__(self, retrainer: KTeleBertRetrainer, num_workers: int,
+                 straggler_timeout_s: float):
         if num_workers < 2:
             raise ValueError("a worker pool needs at least 2 workers")
         self._workers: list[_WorkerHandle] = []
         self._shared: PoolSharedState | None = None
         if "fork" not in multiprocessing.get_all_start_methods():
             raise WorkerPoolError("fork start method unavailable")
-        self._params = model.parameters()
+        self._optimizer = retrainer.optimizer
         self.num_workers = num_workers
         self.straggler_timeout_s = straggler_timeout_s
-        mask_rows = list(mask_rows) if mask_rows else []
-        triple_rows = list(triple_rows) if triple_rows else []
-        param_size = sum(p.data.size for p in self._params)
+        index_capacity = retrainer.mask_batches.batch_size + (
+            retrainer.ke_batches.batch_size
+            if retrainer.ke_batches is not None else 0)
+        param_size = self._optimizer.flat.size
         context = multiprocessing.get_context("fork")
         try:
             self._shared = PoolSharedState(param_size, num_workers,
                                            index_capacity)
-            # Preallocated reduction buffers: the hot path never allocates
-            # (or pickles) a parameter-sized array.
-            self._reduced = np.zeros(param_size)
+            # Preallocated fold scratch: the hot path never allocates (or
+            # pickles) a parameter-sized array.
             self._scratch = np.zeros(param_size)
             for worker_id in range(num_workers):
                 parent_conn, child_conn = context.Pipe()
                 process = context.Process(
                     target=_worker_main,
-                    args=(child_conn, model, mask_rows, triple_rows,
-                          self._shared, base_seed, worker_id),
+                    args=(child_conn, retrainer, self._shared, worker_id),
                     daemon=True)
                 process.start()
                 child_conn.close()
@@ -408,15 +363,16 @@ class GradientWorkerPool:
         return np.linspace(0, count, workers + 1).astype(int)
 
     def step(self, step_index: int, row_indices, triple_indices
-             ) -> tuple[list[np.ndarray], StepLosses]:
-        """One data-parallel forward/backward; returns (grads, losses).
+             ) -> StepLosses:
+        """One data-parallel forward/backward into ``optimizer.grad``.
 
         ``row_indices`` / ``triple_indices`` are the dataset indices of the
-        step's drawn batches (``None`` for an inactive task).  The returned
-        gradient arrays are views into the pool's reduction buffer and stay
-        valid until the next :meth:`step` call.  Raises
-        :class:`WorkerPoolError` on worker failure or straggler timeout;
-        the caller is expected to fall back to the serial path.
+        step's drawn batches (``None`` for an inactive task).  On return
+        every parameter's ``grad`` is its slot in ``optimizer.grad``, which
+        holds the reduced gradient (zeros where no worker produced one),
+        ready for clip + update.  Raises :class:`WorkerPoolError` on worker
+        failure or straggler timeout; the caller is expected to fall back
+        to the serial path.
         """
         if self._shared is None:
             raise WorkerPoolError("pool is closed")
@@ -432,7 +388,8 @@ class GradientWorkerPool:
                 f"index capacity {self._shared.index_capacity}")
         # Publish this step's parameters and batch indices; workers read
         # both straight out of shared memory.
-        _fill_flat(self._shared.params.array, self._params)
+        optimizer = self._optimizer
+        self._shared.params.array[...] = optimizer.flat
         index_block = self._shared.indices.array
         index_block[:n_rows] = rows
         index_block[n_rows:n_rows + n_triples] = triples
@@ -463,8 +420,8 @@ class GradientWorkerPool:
         losses = {"total": 0.0, "mask": 0.0, "ke": 0.0,
                   "numeric_regression": 0.0}
         tokens = 0
-        reduced = self._reduced
-        reduced[:] = 0.0
+        optimizer.zero_grad()
+        reduced = optimizer.grad
         pending = {handle.conn: (handle, weight)
                    for handle, weight in active}
         replies: dict[int, tuple] = {}
@@ -520,7 +477,9 @@ class GradientWorkerPool:
                                  numeric_regression=losses[
                                      "numeric_regression"],
                                  tokens=tokens)
-        return _split_flat(reduced, self._params), step_losses
+        for param in optimizer.parameters:
+            param.grad = param.grad_slot
+        return step_losses
 
     def close(self) -> None:
         """Stop and join every worker, then unlink the shared segments.
@@ -668,17 +627,10 @@ class TrainingRuntime:
             return None
         retrainer = self.retrainer
         rebuilding = self._pool_failures > 0
-        index_capacity = retrainer.mask_batches.batch_size + (
-            retrainer.ke_batches.batch_size
-            if retrainer.ke_batches is not None else 0)
         try:
             self._pool = GradientWorkerPool(
-                retrainer.model, self.config.workers,
-                base_seed=retrainer.seed,
-                straggler_timeout_s=self.config.straggler_timeout_s,
-                mask_rows=retrainer.data.mask_rows,
-                triple_rows=retrainer.data.triple_rows,
-                index_capacity=index_capacity)
+                retrainer, self.config.workers,
+                self.config.straggler_timeout_s)
         except WorkerPoolError as error:
             self._degrade(f"pool startup failed: {error}")
             return None
@@ -717,36 +669,24 @@ class TrainingRuntime:
         """One runtime step: parallel when possible, serial otherwise."""
         retrainer = self.retrainer
         pool = self._ensure_pool()
-        if pool is None:
-            tasks = retrainer.advance()
-            rows, triples = retrainer.draw_batches(tasks)
-            retrainer.optimizer.zero_grad()
-            losses = retrainer.compute_losses(rows, triples)
-            losses.total.backward()
-            retrainer.finish_step(losses)
-            return losses
-
         tasks = retrainer.advance()
-        rows, row_indices, triples, triple_indices = (
-            retrainer.draw_batches_with_indices(tasks))
-        step_index = retrainer.step_index - 1
-        try:
-            grads, losses = pool.step(step_index, row_indices,
-                                      triple_indices)
-        except WorkerPoolError as error:
-            self._degrade(str(error))
-            retrainer.optimizer.zero_grad()
-            losses = retrainer.compute_losses(rows, triples)
-            losses.total.backward()
-            retrainer.finish_step(losses)
-            return losses
-        self._pool_failures = 0
+        if pool is None:
+            rows, triples = retrainer.draw_batches(tasks)
+        else:
+            rows, row_indices, triples, triple_indices = (
+                retrainer.draw_batches_with_indices(tasks))
+            try:
+                losses = pool.step(retrainer.step_index - 1, row_indices,
+                                   triple_indices)
+            except WorkerPoolError as error:
+                self._degrade(str(error))
+            else:
+                self._pool_failures = 0
+                retrainer.finish_step(losses)
+                return losses
         retrainer.optimizer.zero_grad()
-        for param, grad in zip(retrainer.optimizer.parameters, grads):
-            # Views into the pool's reduction buffer: consumed synchronously
-            # by clip + Adam below, and only rewritten by the next
-            # pool.step, so the hot path skips a parameter-sized copy.
-            param.grad = grad
+        losses = retrainer.compute_losses(rows, triples)
+        losses.total.backward()
         retrainer.finish_step(losses)
         return losses
 

@@ -13,8 +13,11 @@ from repro.models import (
     TeleBertTrainer,
     TextRow,
     load_ktelebert,
+    load_train_state,
     save_ktelebert,
+    save_train_state,
 )
+from repro.nn.optim import Adam
 from repro.training.stage2 import build_stage2_data
 from repro.world import TelecomWorld
 
@@ -94,3 +97,31 @@ class TestRoundTrip:
         loss.backward()
         grads = [p.grad is not None for p in restored.parameters()]
         assert any(grads)
+
+
+class TestComponentTable:
+    def test_components_cover_parameters_in_order(self, model):
+        names = list(model.components())
+        assert names == ["mlm_model", "anenc", "ndec", "awl", "tgc"]
+        flat = [p for part in model.components().values()
+                for p in part.parameters()]
+        assert [id(p) for p in model.parameters()] == [id(p) for p in flat]
+
+    def test_checkpoint_without_anenc_names_it(self, model, tmp_path):
+        path = save_ktelebert(model, tmp_path / "ckpt")
+        with np.load(path / "weights.npz") as archive:
+            kept = {key: archive[key] for key in archive.files
+                    if not key.startswith("anenc/")}
+        np.savez(path / "weights.npz", **kept)
+        with pytest.raises(ValueError, match="anenc"):
+            load_ktelebert(path)
+
+    def test_train_state_without_ndec_names_it(self, model, tmp_path):
+        restored = load_ktelebert(save_ktelebert(model, tmp_path / "ckpt"))
+        optimizer = Adam(restored.parameters())
+        save_train_state(tmp_path / "state.npz", restored, optimizer, {},
+                         step=0, loss=0.0)
+        state = load_train_state(tmp_path / "state.npz")
+        del state.model_arrays["ndec"]
+        with pytest.raises(ValueError, match="ndec"):
+            state.apply(restored, optimizer)

@@ -38,20 +38,9 @@ from repro.training.runtime import (
 from repro.training.shm import PoolSharedState, SharedArray
 from repro.training.stage2 import build_stage2_data
 from repro.world import TelecomWorld
+from tests.test_flat_optimizer import assert_bound
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
-def make_pool(retrainer, num_workers=2, **kwargs):
-    """Build a GradientWorkerPool wired like TrainingRuntime does."""
-    capacity = retrainer.mask_batches.batch_size + (
-        retrainer.ke_batches.batch_size
-        if retrainer.ke_batches is not None else 0)
-    return GradientWorkerPool(
-        retrainer.model, num_workers, base_seed=retrainer.seed,
-        mask_rows=retrainer.data.mask_rows,
-        triple_rows=retrainer.data.triple_rows,
-        index_capacity=capacity, **kwargs)
 
 
 def segment_gone(name: str) -> bool:
@@ -316,6 +305,37 @@ class TestRetrainerState:
 
 
 # ----------------------------------------------------------------------
+# Parameters stay views of the optimizer's buffers
+# ----------------------------------------------------------------------
+class TestParameterBuffer:
+    def test_views_survive_steps_and_restores(self, stack, tmp_path):
+        source = make_retrainer(stack)
+        for _ in range(2):
+            source.train_step()
+            assert_bound(source.optimizer)
+        store = SnapshotStore(tmp_path / "snaps")
+        store.save(source.model, source.optimizer, source.state_dict(),
+                   step=2, loss=1.0)
+        target = make_retrainer(stack)
+        store.load_latest().apply(target.model, target.optimizer)
+        assert_bound(target.optimizer)
+        assert np.array_equal(target.optimizer.flat, source.optimizer.flat)
+        target.optimizer.load_state_dict(source.optimizer.state_dict())
+        assert_bound(target.optimizer)
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+    def test_views_survive_pool_steps(self, stack, tmp_path):
+        retrainer = make_retrainer(stack, total_steps=3)
+        runtime = TrainingRuntime(retrainer, RuntimeConfig(
+            run_dir=tmp_path / "run", workers=2, handle_signals=False))
+        runtime.run()
+        kinds = [e["kind"] for e in runtime.journal.events()]
+        assert "fallback_serial" not in kinds
+        assert_bound(retrainer.optimizer)
+
+
+# ----------------------------------------------------------------------
 # Kill-and-resume: the bit-exact continuation guarantee
 # ----------------------------------------------------------------------
 def _run_to_completion(stack, run_dir, workers=1, total_steps=6):
@@ -418,7 +438,7 @@ class TestWorkerPool:
     def test_pool_needs_two_workers(self, stack):
         retrainer = make_retrainer(stack)
         with pytest.raises(ValueError):
-            GradientWorkerPool(retrainer.model, num_workers=1, base_seed=0)
+            GradientWorkerPool(retrainer, 1, 120.0)
 
     def test_startup_failure_degrades_to_serial(self, stack, tmp_path,
                                                 monkeypatch):
@@ -455,13 +475,13 @@ class TestWorkerPool:
     def test_worker_death_mid_step_raises_pool_error(self, stack):
         """A killed worker must surface as WorkerPoolError, not EOFError."""
         retrainer = make_retrainer(stack)
-        pool = make_pool(retrainer)
+        pool = GradientWorkerPool(retrainer, 2, 120.0)
         names = pool.segment_names
         try:
             tasks = retrainer.advance()
             _, row_idx, _, triple_idx = (
                 retrainer.draw_batches_with_indices(tasks))
-            grads, losses = pool.step(0, row_idx, triple_idx)
+            losses = pool.step(0, row_idx, triple_idx)
             assert np.isfinite(losses.value)
 
             victim = pool._workers[0].process
@@ -530,7 +550,7 @@ class TestWorkerPool:
             return False
 
         retrainer = make_retrainer(stack)
-        pool = make_pool(retrainer)
+        pool = GradientWorkerPool(retrainer, 2, 120.0)
         messages: list = []
         try:
             for handle in pool._workers:
@@ -558,14 +578,14 @@ class TestWorkerPool:
         model = retrainer.model
         params = model.parameters()
         num_workers = 2
-        pool = make_pool(retrainer, num_workers=num_workers)
+        pool = GradientWorkerPool(retrainer, num_workers, 120.0)
         try:
             tasks = retrainer.advance()
             rows, row_idx, triples, triple_idx = (
                 retrainer.draw_batches_with_indices(tasks))
             step = retrainer.step_index - 1
-            grads, _ = pool.step(step, row_idx, triple_idx)
-            reduced = np.concatenate([g.ravel() for g in grads])
+            pool.step(step, row_idx, triple_idx)
+            reduced = retrainer.optimizer.grad.copy()
         finally:
             pool.close()
 
@@ -612,7 +632,8 @@ class TestWorkerPool:
         model.rng.bit_generator.state = saved_model_rng
 
         assert np.isfinite(expected).all()
-        np.testing.assert_allclose(reduced, expected, rtol=1e-12, atol=1e-12)
+        # Same operations in the same order: equal bit for bit.
+        assert np.array_equal(reduced, expected)
 
 
 # ----------------------------------------------------------------------
@@ -639,7 +660,7 @@ class TestSharedMemory:
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_pool_close_removes_segments(self, stack):
         retrainer = make_retrainer(stack)
-        pool = make_pool(retrainer)
+        pool = GradientWorkerPool(retrainer, 2, 120.0)
         names = pool.segment_names
         assert names and not any(segment_gone(name) for name in names)
         pool.close()
