@@ -275,12 +275,15 @@ def _worker_main(conn, retrainer: KTeleBertRetrainer,
                                                rows or None, triples or None)
                 losses.total.backward()
                 grad_block[...] = optimizer.grad
+                untouched = [i for i, param
+                             in enumerate(optimizer.parameters)
+                             if param.grad is None]
                 conn.send(("ok", step,
                            {"total": losses.value, "mask": losses.mask,
                             "ke": losses.ke,
                             "numeric_regression":
                                 losses.numeric_regression},
-                           losses.tokens))
+                           losses.tokens, untouched))
             except Exception:  # surfaced to the parent as WorkerPoolError
                 conn.send(("err", step, traceback.format_exc()))
     finally:
@@ -368,9 +371,10 @@ class GradientWorkerPool:
 
         ``row_indices`` / ``triple_indices`` are the dataset indices of the
         step's drawn batches (``None`` for an inactive task).  On return
-        every parameter's ``grad`` is its slot in ``optimizer.grad``, which
-        holds the reduced gradient (zeros where no worker produced one),
-        ready for clip + update.  Raises :class:`WorkerPoolError` on worker
+        ``optimizer.grad`` holds the reduced gradient, ready for clip +
+        update.  As on the serial path, a parameter's ``grad`` is its slot
+        when some worker's shard produced a gradient for it, and None
+        otherwise (its slot then reads zero).  Raises :class:`WorkerPoolError` on worker
         failure or straggler timeout; the caller is expected to fall back
         to the serial path.
         """
@@ -420,6 +424,7 @@ class GradientWorkerPool:
         losses = {"total": 0.0, "mask": 0.0, "ke": 0.0,
                   "numeric_regression": 0.0}
         tokens = 0
+        untouched = set(range(len(optimizer.parameters)))
         optimizer.zero_grad()
         reduced = optimizer.grad
         pending = {handle.conn: (handle, weight)
@@ -437,10 +442,12 @@ class GradientWorkerPool:
                 np.multiply(self._shared.grads[handle.worker_id].array,
                             share, out=self._scratch)
                 reduced += self._scratch
-                parts, shard_tokens = replies.pop(handle.worker_id)
+                parts, shard_tokens, shard_untouched = replies.pop(
+                    handle.worker_id)
                 for key in losses:
                     losses[key] += parts[key] * share
                 tokens += shard_tokens
+                untouched.intersection_update(shard_untouched)
                 folded += 1
             if folded >= len(active):
                 break
@@ -466,19 +473,22 @@ class GradientWorkerPool:
                     raise WorkerPoolError(
                         f"worker {handle.worker_id} failed at step "
                         f"{step_index}:\n{reply[2]}")
-                _, reply_step, parts, shard_tokens = reply
+                _, reply_step, *payload = reply
                 if reply_step != step_index:
                     raise WorkerPoolError(
                         f"worker {handle.worker_id} answered step "
                         f"{reply_step}, expected {step_index}")
-                replies[handle.worker_id] = (parts, shard_tokens)
+                replies[handle.worker_id] = payload
         step_losses = StepLosses(total=Tensor(losses["total"]),
                                  mask=losses["mask"], ke=losses["ke"],
                                  numeric_regression=losses[
                                      "numeric_regression"],
                                  tokens=tokens)
-        for param in optimizer.parameters:
-            param.grad = param.grad_slot
+        # The skip rule of the serial step: a parameter no worker's shard
+        # reached keeps grad None, so the update leaves it and its moments.
+        for i, param in enumerate(optimizer.parameters):
+            if i not in untouched:
+                param.grad = param.grad_slot
         return step_losses
 
     def close(self) -> None:

@@ -569,6 +569,51 @@ class TestWorkerPool:
 
     @pytest.mark.slow
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_numeric_parts_skip_steps_without_numeric_rows(self, stack,
+                                                           tmp_path,
+                                                           workers):
+        """The skip rule holds on pool steps exactly as on serial ones.
+
+        A step whose batch has no numeric row gives ANEnc, NDec, AWL and
+        TGC no gradient, so their weights and Adam moments must not move.
+        """
+        retrainer = make_retrainer(stack, total_steps=12)
+        runtime = TrainingRuntime(retrainer, RuntimeConfig(
+            run_dir=tmp_path / "run", workers=workers, handle_signals=False))
+        model, optimizer = retrainer.model, retrainer.optimizer
+        numeric = {id(p) for name in ("anenc", "ndec", "awl", "tgc")
+                   for p in model.components()[name].parameters()}
+        watched = [i for i, p in enumerate(optimizer.parameters)
+                   if id(p) in numeric]
+
+        def snapshot():
+            arrays = optimizer.state_dict()["arrays"]
+            return [array.copy() for i in watched
+                    for array in (optimizer.parameters[i].data,
+                                  arrays[f"m/{i}"], arrays[f"v/{i}"])]
+
+        skipped = moved = 0
+        try:
+            for _ in range(12):
+                before = snapshot()
+                runtime.train_step()
+                unchanged = all(np.array_equal(a, b)
+                                for a, b in zip(before, snapshot()))
+                if retrainer.log.numeric_regression[-1] == 0.0:
+                    assert unchanged, f"step {retrainer.step_index - 1}"
+                    skipped += 1
+                else:
+                    moved += not unchanged
+        finally:
+            if runtime._pool is not None:
+                runtime._pool.close()
+        kinds = [e["kind"] for e in runtime.journal.events()]
+        assert "fallback_serial" not in kinds
+        assert skipped and moved, (skipped, moved)
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_parallel_grads_match_serial_emulation(self, stack):
         """The shared-memory reduction equals the per-shard math in-process."""
         from repro.training.masking import DynamicMasker
