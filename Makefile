@@ -140,18 +140,24 @@ perfbench-smoke:
 # Exercise the fault-tolerant training runtime end to end: train two steps,
 # pause (simulated interruption), resume from the snapshot, finish the
 # schedule, and check the replayed journal saw every step exactly once.
+# The cycle runs serially and then through the CLI's worker pool
+# (--workers 2).  A pool that fails falls back to serial and still
+# finishes the run, so any fallback_serial event fails the target.
 train-smoke:
-	rm -rf .train-smoke
-	$(PYTHON) -m repro train --run-dir .train-smoke --size smoke \
-	  --steps 4 --checkpoint-every 2 --stop-after 2
-	$(PYTHON) -m repro train --run-dir .train-smoke --size smoke \
-	  --steps 4 --checkpoint-every 2
-	$(PYTHON) -c "from repro.serving import replay_journal; \
-	snap = replay_journal('.train-smoke/journal.jsonl').snapshot(); \
-	assert snap['counters']['train.steps'] == 4, snap; \
-	assert snap['counters']['train.events.run_complete'] == 1, snap; \
-	assert snap['counters']['train.events.resume'] == 1, snap; \
-	print('train-smoke ok:', snap['counters'])"
+	set -e; for workers in 1 2; do \
+	  rm -rf .train-smoke; \
+	  $(PYTHON) -m repro train --run-dir .train-smoke --size smoke \
+	    --steps 4 --checkpoint-every 2 --stop-after 2 --workers $$workers; \
+	  $(PYTHON) -m repro train --run-dir .train-smoke --size smoke \
+	    --steps 4 --checkpoint-every 2 --workers $$workers; \
+	  $(PYTHON) -c "from repro.serving import replay_journal; \
+	  counters = replay_journal('.train-smoke/journal.jsonl').snapshot()['counters']; \
+	  assert counters['train.steps'] == 4, counters; \
+	  assert counters['train.events.run_complete'] == 1, counters; \
+	  assert counters['train.events.resume'] == 1, counters; \
+	  assert counters.get('train.events.fallback_serial', 0) == 0, counters; \
+	  print('train-smoke ok (workers=$$workers):', counters)"; \
+	done
 	rm -rf .train-smoke
 
 clean:

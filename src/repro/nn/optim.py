@@ -33,7 +33,7 @@ from repro.nn.module import Parameter
 
 
 class Optimizer:
-    """Base optimizer: the parameters' flat buffers and a mutable learning rate."""
+    """Base optimizer: flat parameter and gradient buffers, mutable lr."""
 
     def __init__(self, parameters: Iterable[Parameter], lr: float):
         self.parameters = list(parameters)
@@ -41,6 +41,10 @@ class Optimizer:
             raise ValueError("optimizer received no parameters")
         if len({id(p) for p in self.parameters}) != len(self.parameters):
             raise ValueError("a parameter appears twice in the optimizer")
+        dtypes = {p.data.dtype for p in self.parameters}
+        if dtypes != {np.dtype(np.float64)}:
+            raise TypeError(f"optimizer parameters must be float64, "
+                            f"got {sorted(map(str, dtypes))}")
         self.lr = float(lr)
         offsets = np.cumsum([0] + [p.data.size for p in self.parameters])
         #: ``(lo, hi, shape)`` of each parameter's slice of the buffers.
@@ -49,9 +53,6 @@ class Optimizer:
         self.flat = np.empty(int(offsets[-1]))
         self.grad = np.zeros(int(offsets[-1]))
         for param, (lo, hi, shape) in zip(self.parameters, self._layout):
-            if param.data.dtype != np.float64:
-                raise TypeError(f"optimizer parameters must be float64, "
-                                f"got {param.data.dtype}")
             self.flat[lo:hi] = param.data.ravel()
             param.data = self.flat[lo:hi].reshape(shape)
             param.grad_slot = self.grad[lo:hi].reshape(shape)

@@ -14,18 +14,22 @@ capabilities the paper's longest loop needs to survive outside a notebook:
   trajectory is identical to the uninterrupted one.
 
 * **Multi-process data parallelism** — each step's batch is sharded across
-  N persistent forked workers holding model replicas.  Parameters,
-  per-worker gradients, and the step's batch indices live in
-  ``multiprocessing.shared_memory`` blocks (:mod:`repro.training.shm`);
-  pipes carry only control tuples (step index, shard bounds) and scalar
-  losses, never arrays.  Workers run forward/backward on their shard with
-  a deterministic per-``(seed, worker, step)`` RNG; the parent reduces
-  gradient blocks as a shard-size-weighted mean in fixed worker order —
-  folding each block as soon as its worker reports, overlapping reduction
-  with the stragglers' compute — before the usual clip + Adam update.  A
-  straggler timeout bounds the wait for any worker; on timeout or worker
-  failure the runtime degrades to the serial path and keeps training,
-  retrying the pool after ``pool_retry_steps`` serial steps until
+  N persistent forked workers holding replicas of the retrainer.  The
+  optimizer's flat parameter buffer (``optimizer.flat``), per-worker
+  copies of its gradient buffer (``optimizer.grad``), and the step's
+  batch indices live in ``multiprocessing.shared_memory`` blocks
+  (:mod:`repro.training.shm`); pipes carry only control tuples (step
+  index, shard bounds) and scalar replies, never arrays.  Workers run
+  forward/backward on their shard with a deterministic
+  per-``(seed, worker, step)`` RNG; the parent folds the gradient blocks
+  into its own ``optimizer.grad`` as a shard-size-weighted mean in fixed
+  worker order — folding each block as soon as its worker reports,
+  overlapping reduction with the stragglers' compute — before the usual
+  clip + Adam update.  A parameter no worker's shard reached keeps no
+  gradient, the skip rule of the serial step.  A straggler timeout
+  bounds the wait for any worker; on timeout or worker failure the
+  runtime degrades to the serial path and keeps training, retrying the
+  pool after ``pool_retry_steps`` serial steps until
   ``pool_max_failures`` consecutive failures disable it for the run.
 
 * **Run journal** — every step appends a structured JSONL event (step,
@@ -235,12 +239,14 @@ def _worker_main(conn, retrainer: KTeleBertRetrainer,
     replica's ``optimizer.flat``, materialises its shard rows from the
     inherited datasets, zeroes its gradients, runs forward/backward, and
     copies its replica's ``optimizer.grad`` into its own shared block —
-    the ``ok`` reply carries only scalar losses.  The masking RNG is
+    the ``ok`` reply carries only scalar losses, the token count and the
+    indices of the parameters that got no gradient.  The masking RNG is
     reseeded per ``(seed, worker_id, step)`` so runs are reproducible and
     resumable regardless of which steps each worker served before.
     """
     model, optimizer = retrainer.model, retrainer.optimizer
-    mask_rows, triple_rows = retrainer.data.mask_rows, retrainer.data.triple_rows
+    mask_rows = retrainer.data.mask_rows
+    triple_rows = retrainer.data.triple_rows
     model.train()
     masker = DynamicMasker(model.tokenizer.vocab, np.random.default_rng(0),
                            masking_rate=model.config.masking_rate)
@@ -374,9 +380,9 @@ class GradientWorkerPool:
         ``optimizer.grad`` holds the reduced gradient, ready for clip +
         update.  As on the serial path, a parameter's ``grad`` is its slot
         when some worker's shard produced a gradient for it, and None
-        otherwise (its slot then reads zero).  Raises :class:`WorkerPoolError` on worker
-        failure or straggler timeout; the caller is expected to fall back
-        to the serial path.
+        otherwise (its slot then reads zero).  Raises
+        :class:`WorkerPoolError` on worker failure or straggler timeout;
+        the caller is expected to fall back to the serial path.
         """
         if self._shared is None:
             raise WorkerPoolError("pool is closed")

@@ -1,7 +1,8 @@
 """Shared-memory transport for the persistent gradient worker pool.
 
-The data-parallel runtime moves two large arrays per step — the flattened
-parameter vector (parent → workers) and one flattened gradient vector per
+The data-parallel runtime moves two large arrays per step — the
+optimizer's flat parameter buffer, ``optimizer.flat`` (parent → workers),
+and one copy of a replica's flat gradient buffer, ``optimizer.grad``, per
 worker (workers → parent).  Serialising those over pipes is what made the
 original pool *slower* than serial training; this module gives both sides
 zero-copy access instead:
@@ -91,9 +92,10 @@ class SharedArray:
 class PoolSharedState:
     """Fixed shared-memory layout for one :class:`GradientWorkerPool`.
 
-    ``params`` — the flattened parameter vector, written in-place by the
-    parent once per step.  ``grads[i]`` — worker *i*'s flattened gradient,
-    written by that worker, read (and reduced) by the parent.  ``indices``
+    ``params`` — a copy of the parent's ``optimizer.flat``, written
+    in-place by the parent once per step.  ``grads[i]`` — a copy of worker
+    *i*'s ``optimizer.grad``, written by that worker, folded into the
+    parent's ``optimizer.grad``.  ``indices``
     — the step's drawn batch indices: row indices first, triple indices
     after them; control messages carry half-open bounds into this block.
     """

@@ -268,7 +268,8 @@ class TestBuffer:
         for _ in train(optimizer, flat_clip, params, 3):
             pass
         before = params[ODD_ONLY].data.copy()
-        state = {k: v.copy() for k, v in optimizer.state_dict()["arrays"].items()}
+        state = {key: array.copy() for key, array
+                 in optimizer.state_dict()["arrays"].items()}
         next(train(optimizer, flat_clip, params, 1, first=4))  # even step
         assert np.array_equal(params[ODD_ONLY].data, before)
         after = optimizer.state_dict()["arrays"]
