@@ -161,12 +161,8 @@ class KTeleBert:
     # Parameters
     # ------------------------------------------------------------------
     def components(self) -> dict[str, Module]:
-        """The trainable parts, keyed as in checkpoints, in parameter order.
-
-        ``mlm_model``, ``anenc``, ``ndec`` and ``awl``, plus ``tgc`` when the
-        tag classifier is enabled.  Parameters, train/eval switching and
-        every checkpoint format walk this one table.
-        """
+        """The trainable parts in parameter order, keyed as in checkpoints;
+        ``tgc`` only when the tag classifier is enabled."""
         parts = {"mlm_model": self.mlm_model, "anenc": self.anenc,
                  "ndec": self.ndec, "awl": self.numeric_loss.awl}
         if self.tgc is not None:

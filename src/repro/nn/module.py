@@ -19,13 +19,9 @@ from repro.tensor.tensor import Tensor
 class Parameter(Tensor):
     """A trainable tensor; created with ``requires_grad=True``.
 
-    An :class:`~repro.nn.optim.Optimizer` owns its parameters' memory:
-    ``data`` becomes a view of the optimizer's ``flat`` buffer and
-    ``grad_slot`` a view of its ``grad`` buffer at the same offset.  The
-    first gradient of a backward pass is written into the slot and later
-    ones are added to it, so ``grad`` is the slot whenever it is set.
-    Rebinding ``data`` after the optimizer is built detaches the parameter:
-    the optimizer keeps updating its buffer, not the new array.
+    An optimizer makes ``data`` a view of its ``flat`` buffer and
+    ``grad_slot`` a view of its ``grad`` buffer; backward writes the first
+    gradient into the slot, so a set ``grad`` is the slot.
     """
 
     def __init__(self, data, *, dtype=None):

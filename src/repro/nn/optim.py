@@ -1,25 +1,16 @@
 """Optimizers and learning-rate schedules.
 
-An optimizer owns its parameters' memory.  ``Optimizer.__init__`` copies
-the parameters, in order, into one contiguous float64 array, ``flat``,
-and rebinds each ``param.data`` to a view of it; a second array, ``grad``,
-holds each parameter's gradient slot at the same offset (see
-:class:`~repro.nn.module.Parameter`).  Updates then run over whole runs
-of parameters at once, under three rules that keep them bit-identical to
-a per-parameter loop:
-
-* **Skip rule.** A parameter whose ``grad`` is None is not updated and
-  its moments do not decay.  Each update covers the maximal runs of
-  consecutive parameters that have a gradient, never the whole buffer
-  blindly.
-* **Clip order.** :meth:`Optimizer.clip_grad_norm` adds the
-  per-parameter ``np.vdot`` values in parameter order (one ``vdot`` over
-  the buffer rounds differently); only the scaling is array-wide.
-* **Formats.** ``state_dict()`` keeps one ``m/<i>``, ``v/<i>`` or
-  ``velocity/<i>`` array per parameter, with that parameter's shape.
-
-A parameter belongs to one optimizer at a time: rebinding its ``data``,
-or building a second optimizer over it, detaches it from the first.
+An optimizer owns its parameters' memory: it copies them, in order, into
+one float64 array, ``flat``, rebinds each ``param.data`` to a view of it,
+and gives each parameter a gradient slot in a second array, ``grad``.
+Updates run over whole runs of parameters, bit-identical to a
+per-parameter loop.  *Skip rule:* a parameter whose ``grad`` is None is
+not updated and its moments do not decay.  *Clip order:* the clip norm
+adds per-parameter ``np.vdot`` values in parameter order; only the
+scaling runs over the buffer.  *Format:* ``state_dict()`` holds one
+``<moment>/<i>`` array per parameter, shaped like it.  Rebinding
+``param.data``, or building a second optimizer over the parameter,
+detaches it from the first optimizer's buffer.
 """
 
 from __future__ import annotations
@@ -34,6 +25,9 @@ from repro.nn.module import Parameter
 
 class Optimizer:
     """Base optimizer: flat parameter and gradient buffers, mutable lr."""
+
+    #: Names of the per-element state buffers, each laid out like ``flat``.
+    moments: tuple[str, ...] = ()
 
     def __init__(self, parameters: Iterable[Parameter], lr: float):
         self.parameters = list(parameters)
@@ -52,6 +46,8 @@ class Optimizer:
                         in zip(self.parameters, offsets[:-1], offsets[1:])]
         self.flat = np.empty(int(offsets[-1]))
         self.grad = np.zeros(int(offsets[-1]))
+        self._moments = {name: np.zeros_like(self.flat)
+                         for name in self.moments}
         for param, (lo, hi, shape) in zip(self.parameters, self._layout):
             self.flat[lo:hi] = param.data.ravel()
             param.data = self.flat[lo:hi].reshape(shape)
@@ -64,11 +60,8 @@ class Optimizer:
         self.grad[...] = 0.0
 
     def _runs(self) -> list[tuple[int, int]]:
-        """``[lo, hi)`` buffer bounds of the maximal runs of parameters with
-        a gradient (the skip rule).
-
-        A gradient assigned by hand rather than by backward is copied into
-        its slot first, so the buffer holds every gradient the step uses.
+        """Buffer bounds ``[lo, hi)`` of the maximal runs of parameters
+        with a gradient; a hand-set gradient is first copied into its slot.
         """
         runs: list[tuple[int, int]] = []
         for param, (lo, hi, _) in zip(self.parameters, self._layout):
@@ -106,28 +99,25 @@ class Optimizer:
         """Scalars + per-parameter moment arrays for checkpointing."""
         return {"kind": type(self).__name__.lower(),
                 "scalars": {"lr": self.lr},
-                "arrays": {}}
+                "arrays": {f"{name}/{i}": moment[lo:hi].reshape(shape)
+                           for name, moment in self._moments.items()
+                           for i, (lo, hi, shape)
+                           in enumerate(self._layout)}}
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output; validates optimizer kind."""
+        """Restore :meth:`state_dict` output; validates kind and shapes."""
         if state.get("kind") != type(self).__name__.lower():
             raise ValueError(
                 f"optimizer state is for {state.get('kind')!r}, "
                 f"not {type(self).__name__.lower()!r}")
         self.lr = float(state["scalars"]["lr"])
-        self._load_arrays(state["arrays"])
-
-    def _load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if arrays:
-            raise ValueError(f"unexpected moment arrays: {sorted(arrays)}")
-
-    def _pack(self, name: str, moment: np.ndarray) -> dict[str, np.ndarray]:
-        """One moment buffer as per-parameter views ``name/<i>``."""
-        return {f"{name}/{i}": moment[lo:hi].reshape(shape)
-                for i, (lo, hi, shape) in enumerate(self._layout)}
+        loaded = {name: self._unpack(name, state["arrays"])
+                  for name in self._moments}
+        for name, values in loaded.items():
+            self._moments[name][...] = values
 
     def _unpack(self, name: str, arrays: dict[str, np.ndarray]) -> np.ndarray:
-        """Validate :meth:`_pack` output and join it into one flat array."""
+        """One moment's per-parameter arrays, validated, as a flat array."""
         parts = []
         for i, (_, _, shape) in enumerate(self._layout):
             try:
@@ -146,17 +136,18 @@ class Optimizer:
 class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum."""
 
+    moments = ("velocity",)
+
     def __init__(self, parameters: Iterable[Parameter], lr: float,
                  momentum: float = 0.0):
         super().__init__(parameters, lr)
         self.momentum = momentum
-        self._velocity = np.zeros_like(self.flat)
 
     def step(self) -> None:
         for lo, hi in self._runs():
             param, grad = self.flat[lo:hi], self.grad[lo:hi]
             if self.momentum > 0:
-                velocity = self._velocity[lo:hi]
+                velocity = self._moments["velocity"][lo:hi]
                 velocity *= self.momentum
                 velocity += grad
                 param -= self.lr * velocity
@@ -166,19 +157,17 @@ class SGD(Optimizer):
     def state_dict(self) -> dict:
         state = super().state_dict()
         state["scalars"]["momentum"] = self.momentum
-        state["arrays"] = self._pack("velocity", self._velocity)
         return state
 
     def load_state_dict(self, state: dict) -> None:
         super().load_state_dict(state)
         self.momentum = float(state["scalars"]["momentum"])
 
-    def _load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self._velocity[...] = self._unpack("velocity", arrays)
-
 
 class Adam(Optimizer):
     """Adam (Kingma & Ba) with bias correction."""
+
+    moments = ("m", "v")
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
@@ -187,8 +176,6 @@ class Adam(Optimizer):
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = np.zeros_like(self.flat)
-        self._v = np.zeros_like(self.flat)
         self._t = 0
 
     def _decay(self, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -202,7 +189,7 @@ class Adam(Optimizer):
         bias2 = 1.0 - beta2 ** self._t
         for lo, hi in self._runs():
             param, grad = self.flat[lo:hi], self.grad[lo:hi]
-            m, v = self._m[lo:hi], self._v[lo:hi]
+            m, v = self._moments["m"][lo:hi], self._moments["v"][lo:hi]
             if self.weight_decay > 0:
                 grad = self._decay(param, grad)
             m *= beta1
@@ -220,8 +207,6 @@ class Adam(Optimizer):
                                  "eps": self.eps,
                                  "weight_decay": self.weight_decay,
                                  "t": self._t})
-        state["arrays"] = {**self._pack("m", self._m),
-                          **self._pack("v", self._v)}
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -231,11 +216,6 @@ class Adam(Optimizer):
         self.eps = float(scalars["eps"])
         self.weight_decay = float(scalars["weight_decay"])
         self._t = int(scalars["t"])
-
-    def _load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        m, v = self._unpack("m", arrays), self._unpack("v", arrays)
-        self._m[...] = m
-        self._v[...] = v
 
 
 class AdamW(Adam):
@@ -248,8 +228,6 @@ class AdamW(Adam):
 
 
 def _global_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
-    """L2 norm of the set gradients: per-parameter ``vdot`` values added in
-    parameter order."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     return math.sqrt(sum(float(np.vdot(p.grad, p.grad))

@@ -14,19 +14,15 @@ capabilities the paper's longest loop needs to survive outside a notebook:
   trajectory is identical to the uninterrupted one.
 
 * **Multi-process data parallelism** — each step's batch is sharded across
-  N persistent forked workers holding replicas of the retrainer.  The
-  optimizer's flat parameter buffer (``optimizer.flat``), per-worker
-  copies of its gradient buffer (``optimizer.grad``), and the step's
-  batch indices live in ``multiprocessing.shared_memory`` blocks
-  (:mod:`repro.training.shm`); pipes carry only control tuples (step
-  index, shard bounds) and scalar replies, never arrays.  Workers run
-  forward/backward on their shard with a deterministic
+  N persistent forked retrainer replicas.  Copies of the optimizer's
+  ``flat`` and ``grad`` buffers and the step's batch indices live in
+  ``multiprocessing.shared_memory`` blocks (:mod:`repro.training.shm`);
+  pipes carry only control tuples and scalar replies, never arrays.
+  Workers run forward/backward on their shard with a deterministic
   per-``(seed, worker, step)`` RNG; the parent folds the gradient blocks
-  into its own ``optimizer.grad`` as a shard-size-weighted mean in fixed
-  worker order — folding each block as soon as its worker reports,
-  overlapping reduction with the stragglers' compute — before the usual
-  clip + Adam update.  A parameter no worker's shard reached keeps no
-  gradient, the skip rule of the serial step.  A straggler timeout
+  into ``optimizer.grad`` as a shard-size-weighted mean in fixed worker
+  order — as soon as each worker reports, overlapping the stragglers'
+  compute — before the usual clip + Adam update.  A straggler timeout
   bounds the wait for any worker; on timeout or worker failure the
   runtime degrades to the serial path and keeps training, retrying the
   pool after ``pool_retry_steps`` serial steps until
@@ -232,17 +228,15 @@ def _worker_main(conn, retrainer: KTeleBertRetrainer,
                  shared: PoolSharedState, worker_id: int) -> None:
     """Worker loop: shared-memory params in, shared-memory gradients out.
 
-    Runs in a forked child, so the retrainer's model, optimizer and
-    datasets, and the shared blocks, are all inherited without pickling.
-    Each control message names a step and half-open bounds into the shared
-    index block; the worker copies the shared parameter block into its
-    replica's ``optimizer.flat``, materialises its shard rows from the
-    inherited datasets, zeroes its gradients, runs forward/backward, and
-    copies its replica's ``optimizer.grad`` into its own shared block —
-    the ``ok`` reply carries only scalar losses, the token count and the
-    indices of the parameters that got no gradient.  The masking RNG is
-    reseeded per ``(seed, worker_id, step)`` so runs are reproducible and
-    resumable regardless of which steps each worker served before.
+    Runs in a forked child, so the retrainer (model, optimizer, datasets)
+    and the shared blocks are inherited without pickling.  Each control
+    message names a step and half-open bounds into the shared index block;
+    the worker copies the shared parameter block into ``optimizer.flat``,
+    runs forward/backward on its shard rows, and copies ``optimizer.grad``
+    into its own shared block — the ``ok`` reply carries scalar losses and
+    the indices of the parameters that got no gradient.  The masking RNG
+    is reseeded per ``(seed, worker_id, step)`` so runs are reproducible
+    and resumable regardless of which steps each worker served before.
     """
     model, optimizer = retrainer.model, retrainer.optimizer
     mask_rows = retrainer.data.mask_rows
@@ -306,24 +300,22 @@ class _WorkerHandle:
 class GradientWorkerPool:
     """N persistent forked replicas sharing parameters and gradients.
 
-    The parent copies its optimizer's ``flat`` parameter buffer into one
-    shared-memory block once per step and the step's batch indices into a
-    small shared index block; each worker copies the block into its
-    replica's ``flat``, computes forward/backward over its shard and copies
-    its replica's ``grad`` buffer into its own shared block.  Pipes carry
+    The parent copies ``optimizer.flat`` into one shared-memory block once
+    per step and the step's batch indices into a small shared index block;
+    each worker computes forward/backward over its shard and copies its
+    replica's ``optimizer.grad`` into its own shared block.  Pipes carry
     only tiny control tuples — step index and shard bounds out, scalar
     losses back — never arrays, so per-step cost is the compute itself
     rather than pickling a model-sized payload per worker.
 
-    The parent reduces worker gradients straight into ``optimizer.grad``
-    as a shard-size-weighted mean — equivalent in expectation to the
-    serial gradient of the full batch.  Reduction overlaps compute: worker
-    *i*'s block is folded into the sum as soon as it reports in (in fixed
-    worker order, so the float sum is deterministic) while later workers
-    are still computing.  The model, optimizer, datasets, seed and index
-    capacity all come from the retrainer.  ``fork`` start method only
-    (replicas inherit the retrainer without pickling); callers fall back
-    to the serial path when fork is unavailable or startup fails.
+    The parent reduces worker gradients into ``optimizer.grad`` as a
+    shard-size-weighted mean — equivalent in expectation to the serial
+    gradient of the full batch.  Reduction overlaps compute: worker *i*'s
+    block is folded into the sum as soon as it reports in (in fixed worker
+    order, so the float sum is deterministic) while later workers are
+    still computing.  ``fork`` start method only (replicas inherit the
+    retrainer without pickling); callers fall back to the serial path
+    when fork is unavailable or startup fails.
     """
 
     def __init__(self, retrainer: KTeleBertRetrainer, num_workers: int,
@@ -377,10 +369,8 @@ class GradientWorkerPool:
 
         ``row_indices`` / ``triple_indices`` are the dataset indices of the
         step's drawn batches (``None`` for an inactive task).  On return
-        ``optimizer.grad`` holds the reduced gradient, ready for clip +
-        update.  As on the serial path, a parameter's ``grad`` is its slot
-        when some worker's shard produced a gradient for it, and None
-        otherwise (its slot then reads zero).  Raises
+        ``optimizer.grad`` holds the reduced gradient; as on the serial
+        path, ``grad`` stays None for a parameter no shard reached.  Raises
         :class:`WorkerPoolError` on worker failure or straggler timeout;
         the caller is expected to fall back to the serial path.
         """
@@ -490,8 +480,8 @@ class GradientWorkerPool:
                                  numeric_regression=losses[
                                      "numeric_regression"],
                                  tokens=tokens)
-        # The skip rule of the serial step: a parameter no worker's shard
-        # reached keeps grad None, so the update leaves it and its moments.
+        # The serial step's skip rule: Adam leaves an untouched parameter
+        # and its moments alone.
         for i, param in enumerate(optimizer.parameters):
             if i not in untouched:
                 param.grad = param.grad_slot
@@ -700,6 +690,7 @@ class TrainingRuntime:
                 self._pool_failures = 0
                 retrainer.finish_step(losses)
                 return losses
+        # The serial step, also the fallback when the pool just failed.
         retrainer.optimizer.zero_grad()
         losses = retrainer.compute_losses(rows, triples)
         losses.total.backward()

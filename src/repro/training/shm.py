@@ -1,11 +1,10 @@
 """Shared-memory transport for the persistent gradient worker pool.
 
 The data-parallel runtime moves two large arrays per step — the
-optimizer's flat parameter buffer, ``optimizer.flat`` (parent → workers),
-and one copy of a replica's flat gradient buffer, ``optimizer.grad``, per
-worker (workers → parent).  Serialising those over pipes is what made the
-original pool *slower* than serial training; this module gives both sides
-zero-copy access instead:
+optimizer's ``flat`` parameters (parent → workers) and one ``grad`` buffer
+per worker (workers → parent).  Serialising those over pipes is what made
+the original pool *slower* than serial training; this module gives both
+sides zero-copy access instead:
 
 * :class:`SharedArray` — a numpy array backed by a named POSIX
   ``multiprocessing.shared_memory`` segment.  The parent creates it before
@@ -92,10 +91,9 @@ class SharedArray:
 class PoolSharedState:
     """Fixed shared-memory layout for one :class:`GradientWorkerPool`.
 
-    ``params`` — a copy of the parent's ``optimizer.flat``, written
-    in-place by the parent once per step.  ``grads[i]`` — a copy of worker
-    *i*'s ``optimizer.grad``, written by that worker, folded into the
-    parent's ``optimizer.grad``.  ``indices``
+    ``params`` — the parent's ``optimizer.flat``, copied in once per step.
+    ``grads[i]`` — worker *i*'s ``optimizer.grad``, copied in by that
+    worker, folded into the parent's ``optimizer.grad``.  ``indices``
     — the step's drawn batch indices: row indices first, triple indices
     after them; control messages carry half-open bounds into this block.
     """
@@ -106,7 +104,6 @@ class PoolSharedState:
             raise ValueError("param_size must be >= 1")
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        self.param_size = param_size
         self.index_capacity = max(int(index_capacity), 1)
         created: list[SharedArray] = []
         try:
