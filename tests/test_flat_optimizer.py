@@ -198,7 +198,7 @@ def backward(params: list[Parameter], step: int) -> None:
 
 
 def train(optimizer, clip, params, steps, first=0):
-    """Run ``steps`` steps; yields each step's clip norm after its update."""
+    """Run ``steps`` steps, yielding ``(step, clip norm)`` per update."""
     for step in range(first, first + steps):
         optimizer.zero_grad()
         backward(params, step)
