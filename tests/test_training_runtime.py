@@ -616,69 +616,90 @@ class TestWorkerPool:
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_parallel_grads_match_serial_emulation(self, stack):
         """The shared-memory reduction equals the per-shard math in-process."""
-        from repro.training.masking import DynamicMasker
-        from repro.training.retrainer import compute_stage2_losses
-
-        retrainer = make_retrainer(stack)
-        model = retrainer.model
-        params = model.parameters()
-        num_workers = 2
-        pool = GradientWorkerPool(retrainer, num_workers, 120.0)
-        try:
-            tasks = retrainer.advance()
-            rows, row_idx, triples, triple_idx = (
-                retrainer.draw_batches_with_indices(tasks))
-            step = retrainer.step_index - 1
-            pool.step(step, row_idx, triple_idx)
-            reduced = retrainer.optimizer.grad.copy()
-        finally:
-            pool.close()
-
-        # Emulate each worker in the parent with the same step-keyed RNG
-        # streams, then form the same shard-weighted mean.
-        saved_model_rng = model.rng.bit_generator.state
-        rows = rows or []
-        triples = triples or []
-
-        def bounds(n):
-            return np.linspace(0, n, num_workers + 1).astype(int)
-
-        row_bounds, triple_bounds = bounds(len(rows)), bounds(len(triples))
-        shards = []
-        for wid in range(num_workers):
-            shard_rows = rows[row_bounds[wid]:row_bounds[wid + 1]]
-            shard_triples = triples[triple_bounds[wid]:
-                                    triple_bounds[wid + 1]]
-            weight = len(shard_rows) + len(shard_triples)
-            if weight:
-                shards.append((wid, shard_rows, shard_triples, weight))
-        total_weight = sum(w for *_, w in shards)
-        expected = np.zeros_like(reduced)
-        for wid, shard_rows, shard_triples, weight in shards:
-            masker = DynamicMasker(model.tokenizer.vocab,
-                                   np.random.default_rng(0),
-                                   masking_rate=model.config.masking_rate)
-            masker.rng = np.random.default_rng([retrainer.seed, wid, step])
-            model.rng.bit_generator.state = np.random.default_rng(
-                [retrainer.seed, wid, step, 1]).bit_generator.state
-            for param in params:
-                param.zero_grad()
-            losses = compute_stage2_losses(model, masker,
-                                           shard_rows or None,
-                                           shard_triples or None)
-            losses.total.backward()
-            flat = np.concatenate(
-                [(param.grad if param.grad is not None
-                  else np.zeros_like(param.data)).ravel()
-                 for param in params])
-            expected += flat * (weight / total_weight)
-        for param in params:
-            param.zero_grad()
-        model.rng.bit_generator.state = saved_model_rng
-
+        reduced, _, expected, _ = _pool_step_and_emulation(stack, 2)
         assert np.isfinite(expected).all()
         # Same operations in the same order: equal bit for bit.
         assert np.array_equal(reduced, expected)
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(120)
+    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+    def test_more_workers_than_cores_match_serial_emulation(self, stack):
+        """Three workers (more than this host's cores, on small hosts):
+        the same exact reduction, and grad stays None exactly for the
+        parameters that no worker's shard reached."""
+        reduced, untouched, expected, expected_untouched = (
+            _pool_step_and_emulation(stack, 3))
+        assert np.array_equal(reduced, expected)
+        assert untouched == expected_untouched
+
+
+def _pool_step_and_emulation(stack, num_workers):
+    """One pool step, then each worker emulated in the parent.
+
+    Returns the pool's reduced ``optimizer.grad`` and the indices of the
+    parameters it left without a gradient, then the same two from the
+    emulation: same step-keyed RNG streams, same shard-weighted mean.
+    """
+    from repro.training.masking import DynamicMasker
+    from repro.training.retrainer import compute_stage2_losses
+
+    retrainer = make_retrainer(stack)
+    model = retrainer.model
+    params = model.parameters()
+    pool = GradientWorkerPool(retrainer, num_workers, 120.0)
+    try:
+        tasks = retrainer.advance()
+        rows, row_idx, triples, triple_idx = (
+            retrainer.draw_batches_with_indices(tasks))
+        step = retrainer.step_index - 1
+        pool.step(step, row_idx, triple_idx)
+        reduced = retrainer.optimizer.grad.copy()
+        untouched = {i for i, p in enumerate(params) if p.grad is None}
+    finally:
+        pool.close()
+
+    saved_model_rng = model.rng.bit_generator.state
+    rows = rows or []
+    triples = triples or []
+
+    def bounds(n):
+        return np.linspace(0, n, num_workers + 1).astype(int)
+
+    row_bounds, triple_bounds = bounds(len(rows)), bounds(len(triples))
+    shards = []
+    for wid in range(num_workers):
+        shard_rows = rows[row_bounds[wid]:row_bounds[wid + 1]]
+        shard_triples = triples[triple_bounds[wid]:triple_bounds[wid + 1]]
+        weight = len(shard_rows) + len(shard_triples)
+        if weight:
+            shards.append((wid, shard_rows, shard_triples, weight))
+    total_weight = sum(w for *_, w in shards)
+    expected = np.zeros_like(reduced)
+    expected_untouched = set(range(len(params)))
+    for wid, shard_rows, shard_triples, weight in shards:
+        masker = DynamicMasker(model.tokenizer.vocab,
+                               np.random.default_rng(0),
+                               masking_rate=model.config.masking_rate)
+        masker.rng = np.random.default_rng([retrainer.seed, wid, step])
+        model.rng.bit_generator.state = np.random.default_rng(
+            [retrainer.seed, wid, step, 1]).bit_generator.state
+        for param in params:
+            param.zero_grad()
+        losses = compute_stage2_losses(model, masker, shard_rows or None,
+                                       shard_triples or None)
+        losses.total.backward()
+        flat = np.concatenate(
+            [(param.grad if param.grad is not None
+              else np.zeros_like(param.data)).ravel()
+             for param in params])
+        expected += flat * (weight / total_weight)
+        expected_untouched &= {i for i, p in enumerate(params)
+                               if p.grad is None}
+    for param in params:
+        param.zero_grad()
+    model.rng.bit_generator.state = saved_model_rng
+    return reduced, untouched, expected, expected_untouched
 
 
 # ----------------------------------------------------------------------
