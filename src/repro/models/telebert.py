@@ -18,7 +18,7 @@ import numpy as np
 from repro.models.bert import BertConfig, BertEncoder
 from repro.models.electra import ElectraPretrainer
 from repro.nn.losses import info_nce
-from repro.nn.optim import Adam
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.tensor import inference_mode
 from repro.tokenization.tokenizer import WordTokenizer, basic_tokenize
 from repro.tokenization.wwm import WholeWordSegmenter
@@ -102,7 +102,7 @@ class TeleBertTrainer:
             simcse_value = float(simcse.data)
 
         total.backward()
-        self.optimizer.clip_grad_norm(5.0)
+        clip_grad_norm(self.optimizer.parameters, 5.0)
         self.optimizer.step()
 
         self.log.total.append(float(total.data))

@@ -5,12 +5,15 @@ one float64 array, ``flat``, rebinds each ``param.data`` to a view of it,
 and gives each parameter a gradient slot in a second array, ``grad``.
 Updates run over whole runs of parameters, bit-identical to a
 per-parameter loop.  *Skip rule:* a parameter whose ``grad`` is None is
-not updated and its moments do not decay.  *Clip order:* the clip norm
-adds per-parameter ``np.vdot`` values in parameter order; only the
-scaling runs over the buffer.  *Format:* ``state_dict()`` holds one
-``<moment>/<i>`` array per parameter, shaped like it.  Rebinding
-``param.data``, or building a second optimizer over the parameter,
-detaches it from the first optimizer's buffer.
+not updated and its moments do not decay.  *Clip order:*
+:func:`clip_grad_norm` adds per-parameter ``np.vdot`` values in parameter
+order; one ``vdot`` over ``grad`` would round differently.  *Format:*
+``state_dict()`` holds one ``<moment>/<i>`` array per parameter, shaped
+like it.  A second optimizer over a parameter takes it over from the
+first.  Rebind ``param.data`` only before the optimizer is built: after
+it, backward still writes the gradient into the old slot and the update
+goes to the old slice of ``flat``, which the parameter no longer reads,
+so it stops training; a rebind that changes the shape breaks backward.
 """
 
 from __future__ import annotations
@@ -75,17 +78,6 @@ class Optimizer:
             else:
                 runs.append((lo, hi))
         return runs
-
-    def clip_grad_norm(self, max_norm: float) -> float:
-        """:func:`clip_grad_norm` over this optimizer's parameters, scaling
-        the buffer run by run; returns the pre-clip norm."""
-        runs = self._runs()
-        norm = _global_norm(self.parameters, max_norm)
-        if norm > max_norm:
-            scale = max_norm / (norm + 1e-12)
-            for lo, hi in runs:
-                self.grad[lo:hi] *= scale
-        return norm
 
     def step(self) -> None:
         raise NotImplementedError
@@ -227,21 +219,16 @@ class AdamW(Adam):
         return grad
 
 
-def _global_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    return math.sqrt(sum(float(np.vdot(p.grad, p.grad))
-                         for p in parameters if p.grad is not None))
-
-
 def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
     """Clip gradients in-place to a global L2 norm; returns the pre-clip norm."""
-    norm = _global_norm(parameters, max_norm)
+    if max_norm <= 0:
+        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    grads = [p.grad for p in parameters if p.grad is not None]
+    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
     if norm > max_norm:
         scale = max_norm / (norm + 1e-12)
-        for param in parameters:
-            if param.grad is not None:
-                param.grad *= scale
+        for grad in grads:
+            grad *= scale
     return norm
 
 

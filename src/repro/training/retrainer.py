@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.models.ktelebert import KTeleBert
-from repro.nn.optim import Adam
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.tensor.tensor import Tensor
 from repro.training.batching import BatchIterator
 from repro.training.masking import DynamicMasker
@@ -168,7 +168,7 @@ class KTeleBertRetrainer:
         ``losses.total.backward()`` on the serial path or by the worker
         pool folding averaged worker gradients into ``optimizer.grad``.
         """
-        self.optimizer.clip_grad_norm(self.grad_clip)
+        clip_grad_norm(self.optimizer.parameters, self.grad_clip)
         self.optimizer.step()
         value = losses.value
         self.log.total.append(value)

@@ -1,8 +1,9 @@
 """The flat-buffer optimizers against their per-parameter reference.
 
-``RefSGD``, ``RefAdam``, ``RefAdamW`` and ``ref_clip_grad_norm`` are the
-per-parameter implementations that the flat-buffer optimizers replaced,
-kept as they were.  A small model whose middle parameter gets a gradient
+``RefSGD``, ``RefAdam`` and ``RefAdamW`` are the per-parameter
+implementations that the flat-buffer optimizers replaced, kept as they
+were; ``ref_clip_grad_norm`` is a frozen copy of ``clip_grad_norm``, whose
+norm must keep adding per-parameter ``vdot`` values.  A small model whose middle parameter gets a gradient
 only on odd steps (so even steps skip it and split the update into two
 runs) trains under both, with clipping active on every step: parameters,
 moments and clip norms must stay bitwise equal, and the state-dict
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam, AdamW
+from repro.nn.optim import SGD, Adam, AdamW, clip_grad_norm
 from repro.tensor.tensor import Tensor
 
 
@@ -202,17 +203,9 @@ def train(optimizer, clip, params, steps, first=0):
     for step in range(first, first + steps):
         optimizer.zero_grad()
         backward(params, step)
-        norm = clip(optimizer, params)
+        norm = clip(params, MAX_NORM)
         optimizer.step()
         yield step, norm
-
-
-def flat_clip(optimizer, params):
-    return optimizer.clip_grad_norm(MAX_NORM)
-
-
-def ref_clip(optimizer, params):
-    return ref_clip_grad_norm(params, MAX_NORM)
 
 
 def assert_same_state(flat_state: dict, ref_state: dict) -> None:
@@ -230,8 +223,8 @@ class TestAgainstReference:
         make_flat, make_ref = FACTORIES[kind]
         flat_params, ref_params = make_params(), make_params()
         flat, ref = make_flat(flat_params), make_ref(ref_params)
-        runs = zip(train(flat, flat_clip, flat_params, STEPS),
-                   train(ref, ref_clip, ref_params, STEPS))
+        runs = zip(train(flat, clip_grad_norm, flat_params, STEPS),
+                   train(ref, ref_clip_grad_norm, ref_params, STEPS))
         for (step, flat_norm), (_, ref_norm) in runs:
             assert ref_norm > MAX_NORM, "clipping must act on every step"
             assert flat_norm == ref_norm, step
@@ -245,14 +238,14 @@ class TestAgainstReference:
         make_flat, make_ref = FACTORIES[kind]
         ref_params = make_params()
         ref = make_ref(ref_params)
-        for _ in train(ref, ref_clip, ref_params, 9):
+        for _ in train(ref, ref_clip_grad_norm, ref_params, 9):
             pass
         flat_params = [Parameter(p.data.copy()) for p in ref_params]
         flat = make_flat(flat_params)
         flat.load_state_dict(ref.state_dict())
         assert_bound(flat)
-        runs = zip(train(flat, flat_clip, flat_params, 12, first=9),
-                   train(ref, ref_clip, ref_params, 12, first=9))
+        runs = zip(train(flat, clip_grad_norm, flat_params, 12, first=9),
+                   train(ref, ref_clip_grad_norm, ref_params, 12, first=9))
         for (step, flat_norm), (_, ref_norm) in runs:
             assert flat_norm == ref_norm, step
         for mine, theirs in zip(flat_params, ref_params):
@@ -265,12 +258,12 @@ class TestBuffer:
     def test_skipped_parameter_and_moments_do_not_move(self):
         params = make_params()
         optimizer = Adam(params, lr=0.01)
-        for _ in train(optimizer, flat_clip, params, 3):
+        for _ in train(optimizer, clip_grad_norm, params, 3):
             pass
         before = params[ODD_ONLY].data.copy()
         state = {key: array.copy() for key, array
                  in optimizer.state_dict()["arrays"].items()}
-        next(train(optimizer, flat_clip, params, 1, first=4))  # even step
+        next(train(optimizer, clip_grad_norm, params, 1, first=4))  # even step
         assert np.array_equal(params[ODD_ONLY].data, before)
         after = optimizer.state_dict()["arrays"]
         for name in (f"m/{ODD_ONLY}", f"v/{ODD_ONLY}"):
@@ -296,16 +289,19 @@ class TestBuffer:
         assert np.array_equal(params[1].grad, grad)
         assert_bound(optimizer)
 
-    def test_rebinding_data_detaches_the_parameter(self):
+    def test_rebinding_data_after_the_optimizer_stops_training(self):
+        """The gradient still lands in the old slot, and the update goes
+        to the old slice of ``flat``, which the parameter no longer reads."""
         params = make_params()
         optimizer = SGD(params, lr=0.1)
         rebound = params[0].data.copy()
         params[0].data = rebound
-        params[0].grad = np.ones(SHAPES[0])
+        backward(params, 1)
+        assert params[0].grad is params[0].grad_slot
+        old_slice = optimizer.flat[:rebound.size].copy()
         optimizer.step()
         assert np.array_equal(params[0].data, rebound)  # not updated
-        assert not np.array_equal(optimizer.flat[:rebound.size],
-                                  rebound.ravel())
+        assert not np.array_equal(optimizer.flat[:rebound.size], old_slice)
 
     def test_parameter_listed_twice_is_rejected(self):
         param = Parameter(np.zeros(3))
