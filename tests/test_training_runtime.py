@@ -323,17 +323,6 @@ class TestParameterBuffer:
         target.optimizer.load_state_dict(source.optimizer.state_dict())
         assert_bound(target.optimizer)
 
-    @pytest.mark.slow
-    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
-    def test_views_survive_pool_steps(self, stack, tmp_path):
-        retrainer = make_retrainer(stack, total_steps=3)
-        runtime = TrainingRuntime(retrainer, RuntimeConfig(
-            run_dir=tmp_path / "run", workers=2, handle_signals=False))
-        runtime.run()
-        kinds = [e["kind"] for e in runtime.journal.events()]
-        assert "fallback_serial" not in kinds
-        assert_bound(retrainer.optimizer)
-
 
 # ----------------------------------------------------------------------
 # Kill-and-resume: the bit-exact continuation guarantee
@@ -577,6 +566,7 @@ class TestWorkerPool:
 
         A step whose batch has no numeric row gives ANEnc, NDec, AWL and
         TGC no gradient, so their weights and Adam moments must not move.
+        The parameters still view the optimizer's buffers afterwards.
         """
         retrainer = make_retrainer(stack, total_steps=12)
         runtime = TrainingRuntime(retrainer, RuntimeConfig(
@@ -611,6 +601,7 @@ class TestWorkerPool:
         kinds = [e["kind"] for e in runtime.journal.events()]
         assert "fallback_serial" not in kinds
         assert skipped and moved, (skipped, moved)
+        assert_bound(optimizer)
 
     @pytest.mark.slow
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
