@@ -9,9 +9,11 @@ sweep covers ``repro.nn`` (layers, attention, transformer, losses),
 (RCA GCN/GAT, EAP, FCT), mirroring what ``torch.autograd.gradcheck`` does
 for custom ops.
 
-Stochastic layers are swept in eval mode (dropout off) so the closure is
-deterministic; inputs are drawn from seeded generators, away from the
-measure-zero kinks of ``relu``/``abs``/``max``.
+Dropout is swept in eval mode and in training mode; the training case
+re-seeds the layer's generator inside the closure, so every evaluation
+draws the same mask and the closure is deterministic.  Inputs are drawn
+from seeded generators, away from the measure-zero kinks of
+``relu``/``abs``/``max``.
 """
 
 from __future__ import annotations
@@ -159,6 +161,31 @@ def _functional_cases() -> list[SweepCase]:
             q, k, 0.5, mask_bias=bias, workspace=workspace) * w).sum()), \
             {"q": q, "k": k}
 
+    def linear_case(with_bias, seed):
+        def build():
+            rng = _rng(seed)
+            x = _t(rng, 2, 3, 4)
+            weight = _t(rng, 4, 5)
+            targets = {"x": x, "weight": weight}
+            bias = None
+            if with_bias:
+                bias = targets["bias"] = _t(rng, 5)
+            w = _const(rng, 2, 3, 5)
+            return (lambda: (F.linear(x, weight, bias) * w).sum()), targets
+        return build
+
+    def split_heads_case():
+        rng = _rng(18)
+        x = _t(rng, 2, 3, 4)
+        w = _const(rng, 2, 2, 3, 2)
+        return (lambda: (F.split_heads(x, 2) * w).sum()), {"x": x}
+
+    def merge_heads_case():
+        rng = _rng(19)
+        x = _t(rng, 2, 2, 3, 2)
+        w = _const(rng, 2, 3, 4)
+        return (lambda: (F.merge_heads(x) * w).sum()), {"x": x}
+
     return [
         SweepCase("functional.softmax", softmax_case),
         SweepCase("functional.log_softmax", log_softmax_case),
@@ -175,6 +202,10 @@ def _functional_cases() -> list[SweepCase]:
         SweepCase("functional.masked_mean", masked_mean_case),
         SweepCase("functional.fused_embedding", fused_embedding_case),
         SweepCase("functional.attention_weights", attention_weights_case),
+        SweepCase("functional.linear", linear_case(True, 16)),
+        SweepCase("functional.linear(bias=None)", linear_case(False, 17)),
+        SweepCase("functional.split_heads", split_heads_case),
+        SweepCase("functional.merge_heads", merge_heads_case),
     ]
 
 
@@ -224,6 +255,18 @@ def _nn_layer_cases() -> list[SweepCase]:
         w = _const(rng, 3, 4)
         return (lambda: (layer(x) * w).sum()), {"input:x": x}
 
+    def dropout_train_case():
+        rng = _rng(29)
+        layer = nn.Dropout(0.5, rng)
+        state = rng.bit_generator.state
+        x = _t(rng, 3, 4)
+        w = _const(rng, 3, 4)
+
+        def fn():
+            rng.bit_generator.state = state
+            return (layer(x) * w).sum()
+        return fn, {"input:x": x}
+
     def sequential_case():
         rng = _rng(25)
         stack = nn.Sequential(nn.Linear(4, 6, rng), nn.GELU(),
@@ -270,6 +313,7 @@ def _nn_layer_cases() -> list[SweepCase]:
         SweepCase("nn.Embedding", embedding_case),
         SweepCase("nn.LayerNorm", layernorm_module_case),
         SweepCase("nn.Dropout(eval)", dropout_eval_case),
+        SweepCase("nn.Dropout(train)", dropout_train_case),
         SweepCase("nn.Sequential+activations", sequential_case),
         SweepCase("nn.MultiHeadSelfAttention", attention_case),
         SweepCase("nn.TransformerEncoderLayer", encoder_layer_case),

@@ -48,19 +48,13 @@ class MultiHeadSelfAttention(Module):
         # (even concurrent) forwards is safe.
         self._workspace: dict = {}
 
-    def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
-        # (B, T, D) -> (B, H, T, Dh)
-        return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
-
     def forward(self, x: Tensor, attention_mask: np.ndarray | None = None,
                 mask_bias: np.ndarray | None = None,
                 return_weights: bool = False, queries: int | None = None):
-        batch, seq, _ = x.shape
         q_in = x if queries is None else x[:, :queries]
-        rows = q_in.shape[1]
-        q = self._split_heads(self.query(q_in), batch, rows)
-        k = self._split_heads(self.key(x), batch, seq)
-        v = self._split_heads(self.value(x), batch, seq)
+        q = F.split_heads(self.query(q_in), self.num_heads)
+        k = F.split_heads(self.key(x), self.num_heads)
+        v = F.split_heads(self.value(x), self.num_heads)
 
         if mask_bias is None and attention_mask is not None:
             mask_bias = F.attention_scores_mask(attention_mask,
@@ -70,10 +64,7 @@ class MultiHeadSelfAttention(Module):
             workspace=self._workspace)
         dropped = self.dropout(weights)
 
-        context = dropped @ v  # (B, H, rows, Dh)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, rows,
-                                                         self.d_model)
-        out = self.output(context)
+        out = self.output(F.merge_heads(dropped @ v))
         if return_weights:
             return out, weights
         return out

@@ -3,9 +3,12 @@
 Most are written as compositions of the primitive ops in
 ``repro.tensor.tensor`` so that their gradients come for free from the
 autograd engine; only numerically delicate pieces (softmax, log-softmax) use
-the usual max-subtraction stabilisation.  The encoder's hot ops (``gelu``,
-``layer_norm`` and the fused ops at the end) are single nodes with a
-hand-written backward, shared by training and serving.
+the usual max-subtraction stabilisation.  The encoder's hot ops (``linear``,
+``gelu``, ``layer_norm``, ``dropout``, the head split and merge, and the
+fused ops at the end) are single nodes with a hand-written backward, shared
+by training and serving.  Each runs the same numpy operations, in the same
+order, as the composition it replaces, and lists its parents in the
+composition's order, so values and gradients are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ import math
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, concat, is_inference_mode, stack  # noqa: F401 (re-export)
+from repro.tensor.tensor import (  # noqa: F401 (re-export)
+    Tensor,
+    _matmul_grads,
+    _unbroadcast,
+    concat,
+    is_inference_mode,
+    stack,
+)
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -30,6 +40,50 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ weight + bias`` over the last axis, as one node.
+
+    ``weight`` is ``(in, out)`` and ``bias`` ``(out,)`` or None.  The
+    forward adds ``bias`` in place to the fresh matmul output; the backward
+    runs the matmul's gradient (``g @ weight^T``, and ``x^T @ g`` summed
+    over the leading axes) and sums ``g`` over the leading axes for
+    ``bias``, the operations the ``x @ weight`` and ``+ bias`` nodes ran.
+    """
+    x_data, weight_data = x.data, weight.data
+    out = x_data @ weight_data
+    if bias is None:
+        return x._make_child(
+            out, (x, weight),
+            lambda g: _matmul_grads(np.asarray(g), x_data, weight_data))
+    out += bias.data
+    bias_shape = bias.data.shape
+
+    def backward(g):
+        g = np.asarray(g)
+        return _matmul_grads(g, x_data, weight_data) + (
+            _unbroadcast(g, bias_shape),)
+
+    return x._make_child(out, (x, weight, bias), backward)
+
+
+def split_heads(x: Tensor, num_heads: int) -> Tensor:
+    """``(B, T, D) -> (B, H, T, D / H)`` as one node (a view of ``x``)."""
+    batch, seq, width = x.data.shape
+    out = x.data.reshape(batch, seq, num_heads, width // num_heads)
+    return x._make_child(
+        out.transpose(0, 2, 1, 3), (x,),
+        lambda g: (g.transpose(0, 2, 1, 3).reshape(batch, seq, width),))
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """``(B, H, T, Dh) -> (B, T, H * Dh)``, the inverse of :func:`split_heads`."""
+    batch, heads, seq, head_dim = x.data.shape
+    out = x.data.transpose(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
+    return x._make_child(
+        out, (x,),
+        lambda g: (g.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3),))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -121,7 +175,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(mask)
+    return x._make_child(x.data * mask, (x,), lambda g: (g * mask,))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,

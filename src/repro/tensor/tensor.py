@@ -1,9 +1,17 @@
 """Core reverse-mode autograd engine.
 
-The design is a classic dynamic tape: every differentiable operation creates a
-new :class:`Tensor` that remembers its parent tensors and a closure that knows
-how to push the output gradient back to them.  Calling :meth:`Tensor.backward`
-topologically sorts the graph and runs the closures in reverse order.
+Every differentiable operation creates a new :class:`Tensor` that remembers
+its parent tensors, in the order the operation lists them, and a closure that
+knows how to push the output gradient back to them.  There is no recorded
+tape: :meth:`Tensor.backward` orders the graph at call time by a depth-first
+search from the output, which explores each node's parents last-listed first,
+and runs the closures in reverse of that post-order.  The order also fixes
+how gradients are summed: a tensor with several consumers receives their
+contributions in the order its consumers' closures run, and float addition
+is not associative, so an op that lists its parents in another order can
+change the gradient bits.  Fused ops (``functional.linear``, ``layer_norm``
+and the others) therefore list their parents in the order the composition
+they replace would have reached them.
 
 All data is stored as ``numpy.ndarray`` with a configurable float dtype
 (default ``float64`` — the models in this reproduction are tiny, so we buy
@@ -101,6 +109,30 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _matmul_grads(g: np.ndarray, a: np.ndarray,
+                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``a @ b`` w.r.t. ``a`` and ``b`` for upstream ``g``."""
+    if a.ndim == 1 and b.ndim == 1:
+        # (k,) @ (k,) -> scalar
+        return (g * b, g * a)
+    if b.ndim == 1:
+        # (..., m, k) @ (k,) -> (..., m)
+        grad_a = np.expand_dims(g, -1) * b
+        grad_b = np.tensordot(g, a, axes=(tuple(range(g.ndim)),
+                                          tuple(range(g.ndim))))
+        return (grad_a, grad_b)
+    if a.ndim == 1:
+        # (k,) @ (..., k, n) -> (..., n)
+        grad_a = (g[..., None, :] @ np.swapaxes(b, -1, -2)).reshape(
+            g.shape[:-1] + (a.shape[0],))
+        grad_a = _unbroadcast(grad_a, a.shape)
+        grad_b = np.expand_dims(a, -1) * np.expand_dims(g, -2)
+        return (grad_a, _unbroadcast(grad_b, b.shape))
+    grad_a = g @ np.swapaxes(b, -1, -2)
+    grad_b = np.swapaxes(a, -1, -2) @ g
+    return (_unbroadcast(grad_a, a.shape), _unbroadcast(grad_b, b.shape))
+
+
 class Tensor:
     """An ndarray node in a dynamic autograd graph.
 
@@ -173,17 +205,17 @@ class Tensor:
     # ------------------------------------------------------------------
     def _make_child(self, data: np.ndarray, parents: Sequence["Tensor"],
                     backward: Callable[[np.ndarray], None]) -> "Tensor":
-        if not _grad_state.enabled:
-            return _bare_tensor(data)
-        out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        out = _bare_tensor(data)
+        if _grad_state.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad), self.data.shape)
+        grad = np.asarray(grad)
+        if grad.shape != self.data.shape:
+            grad = _unbroadcast(grad, self.data.shape)
         if self.grad is None:
             self.grad = self._fresh_grad(grad)
         else:
@@ -205,6 +237,9 @@ class Tensor:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=self.data.dtype)
+        if grad.shape != self.data.shape:
+            raise ValueError(f"grad of shape {grad.shape} does not match the "
+                             f"tensor's shape {self.data.shape}")
 
         order: list[Tensor] = []
         visited: set[int] = set()
@@ -248,7 +283,9 @@ class Tensor:
         for parent, contribution in zip(self._parents, contributions):
             if contribution is None or not parent.requires_grad:
                 continue
-            contribution = _unbroadcast(np.asarray(contribution), parent.data.shape)
+            contribution = np.asarray(contribution)
+            if contribution.shape != parent.data.shape:
+                contribution = _unbroadcast(contribution, parent.data.shape)
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + contribution
@@ -311,31 +348,8 @@ class Tensor:
     def matmul(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self.data, other.data
-        out = a @ b
-
-        def backward(g: np.ndarray):
-            g = np.asarray(g)
-            if a.ndim == 1 and b.ndim == 1:
-                # (k,) @ (k,) -> scalar
-                return (g * b, g * a)
-            if b.ndim == 1:
-                # (..., m, k) @ (k,) -> (..., m)
-                grad_a = np.expand_dims(g, -1) * b
-                grad_b = np.tensordot(g, a, axes=(tuple(range(g.ndim)),
-                                                  tuple(range(g.ndim))))
-                return (grad_a, grad_b)
-            if a.ndim == 1:
-                # (k,) @ (..., k, n) -> (..., n)
-                grad_a = (g[..., None, :] @ np.swapaxes(b, -1, -2)).reshape(
-                    g.shape[:-1] + (a.shape[0],))
-                grad_a = _unbroadcast(grad_a, a.shape)
-                grad_b = np.expand_dims(a, -1) * np.expand_dims(g, -2)
-                return (grad_a, _unbroadcast(grad_b, b.shape))
-            grad_a = g @ np.swapaxes(b, -1, -2)
-            grad_b = np.swapaxes(a, -1, -2) @ g
-            return (_unbroadcast(grad_a, a.shape), _unbroadcast(grad_b, b.shape))
-
-        return self._make_child(out, (self, other), backward)
+        return self._make_child(a @ b, (self, other),
+                                lambda g: _matmul_grads(np.asarray(g), a, b))
 
     # ------------------------------------------------------------------
     # Elementwise functions
@@ -513,11 +527,12 @@ class Tensor:
 
 
 def _bare_tensor(data) -> Tensor:
-    """A graph-free op result, skipping :meth:`Tensor.__init__`.
+    """An op result without parents, skipping :meth:`Tensor.__init__`.
 
-    Holds the same float array ``Tensor(data)`` would; used for every op
-    result while graph recording is off (:func:`no_grad`,
-    :func:`inference_mode`).
+    Holds the same float array ``Tensor(data)`` would.  Every op result
+    starts as one; :meth:`Tensor._make_child` attaches the parents and the
+    backward closure while graph recording is on (not under
+    :func:`no_grad` or :func:`inference_mode`).
     """
     if type(data) is not np.ndarray or data.dtype is not _DEFAULT_DESCR:
         data = np.asarray(data, dtype=DEFAULT_DTYPE)

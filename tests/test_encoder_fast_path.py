@@ -1,10 +1,11 @@
 """The encoder's inference fast path.
 
 Covers :func:`repro.tensor.inference_mode` (per-call, per-thread serving
-mode), the fused ``layer_norm``/``gelu`` nodes against the compositions
-they replaced, the ``[CLS]``-only last layer, the train/eval mode race
-that ``KTeleBert.encode`` used to have, the training step's token count,
-and served-equals-offline through the serving stack.
+mode), the fused ``layer_norm``/``gelu``/``linear``/``dropout`` and head
+split/merge nodes against the compositions they replaced (one node at a
+time and over a whole stage-2 step), the ``[CLS]``-only last layer, the
+train/eval mode race that ``KTeleBert.encode`` used to have, the training
+step's token count, and served-equals-offline through the serving stack.
 """
 
 import copy
@@ -20,7 +21,7 @@ from repro.corpus import build_tele_corpus
 from repro.index import VectorIndex
 from repro.kg import build_tele_kg
 from repro.models import KTeleBert, KTeleBertConfig, NumericRow, TeleBertTrainer, TextRow
-from repro.nn import Dropout
+from repro.nn import Adam, Dropout
 from repro.service import KTeleBertProvider
 from repro.serving import FaultAnalysisService, ServiceConfig
 from repro.tensor import Tensor, inference_mode, is_grad_enabled, is_inference_mode, no_grad
@@ -45,6 +46,30 @@ def _layer_norm_reference(x, weight, bias, eps=1e-5):
 def _gelu_reference(x):
     inner = (x + x * x * x * 0.044715) * math.sqrt(2.0 / math.pi)
     return x * 0.5 * (inner.tanh() + 1.0)
+
+
+def _linear_reference(x, weight, bias=None):
+    out = x @ weight
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def _split_heads_reference(x, num_heads):
+    batch, seq, width = x.shape
+    return x.reshape(batch, seq, num_heads, width // num_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads_reference(x):
+    batch, heads, seq, head_dim = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
+
+
+def _dropout_reference(x, rate, rng, training=True):
+    if not training or rate <= 0.0 or is_inference_mode():
+        return x
+    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return x * Tensor(mask)
 
 
 def _grads(fn, arrays, upstream):
@@ -92,12 +117,72 @@ class TestFusedNodes:
         _assert_grads_close(_grads(F.gelu, [x], upstream),
                             _grads(_gelu_reference, [x], upstream))
 
+    # These nodes run the very operations of their compositions, so values
+    # and gradients must be equal, not merely close.
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple),
+           st.integers(1, 6), st.integers(1, 6), st.booleans(), st.integers(0, 2**31))
+    def test_linear_matches_composition(self, lead, fan_in, fan_out, with_bias, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=lead + (fan_in,)), rng.normal(size=(fan_in, fan_out))]
+        if with_bias:
+            arrays.append(rng.normal(size=fan_out))
+        np.testing.assert_array_equal(F.linear(*map(Tensor, arrays)).data,
+                                      _linear_reference(*map(Tensor, arrays)).data)
+        upstream = rng.normal(size=lead + (fan_out,))
+        for got, want in zip(_grads(F.linear, arrays, upstream),
+                             _grads(_linear_reference, arrays, upstream)):
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5), st.integers(1, 4),
+           st.integers(0, 2**31))
+    def test_head_split_and_merge_match_compositions(self, batch, heads, rows, head_dim,
+                                                     seed):
+        rng = np.random.default_rng(seed)
+        cases = [(lambda x: F.split_heads(x, heads), lambda x: _split_heads_reference(x, heads),
+                  (batch, rows, heads * head_dim)),
+                 (F.merge_heads, _merge_heads_reference, (batch, heads, rows, head_dim))]
+        for fused, reference, shape in cases:
+            x = rng.normal(size=shape)
+            want = reference(Tensor(x)).data
+            np.testing.assert_array_equal(fused(Tensor(x)).data, want)
+            upstream = rng.normal(size=want.shape)
+            np.testing.assert_array_equal(_grads(fused, [x], upstream)[0],
+                                          _grads(reference, [x], upstream)[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(shapes, st.floats(0.01, 0.9), st.integers(0, 2**31))
+    def test_dropout_matches_composition(self, shape, rate, seed):
+        x = np.random.default_rng(seed).normal(size=shape)
+        upstream = np.random.default_rng(seed + 1).normal(size=shape)
+        results = []
+        for fn in (F.dropout, _dropout_reference):
+            rng = np.random.default_rng(seed)
+            tensor = Tensor(x.copy(), requires_grad=True)
+            out = fn(tensor, rate, rng)
+            (out * Tensor(upstream)).sum().backward()
+            results.append((out.data, tensor.grad, rng.bit_generator.state))
+        (fused_out, fused_grad, fused_state), (ref_out, ref_grad, ref_state) = results
+        np.testing.assert_array_equal(fused_out, ref_out)
+        np.testing.assert_array_equal(fused_grad, ref_grad)
+        assert fused_state == ref_state
+
     def test_fused_nodes_are_single_graph_nodes(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         w = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)
         assert F.gelu(x)._parents == (x,)
         assert F.layer_norm(x, w, b)._parents == (x, w, b)
+        weight = Tensor(np.ones((3, 4)), requires_grad=True)
+        bias = Tensor(np.zeros(4), requires_grad=True)
+        assert F.linear(x, weight, bias)._parents == (x, weight, bias)
+        assert F.linear(x, weight)._parents == (x, weight)
+        assert F.dropout(x, 0.5, np.random.default_rng(0))._parents == (x,)
+        x3 = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        assert F.split_heads(x3, 2)._parents == (x3,)
+        x4 = Tensor(np.ones((2, 2, 3, 2)), requires_grad=True)
+        assert F.merge_heads(x4)._parents == (x4,)
 
     def test_layer_norm_weight_only_gradient(self):
         """Inputs that need no gradient still let the others get theirs."""
@@ -107,6 +192,56 @@ class TestFusedNodes:
         (F.layer_norm(x, w, b) * Tensor(np.arange(6.0).reshape(2, 3))).sum().backward()
         assert w.grad.shape == (3,) and np.abs(w.grad).sum() > 0
         assert x.grad is None and b.grad is None
+
+
+class TestFusedStepMatchesCompositions:
+    """A whole stage-2 step through the fused nodes and through the compositions.
+
+    The per-node tests cannot see the order in which the backward pass sums
+    the gradients of a tensor with several consumers; a fused node that
+    changed it would still pass them.  Here the model is built (two stage-1
+    steps included) and one stage-2 step run from the same seeds, with a
+    mask batch holding numeric rows and a KE batch, once as shipped and
+    once with the reference compositions patched into ``functional``.
+    """
+
+    @staticmethod
+    def _step():
+        model, data = _tiny_ktelebert()
+        model.train()
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        numeric = [r for r in data.mask_rows if isinstance(r, NumericRow)][:3]
+        text = [r for r in data.mask_rows if not isinstance(r, NumericRow)][:3]
+        assert numeric and text and data.triple_rows
+        masker = DynamicMasker(model.tokenizer.vocab, np.random.default_rng(3),
+                               masking_rate=0.4)
+        optimizer.zero_grad()
+        losses = compute_stage2_losses(model, masker, numeric + text,
+                                       data.triple_rows[:4])
+        losses.total.backward()
+        return losses, optimizer.grad.copy()
+
+    def test_loss_and_gradient_buffer_are_bit_identical(self, monkeypatch):
+        fused_losses, fused_grad = self._step()
+        calls = []
+
+        def counted(name, reference):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return reference(*args, **kwargs)
+            return wrapper
+
+        for name, reference in [("linear", _linear_reference),
+                                ("split_heads", _split_heads_reference),
+                                ("merge_heads", _merge_heads_reference),
+                                ("dropout", _dropout_reference)]:
+            monkeypatch.setattr(F, name, counted(name, reference))
+        reference_losses, reference_grad = self._step()
+        assert set(calls) == {"linear", "split_heads", "merge_heads", "dropout"}
+        for field in ("mask", "ke", "numeric_regression", "tokens"):
+            assert getattr(fused_losses, field) == getattr(reference_losses, field)
+        assert fused_losses.total.data.tobytes() == reference_losses.total.data.tobytes()
+        assert fused_grad.tobytes() == reference_grad.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -179,8 +314,8 @@ class TestInferenceMode:
 # ----------------------------------------------------------------------
 # A tiny two-layer KTeleBERT
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def model():
+def _tiny_ktelebert():
+    """The model (after two stage-1 steps) and its stage-2 data, seed 47."""
     world = TelecomWorld.generate(seed=47, alarms_per_theme=2,
                                   kpis_per_theme=2, topology_nodes=6)
     corpus = build_tele_corpus(world, seed=47)
@@ -189,10 +324,16 @@ def model():
     trainer.train(steps=2)
     data = build_stage2_data(corpus, world.simulate_episodes(3),
                              build_tele_kg(world), seed=47, ke_negatives=2)
-    return KTeleBert.from_telebert(
+    model = KTeleBert.from_telebert(
         trainer, KTeleBertConfig(anenc_layers=1, anenc_meta=2, lora_rank=2),
         tag_names=data.tag_names, normalizer=data.normalizer,
         extra_vocabulary=data.vocabulary(), seed=47)
+    return model, data
+
+
+@pytest.fixture(scope="module")
+def model():
+    return _tiny_ktelebert()[0]
 
 
 row_strategy = st.one_of(

@@ -202,6 +202,13 @@ class TestGraphSemantics:
         with pytest.raises(RuntimeError):
             (a * 2).backward()
 
+    def test_backward_rejects_a_gradient_of_another_shape(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = x * 2.0
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(3,\)"):
+            y.backward(np.ones((2, 3)))
+        assert x.grad is None
+
     def test_backward_on_nongrad_tensor_raises(self):
         a = Tensor([1.0])
         with pytest.raises(RuntimeError):
