@@ -7,8 +7,10 @@ the usual max-subtraction stabilisation.  The encoder's hot ops (``linear``,
 ``gelu``, ``layer_norm``, ``dropout``, the head split and merge, and the
 fused ops at the end) are single nodes with a hand-written backward, shared
 by training and serving.  Each runs the same numpy operations, in the same
-order, as the composition it replaces, and lists its parents in the
-composition's order, so values and gradients are bit-identical to it.
+order, as the composition it replaces, so its values are bit-identical to
+it, and lists its parents in the composition's order.  ``linear``,
+``dropout`` and the head split and merge run the composition's backward
+operations too, so their gradients are bit-identical as well.
 """
 
 from __future__ import annotations
