@@ -109,6 +109,23 @@ def parse_eap_pairs(request: dict):
     return pairs
 
 
+def parse_count(request: dict, field: str, default: int | None = None
+                ) -> int | None:
+    """``request[field]`` as a count: a JSON integer of at least 1.
+
+    An absent field gives ``default``.  Any other value — null, a bool, a
+    float, a string, a list, an object, or an integer below 1 — raises
+    ``ValueError``, which every frontend answers as a bad request.
+    """
+    if field not in request:
+        return default
+    value = request[field]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{request.get('op')} {field!r} must be an "
+                         f"integer of at least 1, got {value!r}")
+    return value
+
+
 def round_rows(matrix) -> list[list[float]]:
     """``matrix`` as nested lists of floats rounded to 6 decimals.
 
@@ -154,17 +171,13 @@ def handle_request(service: "FaultAnalysisService", request: dict,
         alarm = request.get("alarm")
         if not isinstance(alarm, str):
             raise ValueError("classify_fault needs an 'alarm' string")
-        chain = service.classify_fault(alarm,
-                                       top_k=int(request.get("top_k", 5)),
-                                       deadline=deadline)
+        chain = service.classify_fault(
+            alarm, top_k=parse_count(request, "top_k", 5), deadline=deadline)
         return {"ok": True, "op": "classify_fault", "next_hops": chain}
     if op == "rca":
         state = parse_rca_state(request)
-        top_k = request.get("top_k")
-        if top_k is not None:
-            top_k = int(top_k)
-        ranking = service.rank_root_causes(state, top_k=top_k,
-                                           deadline=deadline)
+        ranking = service.rank_root_causes(
+            state, top_k=parse_count(request, "top_k"), deadline=deadline)
         return {"ok": True, "op": "rca",
                 "ranking": [{"node": node, "score": round(float(score), 6)}
                             for node, score in ranking]}
@@ -186,16 +199,9 @@ def handle_request(service: "FaultAnalysisService", request: dict,
         if not isinstance(names, list) or not names or \
                 not all(isinstance(n, str) for n in names):
             raise ValueError(f"{op} needs a non-empty 'names' string list")
-        k = int(request.get("k", 10))
-        if k < 1:
-            raise ValueError(f"{op} 'k' must be positive")
-        nprobe = request.get("nprobe")
-        if nprobe is not None:
-            nprobe = int(nprobe)
-            if nprobe < 1:
-                raise ValueError(f"{op} 'nprobe' must be positive")
-        neighbours = service.retrieve(names, k=k, nprobe=nprobe,
-                                      deadline=deadline)
+        neighbours = service.retrieve(
+            names, k=parse_count(request, "k", 10),
+            nprobe=parse_count(request, "nprobe"), deadline=deadline)
         return {"ok": True, "op": op, "neighbours": neighbours}
     if op == "stats":
         stats = service.stats()

@@ -19,7 +19,8 @@ imply (Sec. V-A3) and that industrial tele-PLM systems build around:
   the stack (typed failures: :class:`DeadlineExceeded`,
   :class:`FlushTimeout`);
 * :class:`CancellableWorkerPool` — the façade's daemon-thread retry pool
-  with hung-thread accounting and bounded replacement;
+  for task and index attempts, with hung-thread accounting and bounded
+  replacement;
 * :class:`MetricsRegistry` — counters, gauges, latency histograms with
   p50/p95/p99, and structured event logging.
 

@@ -23,18 +23,21 @@ Two mechanisms keep a hung or slow provider from wedging the batcher:
   :class:`~repro.serving.deadline.DeadlineExceeded`.  Entries with no
   remaining waiters leave the queue, so they neither hold the flush
   deadline open nor ride a future batch nobody wants.
-* **Flush watchdog** — each provider flush runs on a disposable daemon
-  thread bounded by ``flush_timeout_s``; a flush that blows the bound is
-  abandoned, its entries fail with a typed
+* **Flush watchdog** — the worker hands each provider flush through a
+  queue to one long-lived daemon flush thread and waits at most
+  ``flush_timeout_s`` for it.  A flush that blows the bound is abandoned:
+  its entries fail with a typed
   :class:`~repro.serving.deadline.FlushTimeout` (waking every waiter so
-  retry/fallback policy can engage), and the worker moves on to the next
-  batch.  Hung flush threads are tracked in the
-  ``serving.batcher.hung_flush_threads`` gauge; if one eventually
-  returns, the gauge comes back down and its late result is discarded.
+  retry/fallback policy can engage), the flush thread is written off, and
+  the next flush starts a replacement.  Hung flush threads are tracked in
+  the ``serving.batcher.hung_flush_threads`` gauge; when a late call
+  returns, its result is discarded, the gauge comes back down and the
+  written-off thread exits.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 
@@ -65,7 +68,7 @@ class _Pending:
 
 
 class _Flush:
-    """State shared between the worker and one disposable flush thread."""
+    """State shared between the worker and the flush thread running it."""
 
     __slots__ = ("names", "vectors", "error", "done", "outcome", "lock")
 
@@ -82,9 +85,9 @@ class MicroBatcher:
     """Size-or-deadline request coalescer over an embedding provider.
 
     Thread-safe; usable as a context manager (``with MicroBatcher(...)``)
-    so the worker thread is always joined.  The batcher itself implements
-    the provider interface, so it can wrap — and be wrapped by — the cache
-    decorators.
+    so the worker and flush threads are always joined.  The batcher itself
+    implements the provider interface, so it can wrap — and be wrapped by —
+    the cache decorators.
 
     ``flush_timeout_s`` bounds each provider call (``None`` keeps the
     legacy unbounded behaviour — only safe for providers that cannot
@@ -116,6 +119,10 @@ class MicroBatcher:
         self._pending: dict[str, _Pending] = {}
         self._closed = False
         self._hung_flushes = 0
+        # The live flush thread and its inbox; only the worker touches them.
+        self._flush_thread: threading.Thread | None = None
+        self._flush_inbox: queue.SimpleQueue | None = None
+        self.flush_threads = 0
         self.batches_flushed = 0
         self.names_encoded = 0
         self._worker = threading.Thread(target=self._run,
@@ -236,8 +243,13 @@ class MicroBatcher:
         while True:
             batch = self._take_batch()
             if batch is None:
-                return
+                break
             self._flush(batch)
+        if self._flush_thread is not None:
+            # Every flush handed over has settled, so the thread is idle
+            # and takes the stop sentinel at once.
+            self._flush_inbox.put(None)
+            self._flush_thread.join(self.flush_timeout_s)
 
     def _flush(self, batch: dict[str, _Pending]) -> None:
         """One provider call, bounded by the watchdog when configured."""
@@ -260,16 +272,15 @@ class MicroBatcher:
                 self.metrics.counter(mn.BATCHER_FAST_FAILS).inc()
                 self.metrics.emit("flush_fast_fail", names=len(names))
                 return
-            thread = threading.Thread(target=self._call_provider,
-                                      args=(flush,),
-                                      name="repro-batcher-flush",
-                                      daemon=True)
-            thread.start()
+            self._hand_off(flush)
             if not flush.done.wait(self.flush_timeout_s):
                 with flush.lock:
                     if flush.outcome is None:
                         flush.outcome = "abandoned"
                 if flush.outcome == "abandoned":
+                    # Write the stuck thread off: it exits once its late
+                    # call returns, and the next flush gets a new thread.
+                    self._flush_thread = self._flush_inbox = None
                     self._fail_batch(batch, FlushTimeout(
                         f"provider flush of {len(names)} name(s) exceeded "
                         f"{self.flush_timeout_s:g}s"))
@@ -298,6 +309,33 @@ class MicroBatcher:
         self.metrics.counter(mn.BATCHER_NAMES).inc(len(names))
         self.metrics.histogram(mn.BATCHER_BATCH_SIZE).observe(
             len(names))
+
+    def _hand_off(self, flush: _Flush) -> None:
+        """Queue ``flush`` for the flush thread, starting one if none is
+        live (the first flush, or the one after an abandoned flush)."""
+        if self._flush_thread is None:
+            self._flush_inbox = queue.SimpleQueue()
+            self._flush_thread = threading.Thread(
+                target=self._flush_loop, args=(self._flush_inbox,),
+                name="repro-batcher-flush", daemon=True)
+            with self._cond:
+                self.flush_threads += 1
+            self._flush_thread.start()
+        self._flush_inbox.put(flush)
+
+    def _flush_loop(self, inbox: queue.SimpleQueue) -> None:
+        """Run the flushes handed over in ``inbox`` until the stop
+        sentinel, or until the watchdog abandons one of them."""
+        while True:
+            try:
+                flush = inbox.get(timeout=_IDLE_WAKE_S)
+            except queue.Empty:
+                continue
+            if flush is None:
+                return
+            self._call_provider(flush)
+            if flush.outcome == "abandoned":
+                return
 
     def _call_provider(self, flush: _Flush) -> None:
         """Run the provider call; first of worker/watchdog claims the
@@ -339,9 +377,11 @@ class MicroBatcher:
         """Flush remaining names and stop the worker (idempotent).
 
         Returns True when the worker exited within ``timeout`` (always,
-        when the watchdog is armed — every flush wait is bounded).  A
-        worker stuck in a legacy unbounded flush is left behind as a
-        daemon rather than blocking shutdown.
+        when the watchdog is armed — every flush wait is bounded).  The
+        worker stops the flush thread on its way out; only written-off
+        threads stuck in a hung provider call outlive it.  A worker stuck
+        in a legacy unbounded flush is left behind as a daemon rather than
+        blocking shutdown.
         """
         with self._cond:
             if not self._closed:
@@ -369,4 +409,5 @@ class MicroBatcher:
                                     if self.batches_flushed else 0.0),
                 "pending": len(self._pending),
                 "hung_flush_threads": self._hung_flushes,
+                "flush_threads": self.flush_threads,
             }

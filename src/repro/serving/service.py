@@ -20,10 +20,12 @@ pipeline, so they hit the same caches and metrics.
 Degradation policy: every request carries a total budget of
 ``timeout_s × (max_retries + 1)`` plus backoff.  Each attempt gets a
 :class:`~repro.serving.deadline.Deadline` of at most ``timeout_s``
-(clipped to the remaining budget) that is *propagated into* the batcher,
-so waits underneath are cooperative: a hung provider makes the attempt
-fail with a typed timeout and releases its pool thread instead of
-leaking it.  Exhausted budget falls back to the ``fallback`` provider
+(clipped to the remaining budget).  An embed attempt runs on the calling
+thread and *propagates* that deadline into the batcher, whose every wait
+is sized by it: a hung provider makes the attempt fail with a typed
+timeout.  Task and index calls cannot bound their own waits, so their
+attempts run on a cancellable worker pool and are written off as hung if
+they overrun.  Exhausted budget falls back to the ``fallback`` provider
 when one is configured (counted in ``serving.fallbacks``), else raises
 :class:`ServingError`.  ``close()`` is bounded by ``close_timeout_s``
 and never blocks on a wedged provider — hung threads are daemons and
@@ -41,21 +43,15 @@ import numpy as np
 from repro.index.provider import IndexedEmbeddingProvider
 from repro.serving import metric_names as mn
 from repro.serving.batcher import MicroBatcher
-from repro.serving.deadline import (
-    CancellationToken,
-    Deadline,
-    DeadlineExceeded,
-    FlushTimeout,
-)
+from repro.serving.deadline import Deadline, DeadlineExceeded, FlushTimeout
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.pool import CancellableWorkerPool
 from repro.serving.store import EmbeddingStore, PersistentProvider
 from repro.service.providers import EmbeddingProvider
 
-#: Grace added to the *external* wait on a pool job beyond the attempt
-#: deadline, so a cooperative primary (which times out internally at the
-#: deadline) gets to raise its own typed error before the waiter writes
-#: the thread off as hung.
+#: Grace added to the wait on a pool job beyond the attempt deadline, so
+#: a primary that settles just after its deadline is still taken instead
+#: of being written off as hung.
 _ATTEMPT_GRACE_S = 0.25
 
 
@@ -84,7 +80,8 @@ class ServiceConfig:
     flush_timeout_s: float | None = None
     #: upper bound on how long :meth:`FaultAnalysisService.close` blocks
     close_timeout_s: float = 5.0
-    #: concurrent primary attempts the retry pool can run
+    #: concurrent task and index attempts the retry pool can run (embed
+    #: attempts run on the calling thread)
     max_workers: int = 8
     #: circuit-breaker: with this many provider flushes wedged, further
     #: flushes fail fast instead of stacking more hung threads
@@ -200,13 +197,16 @@ class FaultAnalysisService:
     # Resilience plumbing
     # ------------------------------------------------------------------
     def _call_with_policy(self, op: str, primary, fallback=None,
-                          deadline: Deadline | None = None):
+                          deadline: Deadline | None = None, *,
+                          inline: bool = False):
         """Deadline + bounded retry with backoff + graceful degradation.
 
-        ``primary`` is called as ``primary(deadline, token)`` on a pool
-        worker; deadline-aware primaries (the embed path) honour the
-        budget cooperatively and release their thread, others are bounded
-        by the external wait and written off as hung if they overrun.
+        ``primary`` is called as ``primary(attempt_deadline)`` once per
+        attempt.  An ``inline`` primary bounds each of its own waits by
+        that deadline (the embed path sizes every batcher wait by it), so
+        it runs on the calling thread.  Any other primary runs on a pool
+        worker, bounded by the external wait and written off as hung if
+        it overruns.
 
         A caller-supplied ``deadline`` (e.g. the per-request budget a
         network frontend issued at admission) *caps* the configured
@@ -233,39 +233,40 @@ class FaultAnalysisService:
                     # work behind a stuck provider.
                     self.metrics.counter(mn.SERVING_BUDGET_EXHAUSTED).inc()
                     break
-                deadline = Deadline.after(
+                attempt_deadline = Deadline.after(
                     min(self.config.timeout_s, remaining))
-                token = CancellationToken()
-                job = self._pool.submit(
-                    lambda d=deadline, t=token: primary(d, t), token=token)
-                timed_out = not job.wait(
-                    deadline.remaining() + _ATTEMPT_GRACE_S)
-                if timed_out:
-                    self._pool.abandon(job)
-                    last_error = DeadlineExceeded(
-                        f"{op} attempt exceeded "
-                        f"{self.config.timeout_s:g}s")
-                    self.metrics.counter(mn.SERVING_TIMEOUTS).inc()
-                    self.metrics.emit("timeout", op=op, attempt=attempt)
-                else:
-                    try:
-                        with self.metrics.time(mn.latency_for(op)):
+                job = None if inline else self._pool.submit(
+                    lambda d=attempt_deadline: primary(d))
+                try:
+                    with self.metrics.time(mn.latency_for(op)):
+                        if job is None:
+                            result = primary(attempt_deadline)
+                        elif job.wait(attempt_deadline.remaining()
+                                      + _ATTEMPT_GRACE_S):
                             # repro-lint: allow[RL002] wait() above already bounded this attempt; result() raises unless the job settled
                             result = job.result()
-                        self.metrics.histogram(
-                            mn.SERVING_DEADLINE_REMAINING).observe(
-                            overall.remaining())
-                        return result
-                    except (DeadlineExceeded, FlushTimeout) as error:
-                        last_error = error
-                        self.metrics.counter(mn.SERVING_TIMEOUTS).inc()
-                        self.metrics.emit("timeout", op=op, attempt=attempt,
-                                          error=repr(error))
-                    except Exception as error:  # noqa: BLE001 — retried
-                        last_error = error
-                        self.metrics.counter(mn.SERVING_ERRORS).inc()
-                        self.metrics.emit("error", op=op, attempt=attempt,
-                                          error=repr(error))
+                        else:
+                            # Overran: cancel the job and write its worker
+                            # off as hung (the pool replaces it).
+                            self._pool.abandon(job)
+                            raise DeadlineExceeded(
+                                f"{op} attempt exceeded "
+                                f"{self.config.timeout_s:g}s")
+                except (DeadlineExceeded, FlushTimeout) as error:
+                    last_error = error
+                    self.metrics.counter(mn.SERVING_TIMEOUTS).inc()
+                    self.metrics.emit("timeout", op=op, attempt=attempt,
+                                      error=repr(error))
+                except Exception as error:  # noqa: BLE001 — retried
+                    last_error = error
+                    self.metrics.counter(mn.SERVING_ERRORS).inc()
+                    self.metrics.emit("error", op=op, attempt=attempt,
+                                      error=repr(error))
+                else:
+                    self.metrics.histogram(
+                        mn.SERVING_DEADLINE_REMAINING).observe(
+                        overall.remaining())
+                    return result
                 if attempt < attempts - 1:
                     self.metrics.counter(mn.SERVING_RETRIES).inc()
                     backoff = self.config.backoff_s * (2 ** attempt)
@@ -291,12 +292,11 @@ class FaultAnalysisService:
         if self.fallback is not None:
             fallback = lambda: self.fallback.encode_names(names)  # noqa: E731
 
-        def primary(attempt_deadline: Deadline, token: CancellationToken):
-            token.raise_if_cancelled()
+        def primary(attempt_deadline: Deadline):
             return self.batcher.encode(names, deadline=attempt_deadline)
 
         return self._call_with_policy("embed", primary, fallback,
-                                      deadline=deadline)
+                                      deadline=deadline, inline=True)
 
     # ------------------------------------------------------------------
     # Fault-analysis calls
@@ -329,7 +329,7 @@ class FaultAnalysisService:
         """RCA: nodes of ``state`` ranked most-likely-root first."""
         adapter = self._fitted(self.rca, "rca")
         ranking = self._call_with_policy(
-            "rank_root_causes", lambda d, t: adapter.rank(state),
+            "rank_root_causes", lambda d: adapter.rank(state),
             deadline=deadline)
         return ranking[:top_k] if top_k is not None else ranking
 
@@ -338,16 +338,20 @@ class FaultAnalysisService:
         """EAP: trigger verdict + confidence for each candidate pair."""
         adapter = self._fitted(self.eap, "eap")
         return self._call_with_policy(
-            "propagate_alarms", lambda d, t: adapter.predict(pairs),
+            "propagate_alarms", lambda d: adapter.predict(pairs),
             deadline=deadline)
 
     def classify_fault(self, alarm_name: str, top_k: int = 5,
                        deadline: Deadline | None = None) -> list[dict]:
         """FCT: most plausible next-hop alarms for ``alarm_name``."""
         adapter = self._fitted(self.fct, "fct")
+        if alarm_name not in adapter.event_names:
+            # A client error, not an outage: answer it before the retry
+            # policy would count it as an error and retry it.
+            raise ValueError(f"unknown alarm: {alarm_name!r}")
         return self._call_with_policy(
-            "classify_fault", lambda d, t: adapter.trace(alarm_name,
-                                                         top_k=top_k),
+            "classify_fault", lambda d: adapter.trace(alarm_name,
+                                                      top_k=top_k),
             deadline=deadline)
 
     # ------------------------------------------------------------------
@@ -370,8 +374,7 @@ class FaultAnalysisService:
             self.metrics.counter(mn.SERVING_BUDGET_EXHAUSTED).inc()
             raise DeadlineExceeded("retrieve: budget spent during embed")
 
-        def run(attempt_deadline: Deadline, token: CancellationToken):
-            token.raise_if_cancelled()
+        def run(attempt_deadline: Deadline):
             with self.metrics.time(mn.INDEX_QUERY_LATENCY):
                 hits = self.index.query(vectors, k=k, nprobe=nprobe)
             self.metrics.counter(mn.INDEX_QUERIES).inc(len(hits))

@@ -577,6 +577,11 @@ class TestKnnOp:
         {"op": "knn", "names": [7], "api_key": "k-test"},    # non-string
         {"op": "knn", "names": ["a"], "k": 0, "api_key": "k-test"},
         {"op": "knn", "names": ["a"], "nprobe": 0, "api_key": "k-test"},
+        # Counts are JSON integers: these used to reach int() and come
+        # back as ``internal`` (TypeError) or be truncated to 1 or 2.
+        *({"op": "knn", "names": ["a"], field: value, "api_key": "k-test"}
+          for field in ("k", "nprobe")
+          for value in (None, True, 2.7, "3", [3], {"n": 3})),
     ])
     def test_bad_knn_requests_get_bad_request_code(self, tmp_path,
                                                    server_factory,

@@ -3,6 +3,7 @@
 import base64
 import io
 import json
+import sys
 import threading
 import time
 
@@ -595,6 +596,48 @@ class TestFaultAnalysisService:
             assert fallback.calls == 1
             assert service.metrics.counter("serving.timeouts").value == 1
 
+    @pytest.mark.timeout(60)
+    def test_concurrent_inline_embeds_get_their_own_vectors(self):
+        """Embed attempts run on the callers' threads: under a short
+        switch interval, many callers sharing the batcher each get the
+        provider's vector for every name, through one flush thread."""
+        provider = RandomProvider(dim=4, seed=0)
+        pool = [f"name-{i}" for i in range(24)]
+        callers, per_caller = 12, 20
+        replies, failures = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with FaultAnalysisService(provider,
+                                      config=_fast_config()) as service:
+                def caller(seed):
+                    rng = np.random.default_rng(seed)
+                    try:
+                        for _ in range(per_caller):
+                            names = list(rng.choice(pool, size=3))
+                            replies.append((names, service.embed(names)))
+                    except Exception as error:  # noqa: BLE001 — reported
+                        failures.append(error)
+
+                threads = [threading.Thread(target=caller, args=(seed,))
+                           for seed in range(callers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = service.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert len(replies) == callers * per_caller
+        for names, vectors in replies:
+            assert np.array_equal(vectors, provider.encode_names(names))
+        assert stats["requests"] == callers * per_caller
+        assert stats["metrics"]["counters"][
+            "serving.batcher.requests"] == callers * per_caller
+        assert stats["batcher"]["flush_threads"] == 1
+
     def test_fallback_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FaultAnalysisService(RandomProvider(dim=8, seed=0),
@@ -690,8 +733,14 @@ class TestFaultAnalysisFacade:
         scores = [h["score"] for h in hops]
         assert scores == sorted(scores, reverse=True)
         assert all(h["alarm"] != alarm for h in hops)
-        with pytest.raises(ServingError):
+        errors = service.metrics.counter("serving.errors").value
+        retries = service.metrics.counter("serving.retries").value
+        # An alarm outside the catalog is a bad request, not an outage:
+        # it is neither retried nor counted as a primary failure.
+        with pytest.raises(ValueError, match="unknown alarm"):
             service.classify_fault("no such alarm")
+        assert service.metrics.counter("serving.errors").value == errors
+        assert service.metrics.counter("serving.retries").value == retries
 
     def test_adapters_fit_once(self, tiny_service):
         service, _, rca, _, _ = tiny_service
@@ -699,6 +748,24 @@ class TestFaultAnalysisFacade:
         before = service.metrics.histogram("serving.fit.rca").count
         service.rank_root_causes(rca.dataset.states[0])
         assert service.metrics.histogram("serving.fit.rca").count == before
+
+    def test_embed_runs_inline_while_task_ops_use_the_pool(
+            self, tiny_service, monkeypatch):
+        service, _, rca, _, _ = tiny_service
+
+        class PoolUsed(RuntimeError):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise PoolUsed("submitted to the retry pool")
+
+        monkeypatch.setattr(service._pool, "submit", refuse)
+        # Embed attempts run on the calling thread...
+        assert service.embed(["inline probe"]).shape == (1, 16)
+        # ...while task adapters, which cannot bound their own waits,
+        # still run on the pool.
+        with pytest.raises(PoolUsed):
+            service.rank_root_causes(rca.dataset.states[0])
 
     def test_state_for_inference(self, tiny_service):
         from repro.tasks.rca import state_for_inference
@@ -781,12 +848,21 @@ class TestServerLoop:
         json.loads(json.dumps(response))
 
     def test_rca_eap_ops_reject_bad_shapes(self, tiny_service):
-        service, _, rca, _, _ = tiny_service
+        service, _, rca, _, fct = tiny_service
         state = rca.dataset.states[0]
         nodes = list(state.node_names)
         good_adj = state.adjacency.tolist()
         good_feat = state.features.tolist()
+        alarm = fct.dataset.entity_names[0]
+        # Only JSON integers of at least 1 are counts: no bool, float,
+        # null, string, list or object, and nothing below 1.
+        bad_counts = (0, -1, -2, True, 2.7, None, "2", [2], {"k": 2})
         bad_requests = [
+            *({"op": "rca", "nodes": nodes, "adjacency": good_adj,
+               "features": good_feat, "top_k": top_k}
+              for top_k in bad_counts),
+            *({"op": "classify_fault", "alarm": alarm, "top_k": top_k}
+              for top_k in bad_counts),
             {"op": "rca"},                                  # nothing at all
             {"op": "rca", "nodes": "a"},                    # not a list
             {"op": "rca", "nodes": nodes, "adjacency": "x",
@@ -805,6 +881,9 @@ class TestServerLoop:
         for bad in bad_requests:
             with pytest.raises(ValueError):
                 handle_request(service, bad)
+        hops = handle_request(service, {"op": "classify_fault",
+                                        "alarm": alarm, "top_k": 2})
+        assert 1 <= len(hops["next_hops"]) <= 2
 
 
 class TestServeCli:

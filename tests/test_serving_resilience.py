@@ -111,6 +111,13 @@ def _swallow(fn, *args, **kwargs):
         pass
 
 
+def _new_flush_threads(before: set) -> list[threading.Thread]:
+    """Live batcher flush threads started since ``before`` was taken."""
+    return [thread for thread in threading.enumerate()
+            if thread.name == "repro-batcher-flush"
+            and thread not in before and thread.is_alive()]
+
+
 def _poll(predicate, timeout=5.0, interval=0.01) -> bool:
     end = time.monotonic() + timeout
     while time.monotonic() < end:
@@ -292,16 +299,45 @@ class TestBatcherDeadlines:
             batcher.close(timeout=5.0)
 
     @pytest.mark.timeout(30)
+    def test_healthy_flushes_share_one_flush_thread(self):
+        before = set(threading.enumerate())
+        batcher = MicroBatcher(RandomProvider(dim=4, seed=0),
+                               max_batch_size=8, max_wait_ms=2,
+                               flush_timeout_s=5.0)
+        try:
+            for i in range(20):
+                assert batcher.encode([f"n{i}"]).shape == (1, 4)
+            stats = batcher.stats()
+            assert stats["batches_flushed"] == 20
+            assert stats["flush_threads"] == 1
+            assert len(_new_flush_threads(before)) == 1
+        finally:
+            assert batcher.close(timeout=5.0)
+        assert _new_flush_threads(before) == []
+
+    @pytest.mark.timeout(30)
     def test_worker_survives_hung_flush_and_serves_next_batch(self):
+        before = set(threading.enumerate())
         provider = FlakyProvider(dim=4, hangs=1)
+        metrics = MetricsRegistry()
         batcher = MicroBatcher(provider, max_batch_size=8, max_wait_ms=2,
-                               flush_timeout_s=0.1)
+                               flush_timeout_s=0.1, metrics=metrics)
         try:
             with pytest.raises(FlushTimeout):
                 batcher.encode(["first"])
-            out = batcher.encode(["second"])   # fresh flush, new thread
+            out = batcher.encode(["second"])   # runs on a replacement
             assert out.shape == (1, 4)
             assert provider.calls == 2
+            assert batcher.stats()["flush_threads"] == 2
+            # close() stops the live flush thread; only the hung one,
+            # still inside the provider, outlives it.
+            assert batcher.close(timeout=5.0)
+            assert len(_new_flush_threads(before)) == 1
+            provider.release()
+            assert _poll(lambda: _new_flush_threads(before) == [])
+            assert batcher.stats()["hung_flush_threads"] == 0
+            assert metrics.counter(
+                "serving.batcher.recovered_flushes").value == 1
         finally:
             provider.release()
             batcher.close(timeout=5.0)

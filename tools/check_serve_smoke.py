@@ -6,8 +6,10 @@ responses carry vectors, and the stats response reports the request count,
 latency, and at least ``--min-hits`` cache hits (default 1: the canned
 session embeds one name twice, so the second embed must come from the
 cache; a second session on the same ``--store`` directory also reads the
-first embed's names back from the disk log).  Exits non-zero (with a
-message) on any violation so ``make serve-smoke`` fails loudly in CI.
+first embed's names back from the disk log).  The stats response must also
+show that every flush of the session ran on one batcher flush thread.
+Exits non-zero (with a message) on any violation so ``make serve-smoke``
+fails loudly in CI.
 
 Usage::
 
@@ -54,6 +56,9 @@ def check(lines: list[str], min_hits: int = 1) -> list[dict]:
         if stats["cache"].get("hits", 0) < min_hits:
             raise SystemExit(f"stats response shows fewer than {min_hits} "
                              f"cache hits: {stats}")
+        if stats.get("batcher", {}).get("flush_threads") != 1:
+            raise SystemExit(f"stats response shows other than one batcher "
+                             f"flush thread: {stats}")
     return responses
 
 
