@@ -1,7 +1,7 @@
 """Serving-layer degradation under encoder faults: latency stays bounded.
 
-Drives the full serving façade (deadline propagation, flush watchdog,
-cancellable pool, retry budget, fallback) through three encoder health
+Drives the full serving façade (deadline propagation, flush watchdog on
+the batcher's cancellable pool, retry budget, fallback) through three encoder health
 regimes and measures per-request latency plus thread growth:
 
 * ``healthy``      — primary answers promptly; the baseline;
@@ -74,8 +74,8 @@ class PeriodicallyHungProvider(RandomProvider):
 def _config() -> ServiceConfig:
     return ServiceConfig(max_batch_size=8, max_wait_ms=2.0,
                          timeout_s=0.05, max_retries=1, backoff_s=0.01,
-                         flush_timeout_s=0.05, max_workers=4,
-                         max_hung_flushes=4, close_timeout_s=2.0)
+                         flush_timeout_s=0.05, max_hung_flushes=4,
+                         close_timeout_s=2.0)
 
 
 def _drive(provider, fallback) -> dict:

@@ -76,12 +76,17 @@ def parse_mix(raw: str) -> dict[str, float]:
 
 
 class RequestFactory:
-    """Samples request payloads for a configured mix, deterministically."""
+    """Samples request payloads for a configured mix, deterministically.
+
+    ``mix`` maps ops to positive weights; like :func:`parse_mix`'s, they
+    are normalised to sum to 1.
+    """
 
     def __init__(self, mix: dict[str, float], seed: int = 0,
                  world_seed: int = 11, embed_pool: int = 64,
                  deadline_ms: float | None = None):
-        self.mix = dict(mix)
+        total = sum(mix.values())
+        self.mix = {op: weight / total for op, weight in mix.items()}
         self.deadline_ms = deadline_ms
         self._rng = np.random.default_rng(seed)
         self._ops = sorted(self.mix)

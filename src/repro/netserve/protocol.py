@@ -22,7 +22,7 @@ rejections, ``id`` echoing the request's correlation id).
 
 Dispatch accepts an optional :class:`~repro.serving.deadline.Deadline`
 that is propagated into the service, so a frontend-issued budget bounds
-every wait underneath (batcher, retry pool) end to end.
+every wait underneath (retries, backoff, batcher) end to end.
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def handle_request(service: "FaultAnalysisService", request: dict,
     """Dispatch one request dict to the service; returns the response.
 
     ``deadline`` (when given) is propagated into every service call, so
-    the frontend's per-request budget bounds the batcher and retry-pool
-    waits underneath.  Raises ``ValueError`` on validation failures and
+    the frontend's per-request budget bounds the retry and batcher waits
+    underneath.  Raises ``ValueError`` on validation failures and
     whatever the service raises on exhaustion — converting those into
     the wire envelope is the transport's job (:func:`error_envelope`).
     """

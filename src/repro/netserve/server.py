@@ -39,7 +39,6 @@ import socketserver
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.netserve import protocol
 from repro.netserve.admission import AdmissionController, AdmissionRejected
@@ -47,9 +46,7 @@ from repro.netserve.tenants import TenantRegistry
 from repro.serving import metric_names as mn
 from repro.serving.deadline import Deadline, DeadlineExceeded, FlushTimeout
 from repro.serving.metrics import MetricsRegistry
-
-if TYPE_CHECKING:
-    from repro.serving.service import FaultAnalysisService
+from repro.serving.service import FaultAnalysisService, ServingError
 
 #: How often a blocked socket read wakes to re-check the draining flag.
 _READ_POLL_S = 0.25
@@ -352,17 +349,13 @@ class TeleServer:
                 self.metrics.emit("bad_request", error=repr(error))
                 return protocol.error_envelope(
                     error, code=protocol.CODE_BAD_REQUEST)
-            except (DeadlineExceeded, FlushTimeout) as error:
+            except (DeadlineExceeded, FlushTimeout, ServingError) as error:
+                # Budget exhausted (ServingError: with no fallback): the
+                # service is degraded, not the request malformed.
                 return protocol.error_envelope(
                     error, code=protocol.CODE_UNAVAILABLE,
                     retry_after_s=self.admission.config.retry_after_s)
             except Exception as error:  # noqa: BLE001 — reported, survives
-                if type(error).__name__ == "ServingError":
-                    # Budget exhausted with no fallback: the service is
-                    # degraded, not the request malformed.
-                    return protocol.error_envelope(
-                        error, code=protocol.CODE_UNAVAILABLE,
-                        retry_after_s=self.admission.config.retry_after_s)
                 self.metrics.emit("internal_error", error=repr(error))
                 return protocol.error_envelope(
                     error, code=protocol.CODE_INTERNAL)

@@ -6,21 +6,23 @@ imply (Sec. V-A3) and that industrial tele-PLM systems build around:
 
 * :class:`MicroBatcher` — dynamic micro-batching with cross-request
   deduplication (flush on size or deadline), deadline-aware waits, and a
-  flush watchdog that bounds provider calls;
+  flush watchdog that bounds provider calls, the only calls that can
+  hang;
 * :class:`EmbeddingStore` / :class:`PersistentProvider` — the one
   embedding cache: an LRU memory tier, optionally over an append-only
   on-disk log keyed by checkpoint fingerprint (versioned invalidation);
 * :class:`FaultAnalysisService` — one façade exposing ``embed`` plus the
   three fault-analysis calls (``rank_root_causes`` / ``propagate_alarms``
   / ``classify_fault``) with per-request deadlines, bounded retry with
-  backoff, and graceful degradation to a fallback provider;
+  backoff, and graceful degradation to a fallback provider; every
+  attempt runs on the calling thread;
 * :class:`Deadline` / :class:`CancellationToken` — the propagated budget
   and cooperative-stop primitives that keep a hung encoder from wedging
   the stack (typed failures: :class:`DeadlineExceeded`,
   :class:`FlushTimeout`);
-* :class:`CancellableWorkerPool` — the façade's daemon-thread retry pool
-  for task and index attempts, with hung-thread accounting and bounded
-  replacement;
+* :class:`CancellableWorkerPool` — the one mechanism for writing off a
+  hung call: daemon threads with hung-thread accounting and bounded
+  replacement, on which the batcher runs every flush;
 * :class:`MetricsRegistry` — counters, gauges, latency histograms with
   p50/p95/p99, and structured event logging.
 

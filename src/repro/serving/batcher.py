@@ -23,21 +23,20 @@ Two mechanisms keep a hung or slow provider from wedging the batcher:
   :class:`~repro.serving.deadline.DeadlineExceeded`.  Entries with no
   remaining waiters leave the queue, so they neither hold the flush
   deadline open nor ride a future batch nobody wants.
-* **Flush watchdog** — the worker hands each provider flush through a
-  queue to one long-lived daemon flush thread and waits at most
-  ``flush_timeout_s`` for it.  A flush that blows the bound is abandoned:
-  its entries fail with a typed
+* **Flush watchdog** — the worker submits each provider flush to a
+  single-worker :class:`~repro.serving.pool.CancellableWorkerPool` (the
+  flusher) and waits at most ``flush_timeout_s`` for it.  A flush that
+  blows the bound is abandoned: its entries fail with a typed
   :class:`~repro.serving.deadline.FlushTimeout` (waking every waiter so
-  retry/fallback policy can engage), the flush thread is written off, and
-  the next flush starts a replacement.  Hung flush threads are tracked in
-  the ``serving.batcher.hung_flush_threads`` gauge; when a late call
-  returns, its result is discarded, the gauge comes back down and the
-  written-off thread exits.
+  retry/fallback policy can engage), and the pool writes its thread off
+  and starts a replacement.  Hung flush threads are tracked in the
+  ``serving.pool.hung_threads`` gauge; when a late call returns, its
+  result is discarded, the gauge comes back down
+  (``serving.pool.recovered``) and the written-off thread exits.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 
@@ -46,6 +45,7 @@ import numpy as np
 from repro.serving import metric_names as mn
 from repro.serving.deadline import Deadline, DeadlineExceeded, FlushTimeout
 from repro.serving.metrics import MetricsRegistry
+from repro.serving.pool import CancellableWorkerPool
 from repro.service.providers import EmbeddingProvider
 
 #: Idle-worker wake interval.  The worker parks on the condition variable
@@ -68,17 +68,12 @@ class _Pending:
 
 
 class _Flush:
-    """State shared between the worker and the flush thread running it."""
+    """The names of one provider call."""
 
-    __slots__ = ("names", "vectors", "error", "done", "outcome", "lock")
+    __slots__ = ("names",)
 
     def __init__(self, names: list[str]):
         self.names = names
-        self.vectors: np.ndarray | None = None
-        self.error: BaseException | None = None
-        self.done = threading.Event()
-        self.outcome: str | None = None   # None -> "completed"/"abandoned"
-        self.lock = threading.Lock()
 
 
 class MicroBatcher:
@@ -89,21 +84,19 @@ class MicroBatcher:
     implements the provider interface, so it can wrap — and be wrapped by —
     the cache decorators.
 
-    ``flush_timeout_s`` bounds each provider call (``None`` keeps the
-    legacy unbounded behaviour — only safe for providers that cannot
-    hang).
+    ``flush_timeout_s`` bounds each provider call; ``max_hung_flushes``
+    bounds how many written-off flush threads may be stuck in it at once.
     """
 
     def __init__(self, provider: EmbeddingProvider, max_batch_size: int = 32,
-                 max_wait_ms: float = 5.0,
-                 flush_timeout_s: float | None = None,
+                 max_wait_ms: float = 5.0, flush_timeout_s: float = 30.0,
                  max_hung_flushes: int = 8,
                  metrics: MetricsRegistry | None = None):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be positive")
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be non-negative")
-        if flush_timeout_s is not None and flush_timeout_s <= 0:
+        if flush_timeout_s <= 0:
             raise ValueError("flush_timeout_s must be positive")
         if max_hung_flushes < 1:
             raise ValueError("max_hung_flushes must be positive")
@@ -118,11 +111,11 @@ class MicroBatcher:
         self._cond = threading.Condition()
         self._pending: dict[str, _Pending] = {}
         self._closed = False
-        self._hung_flushes = 0
-        # The live flush thread and its inbox; only the worker touches them.
-        self._flush_thread: threading.Thread | None = None
-        self._flush_inbox: queue.SimpleQueue | None = None
-        self.flush_threads = 0
+        # One usable flush thread; the cap leaves room for every hung
+        # flush the breaker allows plus the live one.
+        self._flusher = CancellableWorkerPool(
+            max_workers=1, max_total_threads=max_hung_flushes + 1,
+            name_prefix="repro-batcher-flush", metrics=self.metrics)
         self.batches_flushed = 0
         self.names_encoded = 0
         self._worker = threading.Thread(target=self._run,
@@ -245,62 +238,46 @@ class MicroBatcher:
             if batch is None:
                 break
             self._flush(batch)
-        if self._flush_thread is not None:
-            # Every flush handed over has settled, so the thread is idle
-            # and takes the stop sentinel at once.
-            self._flush_inbox.put(None)
-            self._flush_thread.join(self.flush_timeout_s)
+        # Every flush submitted has settled, so the live flush thread is
+        # idle and exits at once.
+        self._flusher.shutdown()
 
     def _flush(self, batch: dict[str, _Pending]) -> None:
-        """One provider call, bounded by the watchdog when configured."""
+        """One provider call on the flusher, bounded by the watchdog."""
         names = list(batch)
+        # Circuit breaker on the leak: with max_hung_flushes provider
+        # calls already wedged, submitting another can only stack one
+        # more hung thread on a dead encoder — fail fast instead.
+        # Recovery of any hung call (or none ever recovering but callers
+        # degrading via fallback) closes the breaker.
+        if self._flusher.stats()["hung"] >= self.max_hung_flushes:
+            self._fail_batch(batch, FlushTimeout(
+                f"provider has {self.max_hung_flushes} hung flush(es) "
+                f"outstanding; failing fast"))
+            self.metrics.counter(mn.BATCHER_FAST_FAILS).inc()
+            self.metrics.emit("flush_fast_fail", names=len(names))
+            return
         flush = _Flush(names)
-        if self.flush_timeout_s is None:
-            self._call_provider(flush)
-        else:
-            # Circuit breaker on the leak: with max_hung_flushes provider
-            # calls already wedged, submitting another can only stack one
-            # more hung thread on a dead encoder — fail fast instead.
-            # Recovery of any hung call (or none ever recovering but
-            # callers degrading via fallback) closes the breaker.
-            with self._cond:
-                saturated = self._hung_flushes >= self.max_hung_flushes
-            if saturated:
+        job = self._flusher.submit(lambda: self._call_provider(flush))
+        if not job.wait(self.flush_timeout_s):
+            # Write the stuck thread off: the pool replaces it, and it
+            # exits once its late call returns.
+            self._flusher.abandon(job)
+            if job.abandoned:   # else it completed in the race window
                 self._fail_batch(batch, FlushTimeout(
-                    f"provider has {self.max_hung_flushes} hung flush(es) "
-                    f"outstanding; failing fast"))
-                self.metrics.counter(mn.BATCHER_FAST_FAILS).inc()
-                self.metrics.emit("flush_fast_fail", names=len(names))
+                    f"provider flush of {len(names)} name(s) exceeded "
+                    f"{self.flush_timeout_s:g}s"))
+                self.metrics.counter(mn.SERVING_HUNG_FLUSHES).inc()
+                self.metrics.emit("hung_flush", names=len(names),
+                                  timeout_s=self.flush_timeout_s)
                 return
-            self._hand_off(flush)
-            if not flush.done.wait(self.flush_timeout_s):
-                with flush.lock:
-                    if flush.outcome is None:
-                        flush.outcome = "abandoned"
-                if flush.outcome == "abandoned":
-                    # Write the stuck thread off: it exits once its late
-                    # call returns, and the next flush gets a new thread.
-                    self._flush_thread = self._flush_inbox = None
-                    self._fail_batch(batch, FlushTimeout(
-                        f"provider flush of {len(names)} name(s) exceeded "
-                        f"{self.flush_timeout_s:g}s"))
-                    with self._cond:
-                        self._hung_flushes += 1
-                        hung = self._hung_flushes
-                    self.metrics.counter(mn.SERVING_HUNG_FLUSHES).inc()
-                    self.metrics.gauge(
-                        mn.BATCHER_HUNG_FLUSH_THREADS).set(hung)
-                    self.metrics.emit("hung_flush", names=len(names),
-                                      timeout_s=self.flush_timeout_s)
-                    return
-                # Completed in the race window: fall through and apply.
-        if flush.error is not None:
-            self._fail_batch(batch, flush.error)
+        if job.error is not None:
+            self._fail_batch(batch, job.error)
             self.metrics.counter(mn.BATCHER_ERRORS).inc()
             self.metrics.emit("batch_error", names=len(names),
-                              error=repr(flush.error))
+                              error=repr(job.error))
             return
-        for name, vector in zip(names, flush.vectors):
+        for name, vector in zip(names, job.result_value):
             batch[name].vector = vector
             batch[name].done.set()
         self.batches_flushed += 1
@@ -310,58 +287,10 @@ class MicroBatcher:
         self.metrics.histogram(mn.BATCHER_BATCH_SIZE).observe(
             len(names))
 
-    def _hand_off(self, flush: _Flush) -> None:
-        """Queue ``flush`` for the flush thread, starting one if none is
-        live (the first flush, or the one after an abandoned flush)."""
-        if self._flush_thread is None:
-            self._flush_inbox = queue.SimpleQueue()
-            self._flush_thread = threading.Thread(
-                target=self._flush_loop, args=(self._flush_inbox,),
-                name="repro-batcher-flush", daemon=True)
-            with self._cond:
-                self.flush_threads += 1
-            self._flush_thread.start()
-        self._flush_inbox.put(flush)
-
-    def _flush_loop(self, inbox: queue.SimpleQueue) -> None:
-        """Run the flushes handed over in ``inbox`` until the stop
-        sentinel, or until the watchdog abandons one of them."""
-        while True:
-            try:
-                flush = inbox.get(timeout=_IDLE_WAKE_S)
-            except queue.Empty:
-                continue
-            if flush is None:
-                return
-            self._call_provider(flush)
-            if flush.outcome == "abandoned":
-                return
-
-    def _call_provider(self, flush: _Flush) -> None:
-        """Run the provider call; first of worker/watchdog claims the
-        outcome, so a late result after abandonment is discarded."""
-        try:
-            with self.metrics.time(mn.BATCHER_FLUSH_LATENCY):
-                vectors = self.provider.encode_names(flush.names)
-            error = None
-        except BaseException as caught:  # propagate to every waiter
-            vectors, error = None, caught
-        with flush.lock:
-            if flush.outcome == "abandoned":
-                recovered = True
-            else:
-                flush.outcome = "completed"
-                flush.vectors = vectors
-                flush.error = error
-                recovered = False
-        flush.done.set()
-        if recovered:
-            with self._cond:
-                self._hung_flushes = max(0, self._hung_flushes - 1)
-                hung = self._hung_flushes
-            self.metrics.gauge(
-                mn.BATCHER_HUNG_FLUSH_THREADS).set(hung)
-            self.metrics.counter(mn.BATCHER_RECOVERED_FLUSHES).inc()
+    def _call_provider(self, flush: _Flush) -> np.ndarray:
+        """The provider call for one flush (runs on the flusher)."""
+        with self.metrics.time(mn.BATCHER_FLUSH_LATENCY):
+            return self.provider.encode_names(flush.names)
 
     @staticmethod
     def _fail_batch(batch: dict[str, _Pending],
@@ -376,12 +305,10 @@ class MicroBatcher:
     def close(self, timeout: float | None = None) -> bool:
         """Flush remaining names and stop the worker (idempotent).
 
-        Returns True when the worker exited within ``timeout`` (always,
-        when the watchdog is armed — every flush wait is bounded).  The
-        worker stops the flush thread on its way out; only written-off
-        threads stuck in a hung provider call outlive it.  A worker stuck
-        in a legacy unbounded flush is left behind as a daemon rather than
-        blocking shutdown.
+        Returns True when the worker exited within ``timeout`` (every
+        flush wait is bounded by the watchdog).  The worker stops the
+        live flush thread on its way out; only written-off threads stuck
+        in a hung provider call outlive it.
         """
         with self._cond:
             if not self._closed:
@@ -400,7 +327,13 @@ class MicroBatcher:
         self.close()
 
     def stats(self) -> dict:
-        """Flush counters for the metrics dump."""
+        """Flush counters for the metrics dump.
+
+        ``flush_threads`` counts the flush threads started, so a healthy
+        batcher reads 1; ``hung_flush_threads`` those written off and
+        still stuck in the provider.
+        """
+        flusher = self._flusher.stats()
         with self._cond:
             return {
                 "batches_flushed": self.batches_flushed,
@@ -408,6 +341,6 @@ class MicroBatcher:
                 "mean_batch_size": (self.names_encoded / self.batches_flushed
                                     if self.batches_flushed else 0.0),
                 "pending": len(self._pending),
-                "hung_flush_threads": self._hung_flushes,
-                "flush_threads": self.flush_threads,
+                "hung_flush_threads": flusher["hung"],
+                "flush_threads": flusher["spawned"],
             }

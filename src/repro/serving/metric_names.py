@@ -40,8 +40,6 @@ BATCHER_BATCHES = "serving.batcher.batches"
 BATCHER_NAMES = "serving.batcher.names"
 BATCHER_BATCH_SIZE = "serving.batcher.batch_size"
 BATCHER_FLUSH_LATENCY = "serving.batcher.flush_latency"
-BATCHER_HUNG_FLUSH_THREADS = "serving.batcher.hung_flush_threads"
-BATCHER_RECOVERED_FLUSHES = "serving.batcher.recovered_flushes"
 SERVING_ABANDONED_WAITS = "serving.abandoned_waits"
 SERVING_HUNG_FLUSHES = "serving.hung_flushes"
 
@@ -127,10 +125,8 @@ __all__ = [
     "BATCHER_ERRORS",
     "BATCHER_FAST_FAILS",
     "BATCHER_FLUSH_LATENCY",
-    "BATCHER_HUNG_FLUSH_THREADS",
     "BATCHER_NAMES",
     "BATCHER_QUEUE_DEPTH",
-    "BATCHER_RECOVERED_FLUSHES",
     "BATCHER_REQUESTS",
     "INDEX_FLUSHED_ROWS",
     "INDEX_QUERIES",

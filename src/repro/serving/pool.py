@@ -1,19 +1,20 @@
-"""Bounded-leak worker pool for the façade's timeout/retry policy.
+"""Bounded-leak worker pool: runs calls that may hang, writes them off.
 
 ``concurrent.futures.ThreadPoolExecutor`` is the wrong tool under a
 provider that can hang: ``future.cancel()`` cannot stop running work, a
-hung call permanently consumes one of the pool's threads (eight hung
-requests deadlock every subsequent call), and the executor's non-daemon
-threads are joined at interpreter exit — so a wedged provider also makes
-the *process* unkillable by anything short of SIGKILL.
+hung call permanently consumes one of the pool's threads, and the
+executor's non-daemon threads are joined at interpreter exit — so a
+wedged provider also makes the *process* unkillable by anything short of
+SIGKILL.
 
-:class:`CancellableWorkerPool` is the shape the serving stack actually
-needs:
+:class:`CancellableWorkerPool` is the serving stack's one mechanism for
+writing off a hung call; the micro-batcher runs every provider flush on a
+single-worker pool (its flusher):
 
 * **daemon threads** — a hung provider can never block interpreter exit;
 * **bounded waits** — callers wait on the returned :class:`Job` with a
-  timeout and then :meth:`abandon <Job.abandon>` it, firing its
-  :class:`~repro.serving.deadline.CancellationToken`;
+  timeout and then :meth:`abandon <CancellableWorkerPool.abandon>` it,
+  firing its :class:`~repro.serving.deadline.CancellationToken`;
 * **token-checked workers** — an abandoned job that has not started yet
   is skipped entirely (it fails fast with
   :class:`~repro.serving.deadline.CancelledError` instead of wasting a
@@ -21,8 +22,9 @@ needs:
 * **bounded leak** — when a *running* job is abandoned its worker is
   counted in the ``serving.pool.hung_threads`` gauge and a replacement
   worker is spawned (up to ``max_total_threads``) so capacity never
-  degrades below ``max_workers``; if the stuck call eventually returns,
-  the surplus worker retires itself and the gauge comes back down.
+  degrades below ``max_workers``; if the stuck call eventually returns
+  (``serving.pool.recovered``), the surplus worker retires itself and the
+  gauge comes back down.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ import queue
 import threading
 
 from repro.serving import metric_names as mn
-from repro.serving.deadline import CancellationToken, CancelledError
+from repro.serving.deadline import (
+    CancellationToken,
+    CancelledError,
+    Deadline,
+)
 from repro.serving.metrics import MetricsRegistry
 
 _STOP = object()
@@ -40,6 +46,10 @@ _STOP = object()
 #: a loop iteration; an unbounded ``get()`` would park the worker with no
 #: way to bound the wait if a sentinel is ever lost.
 _QUEUE_POLL_S = 0.5
+
+#: Bound on :meth:`CancellableWorkerPool.shutdown`'s join of its workers;
+#: an idle worker takes its stop sentinel at once.
+_SHUTDOWN_JOIN_S = 5.0
 
 
 class Job:
@@ -53,7 +63,7 @@ class Job:
     """
 
     __slots__ = ("fn", "token", "done", "result_value", "error",
-                 "started", "abandoned", "_lock")
+                 "started", "abandoned", "worker", "_lock")
 
     def __init__(self, fn, token: CancellationToken):
         self.fn = fn
@@ -63,6 +73,7 @@ class Job:
         self.error: BaseException | None = None
         self.started = False
         self.abandoned = False
+        self.worker: threading.Thread | None = None   # set when started
         self._lock = threading.Lock()
 
     def wait(self, timeout: float | None = None) -> bool:
@@ -111,6 +122,7 @@ class CancellableWorkerPool:
         self._alive = 0          # worker threads currently running
         self._hung = 0           # workers stuck on abandoned jobs
         self._spawned = 0        # lifetime thread count (names/cap)
+        self._workers: set[threading.Thread] = set()   # not written off
         self._closed = False
         for _ in range(max_workers):
             self._spawn_locked()
@@ -146,6 +158,7 @@ class CancellableWorkerPool:
             # and restore capacity with a fresh thread (bounded).
             with self._lock:
                 self._hung += 1
+                self._workers.discard(job.worker)
                 self.metrics.gauge(mn.POOL_HUNG_THREADS).set(
                     self._hung)
                 if (self._alive - self._hung < self.max_workers
@@ -176,6 +189,7 @@ class CancellableWorkerPool:
             target=self._work,
             name=f"{self.name_prefix}-{self._spawned}",
             daemon=True)
+        self._workers.add(thread)
         thread.start()
 
     def _work(self) -> None:
@@ -198,6 +212,7 @@ class CancellableWorkerPool:
                     self.metrics.counter(mn.POOL_SKIPPED).inc()
                     continue
                 job.started = True
+                job.worker = threading.current_thread()
             try:
                 job.result_value = job.fn()
             except BaseException as error:  # delivered via Job.result
@@ -227,24 +242,30 @@ class CancellableWorkerPool:
             if self._alive - self._hung > self.max_workers:
                 self._alive -= 1
                 return True
+            self._workers.add(threading.current_thread())
         return False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop accepting work and ask idle workers to exit (idempotent).
+        """Stop accepting work and stop the workers (idempotent).
 
-        Never blocks on hung threads — they are daemons and die with the
-        process.
+        Waits a bounded time for the workers that are not written off to
+        exit.  Never waits on hung threads — they are daemons, exit once
+        their late call returns, and die with the process.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             alive = self._alive
+            workers = list(self._workers)
         for _ in range(alive):
             self._queue.put(_STOP)
+        deadline = Deadline.after(_SHUTDOWN_JOIN_S)
+        for thread in workers:
+            thread.join(deadline.remaining())
 
     def __enter__(self) -> "CancellableWorkerPool":
         return self

@@ -20,16 +20,17 @@ pipeline, so they hit the same caches and metrics.
 Degradation policy: every request carries a total budget of
 ``timeout_s × (max_retries + 1)`` plus backoff.  Each attempt gets a
 :class:`~repro.serving.deadline.Deadline` of at most ``timeout_s``
-(clipped to the remaining budget).  An embed attempt runs on the calling
-thread and *propagates* that deadline into the batcher, whose every wait
-is sized by it: a hung provider makes the attempt fail with a typed
-timeout.  Task and index calls cannot bound their own waits, so their
-attempts run on a cancellable worker pool and are written off as hung if
-they overrun.  Exhausted budget falls back to the ``fallback`` provider
-when one is configured (counted in ``serving.fallbacks``), else raises
+(clipped to the remaining budget) and runs on the calling thread.  The
+only call that can hang is the encoder's, and it runs only inside the
+batcher: an embed attempt *propagates* its deadline into the batcher,
+whose every wait is sized by it, so a hung provider makes the attempt
+fail with a typed timeout.  Task and index attempts never reach the
+encoder (the adapters answer from the vectors they were fitted on).
+Exhausted budget falls back to the ``fallback`` provider when one is
+configured (counted in ``serving.fallbacks``), else raises
 :class:`ServingError`.  ``close()`` is bounded by ``close_timeout_s``
-and never blocks on a wedged provider — hung threads are daemons and
-cannot block interpreter exit.
+and never blocks on a wedged provider — hung flush threads are daemons
+and cannot block interpreter exit.
 """
 
 from __future__ import annotations
@@ -45,14 +46,8 @@ from repro.serving import metric_names as mn
 from repro.serving.batcher import MicroBatcher
 from repro.serving.deadline import Deadline, DeadlineExceeded, FlushTimeout
 from repro.serving.metrics import MetricsRegistry
-from repro.serving.pool import CancellableWorkerPool
 from repro.serving.store import EmbeddingStore, PersistentProvider
 from repro.service.providers import EmbeddingProvider
-
-#: Grace added to the wait on a pool job beyond the attempt deadline, so
-#: a primary that settles just after its deadline is still taken instead
-#: of being written off as hung.
-_ATTEMPT_GRACE_S = 0.25
 
 
 class ServingError(RuntimeError):
@@ -80,9 +75,6 @@ class ServiceConfig:
     flush_timeout_s: float | None = None
     #: upper bound on how long :meth:`FaultAnalysisService.close` blocks
     close_timeout_s: float = 5.0
-    #: concurrent task and index attempts the retry pool can run (embed
-    #: attempts run on the calling thread)
-    max_workers: int = 8
     #: circuit-breaker: with this many provider flushes wedged, further
     #: flushes fail fast instead of stacking more hung threads
     max_hung_flushes: int = 8
@@ -96,8 +88,6 @@ class ServiceConfig:
             raise ValueError("flush_timeout_s must be positive")
         if self.close_timeout_s <= 0:
             raise ValueError("close_timeout_s must be positive")
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be positive")
         if self.max_hung_flushes < 1:
             raise ValueError("max_hung_flushes must be positive")
 
@@ -187,9 +177,6 @@ class FaultAnalysisService:
             flush_timeout_s=self.config.effective_flush_timeout_s,
             max_hung_flushes=self.config.max_hung_flushes,
             metrics=self.metrics)
-        self._pool = CancellableWorkerPool(
-            max_workers=self.config.max_workers,
-            name_prefix="repro-serving", metrics=self.metrics)
         self._fit_lock = threading.Lock()
         self._closed = False
 
@@ -197,16 +184,13 @@ class FaultAnalysisService:
     # Resilience plumbing
     # ------------------------------------------------------------------
     def _call_with_policy(self, op: str, primary, fallback=None,
-                          deadline: Deadline | None = None, *,
-                          inline: bool = False):
+                          deadline: Deadline | None = None):
         """Deadline + bounded retry with backoff + graceful degradation.
 
-        ``primary`` is called as ``primary(attempt_deadline)`` once per
-        attempt.  An ``inline`` primary bounds each of its own waits by
-        that deadline (the embed path sizes every batcher wait by it), so
-        it runs on the calling thread.  Any other primary runs on a pool
-        worker, bounded by the external wait and written off as hung if
-        it overruns.
+        ``primary`` is called on the calling thread as
+        ``primary(attempt_deadline)`` once per attempt.  Every wait it can
+        block on is bounded by that deadline: the embed path sizes each
+        batcher wait by it, and no other primary waits on the encoder.
 
         A caller-supplied ``deadline`` (e.g. the per-request budget a
         network frontend issued at admission) *caps* the configured
@@ -235,23 +219,9 @@ class FaultAnalysisService:
                     break
                 attempt_deadline = Deadline.after(
                     min(self.config.timeout_s, remaining))
-                job = None if inline else self._pool.submit(
-                    lambda d=attempt_deadline: primary(d))
                 try:
                     with self.metrics.time(mn.latency_for(op)):
-                        if job is None:
-                            result = primary(attempt_deadline)
-                        elif job.wait(attempt_deadline.remaining()
-                                      + _ATTEMPT_GRACE_S):
-                            # repro-lint: allow[RL002] wait() above already bounded this attempt; result() raises unless the job settled
-                            result = job.result()
-                        else:
-                            # Overran: cancel the job and write its worker
-                            # off as hung (the pool replaces it).
-                            self._pool.abandon(job)
-                            raise DeadlineExceeded(
-                                f"{op} attempt exceeded "
-                                f"{self.config.timeout_s:g}s")
+                        result = primary(attempt_deadline)
                 except (DeadlineExceeded, FlushTimeout) as error:
                     last_error = error
                     self.metrics.counter(mn.SERVING_TIMEOUTS).inc()
@@ -296,7 +266,7 @@ class FaultAnalysisService:
             return self.batcher.encode(names, deadline=attempt_deadline)
 
         return self._call_with_policy("embed", primary, fallback,
-                                      deadline=deadline, inline=True)
+                                      deadline=deadline)
 
     # ------------------------------------------------------------------
     # Fault-analysis calls
@@ -328,6 +298,12 @@ class FaultAnalysisService:
                          ) -> list[tuple[str, float]]:
         """RCA: nodes of ``state`` ranked most-likely-root first."""
         adapter = self._fitted(self.rca, "rca")
+        width = adapter.dataset.num_features
+        if state.features.shape[1:] != (width,):
+            # A client error, not an outage (see classify_fault).
+            raise ValueError(f"rca features must have {width} columns, one "
+                             f"per catalog event; got shape "
+                             f"{state.features.shape}")
         ranking = self._call_with_policy(
             "rank_root_causes", lambda d: adapter.rank(state),
             deadline=deadline)
@@ -337,6 +313,11 @@ class FaultAnalysisService:
                          deadline: Deadline | None = None) -> list[dict]:
         """EAP: trigger verdict + confidence for each candidate pair."""
         adapter = self._fitted(self.eap, "eap")
+        for pair in pairs:
+            for name in (pair.name_i, pair.name_j):
+                if not adapter.knows(name):
+                    # A client error, not an outage (see classify_fault).
+                    raise ValueError(f"unknown event: {name!r}")
         return self._call_with_policy(
             "propagate_alarms", lambda d: adapter.predict(pairs),
             deadline=deadline)
@@ -345,7 +326,7 @@ class FaultAnalysisService:
                        deadline: Deadline | None = None) -> list[dict]:
         """FCT: most plausible next-hop alarms for ``alarm_name``."""
         adapter = self._fitted(self.fct, "fct")
-        if alarm_name not in adapter.event_names:
+        if not adapter.knows(alarm_name):
             # A client error, not an outage: answer it before the retry
             # policy would count it as an error and retry it.
             raise ValueError(f"unknown alarm: {alarm_name!r}")
@@ -399,14 +380,13 @@ class FaultAnalysisService:
                       for key in ("hits", "misses", "hit_rate")},
             "latency": latency,
             "batcher": self.batcher.stats(),
-            "pool": self._pool.stats(),
             "store": store,
             "index": self.index.stats() if self.index else None,
             "metrics": snapshot,
         }
 
     def close(self) -> None:
-        """Stop the batcher worker and the retry pool (idempotent).
+        """Stop the batcher worker and its flusher (idempotent).
 
         Bounded by ``config.close_timeout_s``: a provider wedged inside a
         flush cannot hold shutdown hostage — its thread is a daemon and
@@ -416,7 +396,6 @@ class FaultAnalysisService:
             return
         self._closed = True
         self.batcher.close(timeout=self.config.close_timeout_s)
-        self._pool.shutdown()
         if self._retriever is not None:
             # Fold any buffered adds into the shards so vectors encoded
             # during this process survive into the next one.

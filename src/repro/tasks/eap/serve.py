@@ -73,6 +73,7 @@ class EapAdapter(RetrievalCandidateMixin):
                 loss.backward()
                 optimizer.step()
         self._model = model
+        self._keep_fitted_vectors(names, name_embeddings)
         return self
 
     def predict(self, pairs: list[EventPair]) -> list[dict]:

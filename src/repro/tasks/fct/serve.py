@@ -72,6 +72,7 @@ class FctAdapter(RetrievalCandidateMixin):
             negatives_per_positive=self.negatives_per_positive)
         trainer.fit(self.epochs)
         self._model = model
+        self._keep_fitted_vectors(self.event_names, entity_embeddings)
         return self
 
     def trace(self, alarm_name: str, top_k: int = 5,
@@ -85,8 +86,9 @@ class FctAdapter(RetrievalCandidateMixin):
 
         ``candidates`` restricts the tails considered.  When omitted and
         a retriever is attached (:meth:`attach_retriever`), candidates
-        come from the ANN index (the alarm's embedding-space neighbours
-        within the catalog); otherwise every catalog alarm is scored.
+        come from the ANN index (the catalog neighbours of the vector the
+        alarm was fitted on, so no encoder call); otherwise every catalog
+        alarm is scored.
         """
         if self._model is None:
             raise RuntimeError("FctAdapter.fit has not been called")

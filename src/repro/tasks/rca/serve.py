@@ -76,6 +76,7 @@ class RcaAdapter(RetrievalCandidateMixin):
                 optimizer.step()
         self._model = model
         self._embeddings = embeddings
+        self._keep_fitted_vectors(self.event_names, event_embeddings)
         return self
 
     def rank(self, state: RcaState) -> list[tuple[str, float]]:

@@ -17,17 +17,23 @@ harness are untouched.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class RetrievalCandidateMixin:
     """Mixin giving a serve adapter ANN-backed candidate generation.
 
-    Host classes must expose ``event_names`` (their closed catalog).
+    Host classes must expose ``event_names`` (their closed catalog) and
+    pass the vectors they are fitted on to :meth:`_keep_fitted_vectors`.
     """
 
     _retriever = None
+    #: catalog name -> the vector it was fitted on (replaced, not mutated)
+    _fitted_vectors: dict[str, np.ndarray] = {}
 
     def attach_retriever(self, retriever) -> None:
-        """Wire an object with ``retrieve_names(names, k, nprobe)``."""
+        """Wire an object with ``retrieve(queries, k, nprobe)`` and
+        ``encode_names(names)``."""
         self._retriever = retriever
 
     @property
@@ -43,13 +49,28 @@ class RetrievalCandidateMixin:
         ``event_names`` (the index may hold far more entities than one
         adapter serves), nearest first, the query itself excluded.
         Without a retriever the answer is ``[]`` — callers fall back to
-        their full-catalog behaviour.
+        their full-catalog behaviour.  The index is searched with the
+        vector ``name`` was fitted on, so a fitted adapter never reaches
+        the encoder for a catalog name; any other name is encoded
+        through the retriever.
         """
         if self._retriever is None:
             return []
+        query = self._fitted_vectors.get(name)
+        if query is None:
+            query = self._retriever.encode_names([name])[0]
         known = set(self.event_names)
-        [hits] = self._retriever.retrieve_names([name], k=k, nprobe=nprobe)
+        [hits] = self._retriever.retrieve(query[None, :], k=k, nprobe=nprobe)
         return [hit for hit, _ in hits if hit in known and hit != name]
+
+    def knows(self, name: str) -> bool:
+        """Whether ``name`` is a catalog name the adapter was fitted on."""
+        return name in self._fitted_vectors
+
+    def _keep_fitted_vectors(self, names: list[str],
+                             vectors: np.ndarray) -> None:
+        """Remember the vector each catalog name was fitted on."""
+        self._fitted_vectors = dict(zip(names, vectors))
 
 
 __all__ = ["RetrievalCandidateMixin"]

@@ -148,6 +148,16 @@ class TestRequestFactory:
         assert payload["op"] == "embed" and payload["id"] == 99
         assert payload["names"]
 
+    def test_raw_weights_are_normalised(self):
+        factory = RequestFactory({"embed": 2, "fct": 1}, seed=3)
+        assert factory.mix == {"embed": 2 / 3, "fct": 1 / 3}
+        tokens = [factory.build(index)[0] for index in range(300)]
+        assert set(tokens) == {"embed", "fct"}
+        assert 150 < tokens.count("embed") < 250
+        # parse_mix's already-normalised weights draw the same stream.
+        parsed = RequestFactory(parse_mix("embed=2,fct=1"), seed=3)
+        assert [parsed.build(index)[0] for index in range(300)] == tokens
+
     def test_deadline_ms_attached(self):
         factory = RequestFactory({"embed": 1.0}, deadline_ms=250.0)
         _, payload = factory.build(0)

@@ -47,8 +47,7 @@ from repro.service import RandomProvider
 
 def _tight_config(**overrides):
     defaults = dict(max_batch_size=8, max_wait_ms=2, timeout_s=0.3,
-                    max_retries=1, backoff_s=0.01, close_timeout_s=5.0,
-                    max_workers=4)
+                    max_retries=1, backoff_s=0.01, close_timeout_s=5.0)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 

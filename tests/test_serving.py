@@ -685,8 +685,8 @@ class TestFaultAnalysisService:
 # ----------------------------------------------------------------------
 # Task façade + JSON-lines server over a tiny world
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def tiny_service():
+def _tiny_adapters():
+    """Unfitted rca/eap/fct adapters over the seed-11 tiny world."""
     from repro.kg import build_tele_kg  # noqa: F401 — world sanity import
     from repro.tasks.eap import EapAdapter, build_eap_dataset
     from repro.tasks.fct import FctAdapter, build_fct_dataset
@@ -696,14 +696,58 @@ def tiny_service():
     world = TelecomWorld.generate(seed=11, alarms_per_theme=2,
                                   kpis_per_theme=2, topology_nodes=6)
     episodes = world.simulate_episodes(30)
-    rca = RcaAdapter(build_rca_dataset(world, episodes), epochs=2)
-    eap = EapAdapter(build_eap_dataset(world, episodes), epochs=2)
-    fct = FctAdapter(build_fct_dataset(world, episodes), epochs=3)
+    return (world,
+            RcaAdapter(build_rca_dataset(world, episodes), epochs=2),
+            EapAdapter(build_eap_dataset(world, episodes), epochs=2),
+            FctAdapter(build_fct_dataset(world, episodes), epochs=3))
+
+
+@pytest.fixture(scope="module")
+def tiny_service():
+    world, rca, eap, fct = _tiny_adapters()
     service = FaultAnalysisService(
         RandomProvider(dim=16, seed=0), config=_fast_config(),
         rca=rca, eap=eap, fct=fct)
     yield service, world, rca, eap, fct
     service.close()
+
+
+@pytest.fixture(scope="module")
+def indexed_service(tmp_path_factory):
+    """The tiny-world adapters behind a service with an ANN index."""
+    from repro.index import VectorIndex
+
+    _, rca, eap, fct = _tiny_adapters()
+    index = VectorIndex(tmp_path_factory.mktemp("idx"), fingerprint="f1")
+    service = FaultAnalysisService(
+        RandomProvider(dim=16, seed=0), config=_fast_config(),
+        fingerprint="f1", rca=rca, eap=eap, fct=fct, index=index)
+    yield service, rca, eap, fct
+    service.close()
+
+
+class WedgeableProvider(RandomProvider):
+    """Answers until :meth:`wedge`, then blocks every encode until
+    :meth:`release` — an encoder that hangs after the adapters are fit."""
+
+    def __init__(self, dim=16):
+        super().__init__(dim=dim, seed=0)
+        self._wedged = threading.Event()
+        self._released = threading.Event()
+        self.wedged_calls = 0
+
+    def wedge(self) -> None:
+        self._wedged.set()
+
+    def release(self) -> None:
+        self._released.set()
+
+    def encode_names(self, names):
+        if self._wedged.is_set():
+            self.wedged_calls += 1
+            self._released.wait()
+        return super().encode_names(names)
+
 
 class TestFaultAnalysisFacade:
     def test_rank_root_causes(self, tiny_service):
@@ -749,23 +793,94 @@ class TestFaultAnalysisFacade:
         service.rank_root_causes(rca.dataset.states[0])
         assert service.metrics.histogram("serving.fit.rca").count == before
 
-    def test_embed_runs_inline_while_task_ops_use_the_pool(
-            self, tiny_service, monkeypatch):
-        service, _, rca, _, _ = tiny_service
+    def test_task_and_knn_primaries_run_on_the_calling_thread(
+            self, indexed_service, monkeypatch):
+        service, rca, eap, fct = indexed_service
+        threads = {}
 
-        class PoolUsed(RuntimeError):
-            pass
+        def record(owner, attr, key):
+            original = getattr(owner, attr)
 
-        def refuse(*args, **kwargs):
-            raise PoolUsed("submitted to the retry pool")
+            def wrapper(*args, **kwargs):
+                threads[key] = threading.current_thread()
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(service._pool, "submit", refuse)
-        # Embed attempts run on the calling thread...
-        assert service.embed(["inline probe"]).shape == (1, 16)
-        # ...while task adapters, which cannot bound their own waits,
-        # still run on the pool.
-        with pytest.raises(PoolUsed):
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        record(rca, "rank", "rca")
+        record(eap, "predict", "eap")
+        record(fct, "trace", "fct")
+        record(service.index, "query", "knn")
+        service.rank_root_causes(rca.dataset.states[0])
+        service.propagate_alarms(eap.dataset.pairs[:2])
+        service.classify_fault(fct.dataset.entity_names[0])
+        service.retrieve([fct.dataset.entity_names[0]], k=3)
+        assert threads == dict.fromkeys(("rca", "eap", "fct", "knn"),
+                                        threading.current_thread())
+
+    def test_classify_fault_matches_the_name_encoded_path(
+            self, indexed_service):
+        """Candidates from the vector each alarm was fitted on equal those
+        from encoding its name, for every alarm of the catalog."""
+        service, _, _, fct = indexed_service
+        catalog = fct.dataset.entity_names
+        for alarm in catalog:
+            reply = service.classify_fault(alarm, top_k=5)
+            [hits] = fct.retriever.retrieve_names([alarm], k=20)
+            candidates = [name for name, _ in hits
+                          if name in catalog and name != alarm]
+            assert reply == fct.trace(alarm, top_k=5, candidates=candidates)
+
+    def test_service_starts_one_batcher_worker_and_one_flusher(
+            self, tmp_path):
+        from repro.index import VectorIndex
+
+        before = set(threading.enumerate())
+        _, rca, eap, fct = _tiny_adapters()
+        index = VectorIndex(tmp_path, fingerprint="f1")
+        with FaultAnalysisService(
+                RandomProvider(dim=16, seed=0), config=_fast_config(),
+                fingerprint="f1", rca=rca, eap=eap, fct=fct,
+                index=index) as service:
+            service.embed(["a", "b"])
             service.rank_root_causes(rca.dataset.states[0])
+            service.propagate_alarms(eap.dataset.pairs[:2])
+            service.classify_fault(fct.dataset.entity_names[0])
+            service.retrieve(["a"], k=2)
+            started = sorted(thread.name for thread in threading.enumerate()
+                             if thread not in before)
+        assert started == ["repro-batcher-flush-1", "repro-microbatcher"]
+
+    @pytest.mark.timeout(60)
+    def test_classify_fault_answers_while_the_encoder_is_wedged(
+            self, tmp_path):
+        """After fit, FCT never reaches the encoder: an alarm evicted from
+        a small memory-only store is answered while the encoder hangs."""
+        from repro.index import VectorIndex
+
+        _, _, _, fct = _tiny_adapters()
+        provider = WedgeableProvider(dim=16)
+        config = _fast_config(timeout_s=0.3, max_retries=1, lru_capacity=4)
+        index = VectorIndex(tmp_path, fingerprint="f1")
+        catalog = fct.dataset.entity_names
+        try:
+            with FaultAnalysisService(provider, config=config,
+                                      fingerprint="f1", fct=fct,
+                                      index=index) as service:
+                service.classify_fault(catalog[-1])       # fits the adapter
+                alarm = catalog[0]
+                assert alarm not in service.store         # evicted
+                provider.wedge()
+                hops = service.classify_fault(alarm, top_k=3)
+                assert 1 <= len(hops) <= 3
+                assert all(hop["alarm"] != alarm for hop in hops)
+                assert provider.wedged_calls == 0
+                counters = service.metrics.snapshot()["counters"]
+                for name in ("serving.errors", "serving.timeouts",
+                             "serving.fallbacks"):
+                    assert counters.get(name, 0) == 0
+        finally:
+            provider.release()
 
     def test_state_for_inference(self, tiny_service):
         from repro.tasks.rca import state_for_inference
@@ -848,7 +963,7 @@ class TestServerLoop:
         json.loads(json.dumps(response))
 
     def test_rca_eap_ops_reject_bad_shapes(self, tiny_service):
-        service, _, rca, _, fct = tiny_service
+        service, _, rca, eap, fct = tiny_service
         state = rca.dataset.states[0]
         nodes = list(state.node_names)
         good_adj = state.adjacency.tolist()
@@ -881,6 +996,24 @@ class TestServerLoop:
         for bad in bad_requests:
             with pytest.raises(ValueError):
                 handle_request(service, bad)
+        # Well-formed requests the fitted adapters cannot score are bad
+        # requests too, not outages: neither retried nor counted.
+        pair = eap.dataset.pairs[0]
+        errors = service.metrics.counter("serving.errors").value
+        retries = service.metrics.counter("serving.retries").value
+        unscorable = [
+            {"op": "rca", "nodes": nodes, "adjacency": good_adj,
+             "features": [row + [1.0] for row in good_feat]},  # wrong width
+            {"op": "eap", "pairs": [
+                {"name_i": "no such alarm", "name_j": pair.name_j,
+                 "node_i": pair.node_i, "node_j": pair.node_j,
+                 "time_i": pair.time_i, "time_j": pair.time_j}]},
+        ]
+        for bad in unscorable:
+            with pytest.raises(ValueError):
+                handle_request(service, bad)
+        assert service.metrics.counter("serving.errors").value == errors
+        assert service.metrics.counter("serving.retries").value == retries
         hops = handle_request(service, {"op": "classify_fault",
                                         "alarm": alarm, "top_k": 2})
         assert 1 <= len(hops["next_hops"]) <= 2

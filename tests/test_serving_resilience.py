@@ -96,8 +96,7 @@ class FlakyProvider(RandomProvider):
 
 def _tight_config(**overrides):
     defaults = dict(max_batch_size=8, max_wait_ms=2, timeout_s=0.3,
-                    max_retries=1, backoff_s=0.01, close_timeout_s=5.0,
-                    max_workers=4)
+                    max_retries=1, backoff_s=0.01, close_timeout_s=5.0)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -114,7 +113,7 @@ def _swallow(fn, *args, **kwargs):
 def _new_flush_threads(before: set) -> list[threading.Thread]:
     """Live batcher flush threads started since ``before`` was taken."""
     return [thread for thread in threading.enumerate()
-            if thread.name == "repro-batcher-flush"
+            if thread.name.startswith("repro-batcher-flush-")
             and thread not in before and thread.is_alive()]
 
 
@@ -293,7 +292,7 @@ class TestBatcherDeadlines:
             assert _poll(
                 lambda: batcher.stats()["hung_flush_threads"] == 0)
             assert metrics.counter(
-                "serving.batcher.recovered_flushes").value == 1
+                "serving.pool.recovered").value == 1
         finally:
             provider.release()
             batcher.close(timeout=5.0)
@@ -337,7 +336,7 @@ class TestBatcherDeadlines:
             assert _poll(lambda: _new_flush_threads(before) == [])
             assert batcher.stats()["hung_flush_threads"] == 0
             assert metrics.counter(
-                "serving.batcher.recovered_flushes").value == 1
+                "serving.pool.recovered").value == 1
         finally:
             provider.release()
             batcher.close(timeout=5.0)
@@ -424,13 +423,13 @@ class TestServiceUnderHungPrimary:
     @pytest.mark.timeout(120)
     @pytest.mark.parametrize("concurrent", [False, True])
     def test_blocked_threads_bounded_across_many_requests(self, concurrent):
-        """≥3x max_workers hung requests must not accumulate blocked
-        pool threads — the historical deadlock had 8 wedge everything."""
+        """Many hung requests must not accumulate blocked threads — the
+        historical deadlock had 8 wedge everything."""
         provider = HangingProvider(dim=8)
         fallback = RandomProvider(dim=8, seed=1)
         config = _tight_config(timeout_s=0.15, max_retries=1,
-                               max_workers=4, max_hung_flushes=2)
-        requests = 3 * config.max_workers
+                               max_hung_flushes=2)
+        requests = 12
         try:
             with FaultAnalysisService(provider, fallback=fallback,
                                       config=config) as service:
@@ -449,11 +448,10 @@ class TestServiceUnderHungPrimary:
                     for i in range(requests):
                         out = service.embed([f"n{i}"])
                         assert out.shape == (1, 8)
-                pool = service.stats()["pool"]
-                # Pool threads wait cooperatively — none may be written
-                # off as hung, and capacity must not have ballooned.
-                assert pool["hung"] == 0
-                assert pool["alive"] <= pool["max_total_threads"]
+                # Flush threads are started only to replace hung ones,
+                # and no more than the breaker lets hang.
+                assert service.stats()["batcher"]["flush_threads"] <= \
+                    config.max_hung_flushes + 1
                 # The provider-side leak is capped by the breaker.
                 assert provider.blocked() <= config.max_hung_flushes
                 assert service.metrics.counter(

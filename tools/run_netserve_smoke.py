@@ -1,13 +1,16 @@
 """End-to-end smoke of the socket frontend for ``make serve-net-smoke``.
 
-Boots the real CLI (``python -m repro serve-net --port 0``) as a
-subprocess, discovers the ephemeral port from its stderr banner, drives
-a short mixed open-loop run with the in-process load generator, and
-SIGTERMs the server.  Fails loudly (non-zero exit) when:
+Boots the real CLI (``python -m repro serve-net --port 0 --adapters
+--index DIR``) as a subprocess, discovers the ephemeral port from its
+stderr banner, drives a short open-loop run mixing ``embed``, ``rca``,
+``eap`` and ``fct`` with the in-process load generator, and SIGTERMs the
+server.  Fails loudly (non-zero exit) when:
 
 * the server does not come up or print its listening banner,
 * any request ends in a protocol error (transport/framing breakage),
 * no request succeeds (the frontend answered nothing),
+* any request is rejected with a code other than ``rate_limit`` (a
+  degraded server answers ``unavailable``),
 * rate-limited tenants see no structured rejection (quota not enforced),
 * the server does not drain and exit 0 on SIGTERM.
 
@@ -21,6 +24,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -28,7 +32,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 from repro.loadgen import LoadgenConfig, run_load  # noqa: E402
 
 
-def _spawn_server() -> tuple[subprocess.Popen, str, int]:
+def _spawn_server(index_dir: str) -> tuple[subprocess.Popen, str, int]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(REPO_ROOT, "src"),
@@ -37,7 +41,7 @@ def _spawn_server() -> tuple[subprocess.Popen, str, int]:
         [sys.executable, "-m", "repro", "serve-net", "--port", "0",
          "--api-key", "smoke-limited", "--rate", "25", "--burst", "5",
          "--timeout", "2", "--retries", "0", "--close-timeout", "5",
-         "--max-wait-ms", "2"],
+         "--max-wait-ms", "2", "--adapters", "--index", index_dir],
         stderr=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         env=env, cwd=REPO_ROOT)
     line = process.stderr.readline()
@@ -49,12 +53,18 @@ def _spawn_server() -> tuple[subprocess.Popen, str, int]:
 
 
 def main() -> int:
-    process, host, port = _spawn_server()
+    with tempfile.TemporaryDirectory() as index_dir:
+        return _smoke(index_dir)
+
+
+def _smoke(index_dir: str) -> int:
+    process, host, port = _spawn_server(index_dir)
     try:
         report = run_load(LoadgenConfig(
             host=host, port=port, api_keys=("smoke-limited",),
             mode="open", duration_s=2.0, rate_per_s=60.0, workers=4,
-            mix={"embed": 1.0}, seed=0, timeout_s=5.0))
+            mix={"embed": 2, "rca": 1, "eap": 1, "fct": 1}, seed=0,
+            timeout_s=5.0))
         print(report.render())
         if report.counts["protocol_error"]:
             raise SystemExit(
@@ -65,6 +75,11 @@ def main() -> int:
         if report.counts["error"]:
             raise SystemExit(
                 f"{report.counts['error']} unexpected error envelope(s)")
+        unexpected = {code: count for code, count in report.codes.items()
+                      if code != "rate_limit"}
+        if unexpected:
+            raise SystemExit(f"rejections other than rate_limit: "
+                             f"{unexpected}")
         # 60 rps offered against a 25 rps / burst-5 tenant quota: the
         # overflow must surface as structured rate_limit rejections.
         if report.codes.get("rate_limit", 0) == 0:
