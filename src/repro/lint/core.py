@@ -284,6 +284,34 @@ class ModuleContext:
 
 
 # ---------------------------------------------------------------------
+# Matching helpers shared by the module and project rules
+# ---------------------------------------------------------------------
+_LOCKY_RE = re.compile(r"(lock|cond|mutex|sem)", re.IGNORECASE)
+_THREADY_RE = re.compile(r"(thread|worker|proc|pool)", re.IGNORECASE)
+
+#: Method names whose call can block for unbounded time (RL001 inside a
+#: lock; the wait-shaped subsets again in RL002 and the project layer).
+_BLOCKING_ATTRS = frozenset({
+    "encode", "encode_names", "encode_texts", "embed", "result", "wait",
+    "wait_for", "acquire", "join", "get", "flush", "recv", "sleep",
+})
+
+
+def _attr_chain(node: ast.AST) -> list[str] | None:
+    """``np.random.seed`` -> ["np", "random", "seed"]; None if not a
+    plain name/attribute chain."""
+    parts: list[str] = []
+    cursor = node
+    while isinstance(cursor, ast.Attribute):
+        parts.append(cursor.attr)
+        cursor = cursor.value
+    if isinstance(cursor, ast.Name):
+        parts.append(cursor.id)
+        return list(reversed(parts))
+    return None
+
+
+# ---------------------------------------------------------------------
 # Suppressions
 # ---------------------------------------------------------------------
 @dataclass(frozen=True)

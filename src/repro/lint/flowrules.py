@@ -17,7 +17,7 @@ global because a lock-order inversion is a bug wherever the locks live.
 
 from __future__ import annotations
 
-from repro.lint.core import Finding, rule
+from repro.lint.core import _THREADY_RE, Finding, rule
 from repro.lint.project import _WAIT_ATTRS, ProjectContext
 
 
@@ -99,8 +99,7 @@ def _wait_shaped(call) -> bool:
     if call.attr == "get" and call.nargs:
         return False  # dict.get
     if call.attr == "join" and call.receiver and \
-            not any(token in call.receiver.lower()
-                    for token in ("thread", "worker", "proc", "pool")):
+            not _THREADY_RE.search(call.receiver):
         return False  # str.join
     return True
 

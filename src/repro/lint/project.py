@@ -33,31 +33,32 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from repro.lint.core import Finding, LintConfig, ModuleContext, RULES
+from repro.lint.core import (
+    _BLOCKING_ATTRS,
+    _LOCKY_RE,
+    _THREADY_RE,
+    RULES,
+    Finding,
+    LintConfig,
+    ModuleContext,
+    _attr_chain,
+)
 
 #: Bump when summary extraction changes shape/semantics: stale cache
 #: entries from an older linter must not feed the graph passes.
 SUMMARY_VERSION = 1
 
 _DEADLINE_PARAM_RE = re.compile(r"(deadline|timeout)", re.IGNORECASE)
-_LOCKY_RE = re.compile(r"(lock|cond|mutex|sem)", re.IGNORECASE)
 
 #: Keyword names that bound a call (a timeout or a threaded-through
 #: deadline); a call carrying one is not an unbounded sink.
 _BOUND_KWARGS = frozenset({
     "timeout", "timeout_s", "timeout_ms", "deadline", "deadline_s",
     "deadline_ms", "flush_timeout_s", "total_budget_s",
-})
-
-#: Attribute calls that may block the calling thread (superset shared
-#: with the module-scope rules; kept in sync by tests).
-_BLOCKING_ATTRS = frozenset({
-    "encode", "encode_names", "encode_texts", "embed", "result", "wait",
-    "wait_for", "acquire", "join", "get", "flush", "recv", "sleep",
 })
 
 _WAIT_ATTRS = frozenset({"wait", "wait_for", "get", "result", "acquire",
@@ -69,24 +70,9 @@ _WAIT_ATTRS = frozenset({"wait", "wait_for", "get", "result", "acquire",
 #: real provider-flush findings in noise.
 _TRANSITIVE_BLOCKING = frozenset(_BLOCKING_ATTRS - {"flush"})
 
-_THREADY_RE = re.compile(r"(thread|worker|proc|pool)", re.IGNORECASE)
-
 #: ``var.close()``-shaped calls that count as releasing a resource.
 _CLOSE_ATTRS = frozenset({"close", "unlink", "release", "shutdown",
                           "terminate", "__exit__"})
-
-
-def _attr_chain(node: ast.AST) -> list[str] | None:
-    """``a.b.c`` -> ["a", "b", "c"]; None for anything fancier."""
-    parts: list[str] = []
-    cursor = node
-    while isinstance(cursor, ast.Attribute):
-        parts.append(cursor.attr)
-        cursor = cursor.value
-    if isinstance(cursor, ast.Name):
-        parts.append(cursor.id)
-        return list(reversed(parts))
-    return None
 
 
 def _names_in(node: ast.AST) -> set[str]:

@@ -13,21 +13,19 @@ import ast
 import re
 from typing import Iterable, Iterator
 
-from repro.lint.core import Finding, ModuleContext, rule
+from repro.lint.core import (
+    _BLOCKING_ATTRS,
+    _LOCKY_RE,
+    _THREADY_RE,
+    Finding,
+    ModuleContext,
+    _attr_chain,
+    rule,
+)
 
 # ---------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------
-_LOCKY_RE = re.compile(r"(lock|cond|mutex|sem)", re.IGNORECASE)
-_THREADY_RE = re.compile(r"(thread|worker|proc|pool)", re.IGNORECASE)
-
-#: Method names whose call can block for unbounded time (RL001 inside a
-#: lock; the wait-shaped subset again in RL002).
-_BLOCKING_ATTRS = frozenset({
-    "encode", "encode_names", "encode_texts", "embed", "result", "wait",
-    "wait_for", "acquire", "join", "get", "flush", "recv", "sleep",
-})
-
 _WAIT_ATTRS = frozenset({"wait", "wait_for", "get", "result", "acquire",
                          "join"})
 
@@ -68,20 +66,6 @@ def _import_aliases(tree: ast.AST) -> dict[str, str]:
                 aliases[name.asname or name.name] = \
                     f"{node.module}.{name.name}"
     return aliases
-
-
-def _attr_chain(node: ast.AST) -> list[str] | None:
-    """``np.random.seed`` -> ["np", "random", "seed"]; None if not a
-    plain name/attribute chain."""
-    parts: list[str] = []
-    cursor = node
-    while isinstance(cursor, ast.Attribute):
-        parts.append(cursor.attr)
-        cursor = cursor.value
-    if isinstance(cursor, ast.Name):
-        parts.append(cursor.id)
-        return list(reversed(parts))
-    return None
 
 
 def _enclosing_function_names(ctx: ModuleContext, node: ast.AST) -> list[str]:

@@ -134,8 +134,8 @@ class FaultAnalysisService:
         Optional :class:`~repro.index.VectorIndex` enabling
         :meth:`retrieve`.  The provider stack is wrapped in an
         :class:`~repro.index.IndexedEmbeddingProvider` so every encode
-        keeps the index in sync, and task adapters get a retriever for
-        candidate generation.  Must carry the service's fingerprint.
+        keeps the index in sync, and the ``fct`` adapter draws its
+        candidate next hops from it.  Must carry the service's fingerprint.
     """
 
     def __init__(self, provider: EmbeddingProvider, *,
@@ -166,10 +166,8 @@ class FaultAnalysisService:
                 stack, index, store=self.store)
             self._retriever.ensure_indexed()
             stack = self._retriever
-            for adapter in (rca, eap, fct):
-                attach = getattr(adapter, "attach_retriever", None)
-                if callable(attach):
-                    attach(self._retriever)
+            if fct is not None:
+                fct.attach_retriever(self._retriever)
         self.batcher = MicroBatcher(
             stack,
             max_batch_size=self.config.max_batch_size,
@@ -314,10 +312,13 @@ class FaultAnalysisService:
         """EAP: trigger verdict + confidence for each candidate pair."""
         adapter = self._fitted(self.eap, "eap")
         for pair in pairs:
+            # Client errors, not outages (see classify_fault).
             for name in (pair.name_i, pair.name_j):
                 if not adapter.knows(name):
-                    # A client error, not an outage (see classify_fault).
                     raise ValueError(f"unknown event: {name!r}")
+            for node in (pair.node_i, pair.node_j):
+                if not adapter.knows_node(node):
+                    raise ValueError(f"unknown network element: {node!r}")
         return self._call_with_policy(
             "propagate_alarms", lambda d: adapter.predict(pairs),
             deadline=deadline)

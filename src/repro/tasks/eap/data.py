@@ -44,6 +44,12 @@ class EapDataset:
     num_events: int
     num_packages: int
 
+    @property
+    def event_names(self) -> list[str]:
+        """Distinct literal names over all pairs, sorted."""
+        return sorted({p.name_i for p in self.pairs} |
+                      {p.name_j for p in self.pairs})
+
     def describe(self) -> dict[str, int]:
         """Table V row."""
         positives = sum(1 for p in self.pairs if p.label == 1)

@@ -11,10 +11,12 @@ from repro.evaluation.classification import (
     classification_metrics,
 )
 from repro.evaluation.kfold import k_fold_splits
-from repro.nn.optim import Adam
 from repro.service.providers import EmbeddingProvider
 from repro.tasks.eap.data import EapDataset
-from repro.tasks.eap.model import EapModel
+from repro.tasks.eap.serve import EapAdapter
+
+#: Cross-validation folds of the Table VI protocol.
+NUM_FOLDS = 5
 
 
 @dataclass
@@ -34,55 +36,34 @@ class EapResult:
 
 
 class EapExperiment:
-    """Runs the full EAP protocol for one embedding provider."""
+    """Runs the Table VI protocol for one embedding provider.
 
-    def __init__(self, dataset: EapDataset, seed: int = 0,
-                 num_folds: int = 5, epochs: int = 8, batch_size: int = 32,
-                 learning_rate: float = 0.01, node_dim: int = 8):
+    Each fold fits an :class:`~repro.tasks.eap.EapAdapter` — the
+    classifier the serving façade deploys — on the fold's training and
+    validation pairs, and takes its verdict on every held-out pair.
+    """
+
+    def __init__(self, dataset: EapDataset, seed: int = 0, epochs: int = 8):
         self.dataset = dataset
         self.seed = seed
-        self.num_folds = num_folds
         self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.node_dim = node_dim
 
     def run(self, provider: EmbeddingProvider) -> EapResult:
         """5-fold CV over pairs; metrics pooled over all test folds."""
         pairs = self.dataset.pairs
         # Encode every distinct literal name once.
-        names = sorted({p.name_i for p in pairs} | {p.name_j for p in pairs})
-        name_vectors = provider.encode_names(names)
-        # Level the feature scale across providers.
-        name_vectors = name_vectors / np.maximum(
-            np.linalg.norm(name_vectors, axis=1, keepdims=True), 1e-12)
-        lookup = {n: name_vectors[i] for i, n in enumerate(names)}
-        text_i = np.stack([lookup[p.name_i] for p in pairs])
-        text_j = np.stack([lookup[p.name_j] for p in pairs])
-
-        splits = k_fold_splits(len(pairs), self.num_folds,
+        vectors = provider.encode_names(self.dataset.event_names)
+        splits = k_fold_splits(len(pairs), NUM_FOLDS,
                                rng=np.random.default_rng(self.seed))
         predictions = np.zeros(len(pairs), dtype=int)
         evaluated = np.zeros(len(pairs), dtype=bool)
         for fold_number, split in enumerate(splits):
-            rng = np.random.default_rng(self.seed + 300 + fold_number)
-            model = EapModel(self.dataset, text_i.shape[1], rng,
-                             node_dim=self.node_dim)
-            optimizer = Adam(model.parameters(), lr=self.learning_rate)
-            train_index = np.concatenate([split.train, split.valid])
-            for _ in range(self.epochs):
-                order = rng.permutation(train_index)
-                for start in range(0, len(order), self.batch_size):
-                    batch_index = order[start:start + self.batch_size]
-                    batch = [pairs[i] for i in batch_index]
-                    optimizer.zero_grad()
-                    loss = model.loss(batch, text_i[batch_index],
-                                      text_j[batch_index])
-                    loss.backward()
-                    optimizer.step()
-            test_batch = [pairs[i] for i in split.test]
-            predictions[split.test] = model.predict(
-                test_batch, text_i[split.test], text_j[split.test])
+            adapter = EapAdapter(self.dataset, seed=self.seed + fold_number,
+                                 epochs=self.epochs)
+            adapter.fit(vectors,
+                        train=np.concatenate([split.train, split.valid]))
+            verdicts = adapter.predict([pairs[i] for i in split.test])
+            predictions[split.test] = [v["triggers"] for v in verdicts]
             evaluated[split.test] = True
 
         labels = np.array([p.label for p in pairs])

@@ -8,11 +8,12 @@ import numpy as np
 
 from repro.evaluation.kfold import k_fold_splits
 from repro.evaluation.ranking import RankingMetrics, rank_of, ranking_metrics
-from repro.nn.optim import Adam
 from repro.service.providers import EmbeddingProvider
 from repro.tasks.rca.data import RcaDataset
-from repro.tasks.rca.model import RcaModel
-from repro.tensor import no_grad
+from repro.tasks.rca.serve import RcaAdapter
+
+#: Cross-validation folds of the Table IV protocol.
+NUM_FOLDS = 5
 
 
 @dataclass
@@ -32,78 +33,34 @@ class RcaResult:
 
 
 class RcaExperiment:
-    """Runs the full RCA protocol for one embedding provider."""
+    """Runs the Table IV protocol for one embedding provider.
 
-    def __init__(self, dataset: RcaDataset, seed: int = 0,
-                 num_folds: int = 5, epochs: int = 15,
-                 learning_rate: float = 5e-3,
-                 gcn_hidden: int = 32, gcn_out: int = 16, mlp_hidden: int = 8,
-                 model_factory=None):
-        """``model_factory(feature_dim, rng)`` overrides the scorer model
-        (e.g. :class:`~repro.tasks.rca.GatRcaModel` for the architecture
-        ablation); the default builds the paper's GCN model."""
+    Each fold fits an :class:`~repro.tasks.rca.RcaAdapter` — the scorer
+    the serving façade deploys — on the fold's training states, selecting
+    its weights on the validation states, and ranks the root of every
+    held-out state with it.
+    """
+
+    def __init__(self, dataset: RcaDataset, seed: int = 0, epochs: int = 15):
         self.dataset = dataset
         self.seed = seed
-        self.num_folds = num_folds
         self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.gcn_hidden = gcn_hidden
-        self.gcn_out = gcn_out
-        self.mlp_hidden = mlp_hidden
-        self.model_factory = model_factory or self._default_model
-
-    def _default_model(self, feature_dim: int,
-                       rng: np.random.Generator) -> RcaModel:
-        return RcaModel(feature_dim, rng, gcn_hidden=self.gcn_hidden,
-                        gcn_out=self.gcn_out, mlp_hidden=self.mlp_hidden)
-
-    def _train_fold(self, model: RcaModel, embeddings: np.ndarray,
-                    train_index: np.ndarray, valid_index: np.ndarray,
-                    rng: np.random.Generator) -> dict:
-        """Train with early selection on validation mean rank."""
-        optimizer = Adam(model.parameters(), lr=self.learning_rate)
-        best_state = model.state_dict()
-        best_valid = np.inf
-        for _ in range(self.epochs):
-            order = rng.permutation(train_index)
-            for index in order:
-                state = self.dataset.states[index]
-                optimizer.zero_grad()
-                loss = model.loss(state, embeddings)
-                loss.backward()
-                optimizer.step()
-            valid_mr = np.mean(
-                [self._rank(model, embeddings, i) for i in valid_index])
-            if valid_mr < best_valid:
-                best_valid = valid_mr
-                best_state = model.state_dict()
-        return best_state
-
-    def _rank(self, model: RcaModel, embeddings: np.ndarray,
-              state_index: int) -> int:
-        state = self.dataset.states[state_index]
-        with no_grad():
-            scores = model(state, embeddings).data
-        return rank_of(scores, state.root_index, higher_is_better=True)
 
     def run(self, provider: EmbeddingProvider) -> RcaResult:
         """5-fold CV; returns metrics averaged over all test folds."""
         embeddings = provider.encode_names(self.dataset.event_names)
-        # Level the feature scale across providers (PLM [CLS] vectors and
-        # random baselines have very different norms).
-        embeddings = embeddings / np.maximum(
-            np.linalg.norm(embeddings, axis=1, keepdims=True), 1e-12)
-        splits = k_fold_splits(len(self.dataset.states), self.num_folds,
+        splits = k_fold_splits(len(self.dataset.states), NUM_FOLDS,
                                rng=np.random.default_rng(self.seed))
         all_ranks: list[int] = []
         for fold_number, split in enumerate(splits):
-            rng = np.random.default_rng(self.seed + 100 + fold_number)
-            model = self.model_factory(embeddings.shape[1], rng)
-            best_state = self._train_fold(model, embeddings, split.train,
-                                          split.valid, rng)
-            model.load_state_dict(best_state)
-            all_ranks.extend(self._rank(model, embeddings, i)
-                             for i in split.test)
+            adapter = RcaAdapter(self.dataset, seed=self.seed + fold_number,
+                                 epochs=self.epochs)
+            adapter.fit(embeddings, train=split.train, valid=split.valid)
+            for index in split.test:
+                state = self.dataset.states[index]
+                all_ranks.append(rank_of(adapter.scores(state),
+                                         state.root_index,
+                                         higher_is_better=True))
         return RcaResult(label=provider.label,
                          metrics=ranking_metrics(all_ranks,
                                                  hit_levels=(1, 3, 5)))

@@ -3,9 +3,8 @@
 Covers the index itself (build/query determinism, recall against the
 brute-force oracle, incremental add/flush with shadowing, crash-safe
 generation swaps including a real ``SIGKILL`` mid-build), the
-:class:`IndexedEmbeddingProvider` glue onto the serving store, the
-``python -m repro index`` CLI, and the retrieval-candidate hooks the
-task serve adapters expose.
+:class:`IndexedEmbeddingProvider` glue onto the serving store, and the
+``python -m repro index`` CLI.
 """
 
 from __future__ import annotations
@@ -412,31 +411,6 @@ class TestIndexedProvider:
         with pytest.raises(ValueError, match="fingerprint"):
             IndexedEmbeddingProvider(RandomProvider(dim=8, seed=0), index,
                                      store=store)
-
-
-# ----------------------------------------------------------------------
-# Task-adapter retrieval hooks
-# ----------------------------------------------------------------------
-class TestCandidateHooks:
-    def test_candidate_events_filters_to_catalog(self, tmp_path):
-        from repro.tasks.retrieval import RetrievalCandidateMixin
-
-        class Adapter(RetrievalCandidateMixin):
-            event_names = ["ev-1", "ev-2", "ev-3"]
-
-        provider = RandomProvider(dim=8, seed=0)
-        index = VectorIndex(tmp_path, fingerprint="fp")
-        vectors = provider.encode_names(
-            ["ev-1", "ev-2", "ev-3", "other-1", "other-2"])
-        index.build({n: vectors[i] for i, n in enumerate(
-            ["ev-1", "ev-2", "ev-3", "other-1", "other-2"])})
-        adapter = Adapter()
-        assert adapter.candidate_events("ev-1") == []   # no retriever yet
-        adapter.attach_retriever(
-            IndexedEmbeddingProvider(provider, index))
-        got = adapter.candidate_events("ev-1", k=5)
-        assert set(got) <= {"ev-2", "ev-3"}             # catalog only
-        assert "ev-1" not in got                        # query excluded
 
 
 # ----------------------------------------------------------------------

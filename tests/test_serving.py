@@ -769,6 +769,15 @@ class TestFaultAnalysisFacade:
             assert 0.0 <= verdict["confidence"] <= 1.0
             assert isinstance(verdict["triggers"], bool)
 
+    def test_propagate_alarms_answers_no_pairs_with_no_verdicts(
+            self, tiny_service):
+        service = tiny_service[0]
+        errors = service.metrics.counter("serving.errors").value
+        retries = service.metrics.counter("serving.retries").value
+        assert service.propagate_alarms([]) == []
+        assert service.metrics.counter("serving.errors").value == errors
+        assert service.metrics.counter("serving.retries").value == retries
+
     def test_classify_fault(self, tiny_service):
         service, _, _, _, fct = tiny_service
         alarm = fct.dataset.entity_names[0]
@@ -1008,6 +1017,12 @@ class TestServerLoop:
                 {"name_i": "no such alarm", "name_j": pair.name_j,
                  "node_i": pair.node_i, "node_j": pair.node_j,
                  "time_i": pair.time_i, "time_j": pair.time_j}]},
+            *({"op": "eap", "pairs": [
+                {"name_i": pair.name_i, "name_j": pair.name_j,
+                 "node_i": pair.node_i, "node_j": pair.node_j,
+                 "time_i": pair.time_i, "time_j": pair.time_j,
+                 side: "no such element"}]}
+              for side in ("node_i", "node_j")),  # NE outside the topology
         ]
         for bad in unscorable:
             with pytest.raises(ValueError):

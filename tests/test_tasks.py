@@ -1,12 +1,28 @@
-"""Tests for the three downstream tasks: datasets, models, experiments."""
+"""Tests for the three downstream tasks: datasets, models, experiments,
+and the adapters that train each task head for both the harness and the
+serving façade."""
 
 import numpy as np
 import pytest
 
+from repro.evaluation.classification import classification_metrics
+from repro.evaluation.kfold import k_fold_splits
+from repro.evaluation.ranking import rank_of, ranking_metrics
+from repro.kge.gtranse import GTransE, UncertainTriple
+from repro.kge.ranking import link_prediction_ranks
+from repro.kge.trainer import KgeTrainer
+from repro.nn.optim import Adam
 from repro.service import RandomProvider, WordEmbeddingProvider
-from repro.tasks.eap import EapExperiment, EapModel, build_eap_dataset
-from repro.tasks.fct import FctExperiment, build_fct_dataset
-from repro.tasks.rca import RcaExperiment, RcaModel, RcaState, build_rca_dataset
+from repro.tasks.eap import EapAdapter, EapExperiment, EapModel, build_eap_dataset
+from repro.tasks.fct import FctAdapter, FctExperiment, build_fct_dataset
+from repro.tasks.rca import (
+    RcaAdapter,
+    RcaExperiment,
+    RcaModel,
+    RcaState,
+    build_rca_dataset,
+)
+from repro.tensor import no_grad
 from repro.world import TelecomWorld
 
 
@@ -92,8 +108,7 @@ class TestRcaModel:
 class TestRcaExperiment:
     def test_run_with_random_provider(self, world, episodes):
         dataset = build_rca_dataset(world, episodes)
-        experiment = RcaExperiment(dataset, seed=0, num_folds=5, epochs=2,
-                                   gcn_hidden=8, gcn_out=4, mlp_hidden=4)
+        experiment = RcaExperiment(dataset, seed=0, epochs=2)
         result = experiment.run(RandomProvider(dim=8, seed=0))
         assert result.metrics.mean_rank >= 1.0
         row = result.as_table_row()
@@ -207,13 +222,255 @@ class TestFctExperiment:
         assert 0 <= row["MRR"] <= 100
 
 
-class TestRcaModelFactory:
-    def test_gat_factory_runs(self, world, episodes):
-        from repro.tasks.rca import GatRcaModel
-        dataset = build_rca_dataset(world, episodes)
-        experiment = RcaExperiment(
-            dataset, seed=0, epochs=1,
-            model_factory=lambda dim, rng: GatRcaModel(
-                dim, rng, hidden=8, out=4, mlp_hidden=4))
-        result = experiment.run(RandomProvider(dim=8, seed=0))
-        assert result.metrics.mean_rank >= 1.0
+# ----------------------------------------------------------------------
+# The training procedures the harnesses and adapters ran before each
+# harness evaluated its serving adapter, kept as references.  ``train``
+# is an index array (the harness) or a state/pair count (the service).
+# ----------------------------------------------------------------------
+def _unit_rows_reference(matrix, eps):
+    return matrix / np.maximum(np.linalg.norm(matrix, axis=1, keepdims=True),
+                               eps)
+
+
+def _rca_reference(dataset, vectors, seed, epochs, train, valid=None):
+    """The RCA scorer: per-state Adam steps, lr 5e-3, early selection on
+    the validation mean rank when ``valid`` is given."""
+    embeddings = _unit_rows_reference(vectors, 1e-12)
+    rng = np.random.default_rng(seed + 100)
+    model = RcaModel(embeddings.shape[1], rng)
+    optimizer = Adam(model.parameters(), lr=5e-3)
+    best_state, best_valid = model.state_dict(), np.inf
+
+    def rank(index):
+        state = dataset.states[index]
+        with no_grad():
+            scores = model(state, embeddings).data
+        return rank_of(scores, state.root_index, higher_is_better=True)
+
+    for _ in range(epochs):
+        for index in rng.permutation(train):
+            state = dataset.states[index]
+            optimizer.zero_grad()
+            loss = model.loss(state, embeddings)
+            loss.backward()
+            optimizer.step()
+        if valid is not None:
+            valid_mr = np.mean([rank(i) for i in valid])
+            if valid_mr < best_valid:
+                best_valid = valid_mr
+                best_state = model.state_dict()
+    if valid is not None:
+        model.load_state_dict(best_state)
+    return model, embeddings
+
+
+def _rca_scores_reference(model, embeddings, state):
+    with no_grad():
+        return model(state, embeddings).data
+
+
+def _eap_reference(dataset, vectors, seed, epochs, train):
+    """The EAP classifier: Adam lr 0.01, batches of 32, NE dim 8."""
+    pairs = dataset.pairs
+    names = sorted({p.name_i for p in pairs} | {p.name_j for p in pairs})
+    unit = _unit_rows_reference(vectors, 1e-12)
+    lookup = {n: unit[i] for i, n in enumerate(names)}
+    text_i = np.stack([lookup[p.name_i] for p in pairs])
+    text_j = np.stack([lookup[p.name_j] for p in pairs])
+    rng = np.random.default_rng(seed + 300)
+    model = EapModel(dataset, text_i.shape[1], rng, node_dim=8)
+    optimizer = Adam(model.parameters(), lr=0.01)
+    for _ in range(epochs):
+        order = rng.permutation(train)
+        for start in range(0, len(order), 32):
+            index = order[start:start + 32]
+            batch = [pairs[i] for i in index]
+            optimizer.zero_grad()
+            loss = model.loss(batch, text_i[index], text_j[index])
+            loss.backward()
+            optimizer.step()
+    return model, text_i, text_j
+
+
+def _eap_replies_reference(model, text_i, text_j, pairs):
+    with no_grad():
+        logits = model(pairs, text_i, text_j).data
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probabilities = np.exp(shifted)
+    probabilities /= probabilities.sum(axis=1, keepdims=True)
+    return [{"triggers": bool(row.argmax() == 1), "confidence": float(row[1])}
+            for row in probabilities]
+
+
+def _fct_reference(dataset, vectors, seed, epochs, facts, valid=(),
+                   known=None):
+    """GTransE: lr 0.02, batches of 32, margin 2, alpha 1, 4 negatives."""
+    rng = np.random.default_rng(seed + 700)
+    entity_init = _unit_rows_reference(vectors, 1e-9)
+    model = GTransE(dataset.num_entities, dataset.num_relations,
+                    dim=entity_init.shape[1], rng=rng, margin=2.0, alpha=1.0,
+                    entity_init=entity_init)
+    trainer = KgeTrainer(model, facts, dataset.num_entities, rng=rng,
+                         learning_rate=0.02, batch_size=32, margin=2.0,
+                         negatives_per_positive=4)
+    trainer.fit(epochs, valid_triples=valid, known=known)
+    return model
+
+
+def _trace_reference(model, dataset, head, top_k):
+    best = {}
+    for relation in range(dataset.num_relations):
+        for tail, distance in enumerate(model.score_all_tails(head, relation)):
+            score = -float(distance)
+            if tail != head and (tail not in best or score > best[tail][0]):
+                best[tail] = (score, relation)
+    ranked = sorted(best.items(), key=lambda item: -item[1][0])[:top_k]
+    return [{"alarm": dataset.entity_names[tail],
+             "relation": dataset.relation_names[relation], "score": score}
+            for tail, (score, relation) in ranked]
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    """The serve-net tiny world (seed 11) with its three datasets."""
+    world = TelecomWorld.generate(seed=11, alarms_per_theme=2,
+                                  kpis_per_theme=2, topology_nodes=6)
+    episodes = world.simulate_episodes(30)
+    return (build_rca_dataset(world, episodes),
+            build_eap_dataset(world, episodes),
+            build_fct_dataset(world, episodes))
+
+
+def _vectors(names):
+    """What a fresh ``RandomProvider(dim=16, seed=0)`` gives ``names``."""
+    return RandomProvider(dim=16, seed=0).encode_names(names)
+
+
+class TestOneModelPerTask:
+    """Each harness trains and scores through its serving adapter, bit for
+    bit as the procedures above did."""
+
+    SEED = 3
+
+    def test_rca_fold_scores_and_metrics(self, tiny):
+        dataset = tiny[0]
+        vectors = _vectors(dataset.event_names)
+        splits = k_fold_splits(len(dataset.states), 5,
+                               rng=np.random.default_rng(self.SEED))
+        ranks = []
+        for fold, split in enumerate(splits):
+            model, embeddings = _rca_reference(
+                dataset, vectors, self.SEED + fold, 3, split.train,
+                split.valid)
+            adapter = RcaAdapter(dataset, seed=self.SEED + fold, epochs=3)
+            adapter.fit(vectors, train=split.train, valid=split.valid)
+            for index in split.test:
+                state = dataset.states[index]
+                expected = _rca_scores_reference(model, embeddings, state)
+                got = adapter.scores(state)
+                assert got.tobytes() == expected.tobytes()
+                ranks.append(rank_of(expected, state.root_index,
+                                     higher_is_better=True))
+        result = RcaExperiment(dataset, seed=self.SEED, epochs=3).run(
+            RandomProvider(dim=16, seed=0))
+        assert result.metrics == ranking_metrics(ranks, hit_levels=(1, 3, 5))
+
+    def test_eap_fold_predictions_and_metrics(self, tiny):
+        dataset = tiny[1]
+        pairs = dataset.pairs
+        vectors = _vectors(dataset.event_names)
+        splits = k_fold_splits(len(pairs), 5,
+                               rng=np.random.default_rng(self.SEED))
+        predictions = np.zeros(len(pairs), dtype=int)
+        for fold, split in enumerate(splits):
+            train = np.concatenate([split.train, split.valid])
+            model, text_i, text_j = _eap_reference(
+                dataset, vectors, self.SEED + fold, 2, train)
+            test = [pairs[i] for i in split.test]
+            expected = model.predict(test, text_i[split.test],
+                                     text_j[split.test])
+            adapter = EapAdapter(dataset, seed=self.SEED + fold, epochs=2)
+            adapter.fit(vectors, train=train)
+            got = [verdict["triggers"] for verdict in adapter.predict(test)]
+            assert got == [bool(p) for p in expected]
+            predictions[split.test] = expected
+        labels = np.array([p.label for p in pairs])
+        result = EapExperiment(dataset, seed=self.SEED, epochs=2).run(
+            RandomProvider(dim=16, seed=0))
+        assert result.metrics == classification_metrics(predictions, labels)
+
+    def test_fct_test_ranks_and_metrics(self, tiny):
+        dataset = tiny[2]
+        vectors = _vectors(dataset.entity_names)
+        known = dataset.all_known()
+        model = _fct_reference(dataset, vectors, self.SEED, 3,
+                               dataset.quadruples, dataset.valid, known)
+        expected = link_prediction_ranks(model, dataset.test,
+                                         known_triples=known, predict="tail")
+        adapter = FctAdapter(dataset, seed=self.SEED, epochs=3).fit(
+            vectors, facts=dataset.quadruples, valid=dataset.valid,
+            known=known)
+        fitted = adapter.model.state_dict()
+        for name, value in model.state_dict().items():
+            assert fitted[name].tobytes() == value.tobytes()
+        assert link_prediction_ranks(adapter.model, dataset.test,
+                                     known_triples=known,
+                                     predict="tail") == expected
+        result = FctExperiment(dataset, seed=self.SEED, epochs=3).run(
+            RandomProvider(dim=16, seed=0))
+        assert result.metrics == ranking_metrics(expected,
+                                                 hit_levels=(1, 3, 10))
+
+    def test_served_replies_of_adapters_fitted_on_all_data(self, tiny):
+        rca_data, eap_data, fct_data = tiny
+        vectors = _vectors(rca_data.event_names)
+        model, embeddings = _rca_reference(rca_data, vectors, self.SEED, 2,
+                                           len(rca_data.states))
+        rca = RcaAdapter(rca_data, seed=self.SEED, epochs=2).fit(vectors)
+        for state in rca_data.states:
+            scores = _rca_scores_reference(model, embeddings, state)
+            assert rca.rank(state) == [(state.node_names[i], float(scores[i]))
+                                       for i in np.argsort(-scores)]
+
+        vectors = _vectors(eap_data.event_names)
+        model, text_i, text_j = _eap_reference(eap_data, vectors, self.SEED,
+                                               2, len(eap_data.pairs))
+        eap = EapAdapter(eap_data, seed=self.SEED, epochs=2).fit(vectors)
+        assert eap.predict(eap_data.pairs) == _eap_replies_reference(
+            model, text_i, text_j, eap_data.pairs)
+
+        vectors = _vectors(fct_data.entity_names)
+        facts = fct_data.quadruples + [
+            UncertainTriple(head=h, relation=r, tail=t, confidence=1.0)
+            for h, r, t in fct_data.valid + fct_data.test]
+        model = _fct_reference(fct_data, vectors, self.SEED, 3, facts)
+        fct = FctAdapter(fct_data, seed=self.SEED, epochs=3).fit(vectors)
+        for head, alarm in enumerate(fct_data.entity_names):
+            for top_k in (1, 3, 5):
+                assert fct.trace(alarm, top_k=top_k) == _trace_reference(
+                    model, fct_data, head, top_k)
+
+    def test_trace_filters_retrieved_candidates_to_the_catalog(self, tiny):
+        """Retrieved hits outside the catalog, and the alarm itself, are
+        dropped: the reply equals the one for the filtered list, and the
+        index is searched with the vector the alarm was fitted on."""
+        dataset = tiny[2]
+        vectors = _vectors(dataset.entity_names)
+        fct = FctAdapter(dataset, seed=self.SEED, epochs=2).fit(vectors)
+        alarm, first, second = dataset.entity_names[:3]
+        queries = []
+
+        class Retriever:
+            def retrieve(self, query, k):
+                queries.append((query, k))
+                return [[(alarm, 1.0), ("not in the catalog", 0.9),
+                         (second, 0.8), (first, 0.7)]]
+
+        fct.attach_retriever(Retriever())
+        reply = fct.trace(alarm, top_k=3)
+        assert reply == fct.trace(alarm, top_k=3, candidates=[second, first])
+        assert {hop["alarm"] for hop in reply} == {first, second}
+        [(query, k)] = queries
+        assert query.tobytes() == vectors[:1].tobytes()
+        assert k == 16
+
