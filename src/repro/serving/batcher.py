@@ -5,10 +5,21 @@ but the encoder's cost is dominated by per-call overhead — the transformer
 forward amortises well over a batch.  :class:`MicroBatcher` sits between
 caller threads and one :class:`~repro.service.providers.EmbeddingProvider`:
 callers block in :meth:`encode` while their names join a shared pending
-set; a background worker flushes the set to the provider whenever it
-reaches ``max_batch_size`` *or* the oldest pending name has waited
-``max_wait_ms`` — the classic size-or-deadline policy of production
-inference servers.
+set, and a background worker flushes the set to the provider when the
+first of these holds:
+
+* it reaches ``max_batch_size`` names;
+* every *counted* caller is blocked in :meth:`encode`, so no name can
+  join the set before the flush would have carried it.  The owner counts
+  the callers that may still add names with :meth:`caller` (the service
+  holds one count per ``embed`` across its retries), so a lone caller is
+  answered without waiting for the timer;
+* the oldest pending name has waited ``max_wait_ms``.  This bounds the
+  wait while a counted caller is outside :meth:`encode` (in retry backoff,
+  say), and is the only timer rule for a batcher that counts no callers.
+
+The worker runs one flush at a time, so under concurrent load each batch
+holds the names that arrived while the previous flush ran.
 
 Names are deduplicated **across requests**: if four threads concurrently
 ask for ``"link failure"``, the provider sees it once and all four callers
@@ -37,6 +48,7 @@ Two mechanisms keep a hung or slow provider from wedging the batcher:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 
@@ -77,12 +89,13 @@ class _Flush:
 
 
 class MicroBatcher:
-    """Size-or-deadline request coalescer over an embedding provider.
+    """Request coalescer over an embedding provider.
 
-    Thread-safe; usable as a context manager (``with MicroBatcher(...)``)
-    so the worker and flush threads are always joined.  The batcher itself
-    implements the provider interface, so it can wrap — and be wrapped by —
-    the cache decorators.
+    Flushes on size, on every counted caller waiting, or on the oldest
+    name's deadline (see the module docstring).  Thread-safe; usable as a
+    context manager (``with MicroBatcher(...)``) so the worker and flush
+    threads are always joined.  The batcher itself implements the provider
+    interface, so it can wrap — and be wrapped by — the cache decorators.
 
     ``flush_timeout_s`` bounds each provider call; ``max_hung_flushes``
     bounds how many written-off flush threads may be stuck in it at once.
@@ -110,6 +123,9 @@ class MicroBatcher:
         self.metrics = metrics or MetricsRegistry()
         self._cond = threading.Condition()
         self._pending: dict[str, _Pending] = {}
+        # Callers counted by caller(), and callers blocked in encode().
+        self._callers = 0
+        self._waiting = 0
         self._closed = False
         # One usable flush thread; the cap leaves room for every hung
         # flush the breaker allows plus the live one.
@@ -126,6 +142,27 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Caller side
     # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def caller(self):
+        """Count the calling thread as one that may still add names.
+
+        While every counted caller is blocked in :meth:`encode`, pending
+        names flush at once.  Hold the count across every attempt that
+        may call :meth:`encode`, and only there: a counted caller that
+        never encodes holds each flush to ``max_wait_ms``.  An uncounted
+        caller blocked in :meth:`encode` counts as waiting too, which can
+        only make a flush come sooner.
+        """
+        with self._cond:
+            self._callers += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._callers -= 1
+                if self._pending:
+                    self._cond.notify_all()
+
     def encode(self, names: list[str],
                deadline: Deadline | None = None) -> np.ndarray:
         """Blocking encode through the shared batch queue.
@@ -153,6 +190,7 @@ class MicroBatcher:
                     self._pending[name] = entry
                 entry.waiters += 1
                 entries[name] = entry
+            self._waiting += 1
             self.metrics.counter(mn.BATCHER_REQUESTS).inc()
             self.metrics.gauge(mn.BATCHER_QUEUE_DEPTH).set(
                 len(self._pending))
@@ -166,6 +204,9 @@ class MicroBatcher:
         except DeadlineExceeded:
             self._abandon(entries)
             raise
+        finally:
+            with self._cond:
+                self._waiting -= 1
         rows = []
         for name in names:
             entry = entries[name]
@@ -215,6 +256,7 @@ class MicroBatcher:
                     deadline = oldest + self.max_wait_ms / 1000.0
                     now = time.monotonic()
                     if (len(self._pending) >= self.max_batch_size
+                            or 0 < self._callers <= self._waiting
                             or now >= deadline or self._closed):
                         batch = {}
                         for name in list(self._pending)[:self.max_batch_size]:

@@ -17,6 +17,15 @@ Task calls (:meth:`rank_root_causes`, :meth:`propagate_alarms`,
 ``repro.tasks.*.serve``; the embeddings they consume travel the same
 pipeline, so they hit the same caches and metrics.
 
+Batching: each :meth:`embed` is counted as a batcher caller from its
+first attempt to its return (:meth:`MicroBatcher.caller`), and
+:meth:`retrieve` and the adapters' first fit reach the batcher through
+:meth:`embed`.  Once every counted caller is blocked in the batcher, no
+name can still join the pending batch, so it flushes at once: a lone
+caller never waits for ``max_wait_ms``.  That timer still bounds the
+wait while a counted caller sleeps in retry backoff or runs its
+fallback.
+
 Degradation policy: every request carries a total budget of
 ``timeout_s × (max_retries + 1)`` plus backoff.  Each attempt gets a
 :class:`~repro.serving.deadline.Deadline` of at most ``timeout_s``
@@ -60,7 +69,9 @@ class ServiceConfig:
 
     #: flush a batch at this many pending unique names
     max_batch_size: int = 32
-    #: ... or when the oldest pending name has waited this long
+    #: ... or once every ``embed`` in flight waits on the batcher, or at
+    #: the latest when the oldest pending name has waited this long (the
+    #: bound while an ``embed`` is in retry backoff or its fallback)
     max_wait_ms: float = 5.0
     #: per-call wall-clock budget for one primary attempt (seconds)
     timeout_s: float = 30.0
@@ -84,6 +95,8 @@ class ServiceConfig:
             raise ValueError("timeout_s must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
+        if self.backoff_s < 0:
+            raise ValueError("backoff_s must be non-negative")
         if self.flush_timeout_s is not None and self.flush_timeout_s <= 0:
             raise ValueError("flush_timeout_s must be positive")
         if self.close_timeout_s <= 0:
@@ -263,8 +276,11 @@ class FaultAnalysisService:
         def primary(attempt_deadline: Deadline):
             return self.batcher.encode(names, deadline=attempt_deadline)
 
-        return self._call_with_policy("embed", primary, fallback,
-                                      deadline=deadline)
+        # One count across every attempt: while this caller sleeps in
+        # backoff the batcher keeps other callers' names to max_wait_ms.
+        with self.batcher.caller():
+            return self._call_with_policy("embed", primary, fallback,
+                                          deadline=deadline)
 
     # ------------------------------------------------------------------
     # Fault-analysis calls

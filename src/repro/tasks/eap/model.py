@@ -73,11 +73,3 @@ class EapModel(Module):
         logits = self(pairs, text_i, text_j)
         labels = np.array([p.label for p in pairs])
         return F.cross_entropy(logits, labels)
-
-    def predict(self, pairs: list[EventPair], text_i: np.ndarray,
-                text_j: np.ndarray) -> np.ndarray:
-        """Hard 0/1 predictions."""
-        from repro.tensor import no_grad
-        with no_grad():
-            logits = self(pairs, text_i, text_j).data
-        return logits.argmax(axis=1)

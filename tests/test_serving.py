@@ -638,6 +638,11 @@ class TestFaultAnalysisService:
             "serving.batcher.requests"] == callers * per_caller
         assert stats["batcher"]["flush_threads"] == 1
 
+    def test_negative_backoff_rejected(self):
+        with pytest.raises(ValueError, match="backoff_s"):
+            ServiceConfig(backoff_s=-1)
+        ServiceConfig(backoff_s=0)   # no sleep between attempts is fine
+
     def test_fallback_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FaultAnalysisService(RandomProvider(dim=8, seed=0),
@@ -680,6 +685,204 @@ class TestFaultAnalysisService:
             assert index.stats()["generation"] == 0
             service.embed(["a"])
         assert list(tmp_path.iterdir()) == [tmp_path / "idx"]
+
+
+# ----------------------------------------------------------------------
+# Flush rule: a batch goes once every embed in flight waits on it
+# ----------------------------------------------------------------------
+def _long_timer_config(**overrides):
+    """A flush timer no test waits out: only size or callers flush."""
+    return _fast_config(max_wait_ms=60_000, **overrides)
+
+
+class ScriptedProvider(RandomProvider):
+    """Plays ``script`` one call at a time, then answers every call:
+    ``"fail"`` raises, ``"hang"`` blocks until :meth:`release`."""
+
+    def __init__(self, dim=8, script=()):
+        super().__init__(dim=dim, seed=0)
+        self.script = list(script)
+        self._released = threading.Event()
+
+    def release(self) -> None:
+        self._released.set()
+
+    def encode_names(self, names):
+        action = self.script.pop(0) if self.script else "answer"
+        if action == "fail":
+            raise RuntimeError("primary encoder down")
+        if action == "hang":
+            self._released.wait(timeout=30.0)
+        return super().encode_names(names)
+
+
+def _timed(call):
+    start = time.monotonic()
+    result = call()
+    return result, time.monotonic() - start
+
+
+class TestFlushWhenEveryCallerWaits:
+    """The service counts each embed as a batcher caller, so a lone
+    caller's names flush at once whatever ``max_wait_ms`` says."""
+
+    @pytest.mark.timeout(20)
+    def test_lone_embed_answers_at_once(self):
+        with FaultAnalysisService(RandomProvider(dim=8, seed=0),
+                                  config=_long_timer_config()) as service:
+            out, elapsed = _timed(
+                lambda: service.embed(["link failure", "paging storm"]))
+        assert out.shape == (2, 8)
+        assert elapsed < 1.0
+
+    @pytest.mark.timeout(20)
+    def test_lone_retrieve_answers_at_once(self, tmp_path):
+        from repro.index import VectorIndex
+
+        index = VectorIndex(tmp_path / "idx", fingerprint="f1")
+        with FaultAnalysisService(RandomProvider(dim=8, seed=0),
+                                  config=_long_timer_config(),
+                                  fingerprint="f1", index=index) as service:
+            hits, elapsed = _timed(
+                lambda: service.retrieve(["link failure"], k=1))
+        assert [hit["name"] for hit in hits[0]] == ["link failure"]
+        assert elapsed < 1.0
+
+    @pytest.mark.timeout(30)
+    def test_first_task_op_fits_at_once(self):
+        _, rca, _, _ = _tiny_adapters()
+        state = rca.dataset.states[0]
+        # No batch fills up: the fit's embed flushes because it waits.
+        config = _long_timer_config(max_batch_size=10_000)
+        with FaultAnalysisService(RandomProvider(dim=16, seed=0),
+                                  config=config, rca=rca) as service:
+            ranking, elapsed = _timed(
+                lambda: service.rank_root_causes(state))
+        assert rca.fitted
+        assert sorted(n for n, _ in ranking) == sorted(state.node_names)
+        assert elapsed < 1.0
+
+    @pytest.mark.timeout(30)
+    @pytest.mark.parametrize("outcome", ["retried", "fell_back", "raised"])
+    def test_caller_count_does_not_leak(self, outcome):
+        """Whichever way an embed leaves the retry policy, it leaves the
+        count: a later lone embed does not wait for the timer."""
+        script, fallback, retries = {
+            "retried": (["fail"], None, 1),
+            "fell_back": (["hang"], RandomProvider(dim=8, seed=1), 0),
+            "raised": (["fail", "fail"], None, 1),
+        }[outcome]
+        provider = ScriptedProvider(dim=8, script=script)
+        config = _long_timer_config(timeout_s=0.2, max_retries=retries)
+        try:
+            with FaultAnalysisService(provider, fallback=fallback,
+                                      config=config) as service:
+                if outcome == "raised":
+                    with pytest.raises(ServingError):
+                        service.embed(["first"])
+                else:
+                    assert service.embed(["first"]).shape == (1, 8)
+                before = service.metrics.snapshot()["counters"]
+                out, elapsed = _timed(lambda: service.embed(["second"]))
+                after = service.metrics.snapshot()["counters"]
+        finally:
+            provider.release()
+        marker = {"retried": "serving.retries",
+                  "fell_back": "serving.fallbacks",
+                  "raised": "serving.errors"}[outcome]
+        assert before.get(marker, 0) >= 1
+        # The primary answered at once: no timeout, retry or fallback.
+        assert elapsed < 1.0
+        assert np.array_equal(out, provider.encode_names(["second"]))
+        for counter in ("serving.timeouts", "serving.retries",
+                        "serving.fallbacks"):
+            assert after.get(counter, 0) == before.get(counter, 0)
+
+    @pytest.mark.timeout(30)
+    def test_caller_in_backoff_does_not_hold_another_callers_name(self):
+        """The timer still bounds the wait while a counted caller sleeps
+        in retry backoff: the second name flushes after ``max_wait_ms``,
+        not when the first caller returns to the batcher."""
+        provider = FailingProvider(dim=8, failures=1)
+        config = _fast_config(max_wait_ms=50, max_retries=1, backoff_s=0.5)
+        first_replies = []
+        with FaultAnalysisService(provider, config=config) as service:
+            retries = service.metrics.counter("serving.retries")
+            first = threading.Thread(
+                target=lambda: first_replies.append(service.embed(["a"])))
+            first.start()
+            give_up = time.monotonic() + 5.0
+            while retries.value < 1 and time.monotonic() < give_up:
+                time.sleep(0.001)
+            assert retries.value == 1   # the first caller is in backoff
+            out, elapsed = _timed(lambda: service.embed(["b"]))
+            first.join(timeout=5.0)
+        assert out.shape == (1, 8)
+        assert elapsed < 0.4
+        assert len(first_replies) == 1
+
+    @pytest.mark.timeout(30)
+    def test_caller_leaving_from_fallback_releases_waiting_names(self):
+        """A counted caller that runs its fallback holds other names to
+        the timer; its return must flush them, not the timer."""
+        provider = ScriptedProvider(dim=8, script=["fail"])
+        fallback = CountingProvider(dim=8, seed=1, delay_s=0.3)
+        config = _long_timer_config(max_retries=0)
+        first_replies = []
+        with FaultAnalysisService(provider, fallback=fallback,
+                                  config=config) as service:
+            first = threading.Thread(
+                target=lambda: first_replies.append(service.embed(["a"])))
+            first.start()
+            give_up = time.monotonic() + 5.0
+            while fallback.calls < 1 and time.monotonic() < give_up:
+                time.sleep(0.001)
+            assert fallback.calls == 1   # the first caller is in fallback
+            out, elapsed = _timed(lambda: service.embed(["b"]))
+            first.join(timeout=5.0)
+        assert elapsed < 1.0
+        assert np.array_equal(out, provider.encode_names(["b"]))
+        assert len(first_replies) == 1 and fallback.calls == 1
+
+    @pytest.mark.timeout(30)
+    def test_concurrent_single_name_embeds_share_flushes(self):
+        """While one flush runs, the other callers' names gather into the
+        next, so many callers make fewer provider calls than requests.
+        No batch fills and the timer never fires, so under a short switch
+        interval a lost wake-up of the flush worker hangs the test."""
+        provider = CountingProvider(dim=8, delay_s=0.002)
+        callers, per_caller = 8, 12
+        replies, failures = [], []
+        barrier = threading.Barrier(callers)
+        config = _long_timer_config(max_batch_size=10_000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with FaultAnalysisService(provider, config=config) as service:
+                def caller(index):
+                    barrier.wait()
+                    try:
+                        for request in range(per_caller):
+                            name = f"caller-{index}-name-{request}"
+                            replies.append((name, service.embed([name])))
+                    except Exception as error:  # noqa: BLE001 — reported
+                        failures.append(error)
+
+                threads = [threading.Thread(target=caller, args=(index,))
+                           for index in range(callers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=20.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        provider_calls = provider.calls
+        assert failures == []
+        assert len(replies) == callers * per_caller
+        assert provider_calls < callers * per_caller
+        for name, vector in replies:
+            assert np.array_equal(vector, provider.encode_names([name]))
 
 
 # ----------------------------------------------------------------------

@@ -161,7 +161,8 @@ class TestEapModel:
         model = EapModel(dataset, text_dim=8, rng=np.random.default_rng(0))
         pairs = dataset.pairs[:4]
         t = np.random.default_rng(1).normal(size=(4, 8))
-        preds = model.predict(pairs, t, t)
+        with no_grad():
+            preds = model(pairs, t, t).data.argmax(axis=1)
         assert set(np.unique(preds)).issubset({0, 1})
 
 
@@ -387,8 +388,9 @@ class TestOneModelPerTask:
             model, text_i, text_j = _eap_reference(
                 dataset, vectors, self.SEED + fold, 2, train)
             test = [pairs[i] for i in split.test]
-            expected = model.predict(test, text_i[split.test],
-                                     text_j[split.test])
+            with no_grad():
+                expected = model(test, text_i[split.test],
+                                 text_j[split.test]).data.argmax(axis=1)
             adapter = EapAdapter(dataset, seed=self.SEED + fold, epochs=2)
             adapter.fit(vectors, train=train)
             got = [verdict["triggers"] for verdict in adapter.predict(test)]

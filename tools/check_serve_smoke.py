@@ -7,14 +7,17 @@ latency, and at least ``--min-hits`` cache hits (default 1: the canned
 session embeds one name twice, so the second embed must come from the
 cache; a second session on the same ``--store`` directory also reads the
 first embed's names back from the disk log).  The stats response must also
-show that every flush of the session ran on one batcher flush thread.
-Exits non-zero (with a message) on any violation so ``make serve-smoke``
-fails loudly in CI.
+show that every flush of the session ran on one batcher flush thread, and
+with ``--max-p95-s`` that its p95 request latency is within that bound:
+the session has one caller, so under a long ``--max-wait-ms`` the bound
+fails a batcher that waits for its flush timer with no other caller to
+wait for.  Exits non-zero (with a message) on any violation so
+``make serve-smoke`` fails loudly in CI.
 
 Usage::
 
     printf '{"op":"ping"}\\n...' | python -m repro serve --stats \\
-        | python tools/check_serve_smoke.py [--min-hits N]
+        | python tools/check_serve_smoke.py [--min-hits N] [--max-p95-s S]
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import json
 import sys
 
 
-def check(lines: list[str], min_hits: int = 1) -> list[dict]:
+def check(lines: list[str], min_hits: int = 1,
+          max_p95_s: float | None = None) -> list[dict]:
     """Validate response lines; returns the parsed responses."""
     responses = []
     for number, line in enumerate(lines, 1):
@@ -59,6 +63,10 @@ def check(lines: list[str], min_hits: int = 1) -> list[dict]:
         if stats.get("batcher", {}).get("flush_threads") != 1:
             raise SystemExit(f"stats response shows other than one batcher "
                              f"flush thread: {stats}")
+        if max_p95_s is not None and stats["latency"]["p95"] > max_p95_s:
+            raise SystemExit(f"stats response shows p95 latency "
+                             f"{stats['latency']['p95']:.4f}s over the "
+                             f"{max_p95_s:g}s bound: {stats}")
     return responses
 
 
@@ -66,7 +74,11 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--min-hits", type=int, default=1,
                         help="cache hits the stats reply must report")
+    parser.add_argument("--max-p95-s", type=float, default=None,
+                        help="bound on the stats reply's p95 latency "
+                             "(seconds)")
     args = parser.parse_args()
-    checked = check(sys.stdin.readlines(), min_hits=args.min_hits)
+    checked = check(sys.stdin.readlines(), min_hits=args.min_hits,
+                    max_p95_s=args.max_p95_s)
     print(f"serve smoke OK: {len(checked)} valid responses "
           f"({', '.join(sorted({r['op'] for r in checked}))})")
