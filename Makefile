@@ -33,7 +33,7 @@ lint:
 # replay the SHA-keyed summary cache (tools/.lint_cache.json); the
 # wall-time gate matches the CI fast tier.
 lint-repro:
-	$(PYTHON) tools/run_lint.py --baseline tools/lint_baseline.json --max-seconds 10
+	$(PYTHON) tools/run_lint.py --max-seconds 10
 
 # Dump the resolved call graph + lock-acquisition graph (what
 # RL008/RL009 reason over) as JSON, for debugging a flow finding.

@@ -25,8 +25,9 @@ Commands
                workers, SIGINT/SIGTERM trapped into a final checkpoint,
                and a JSONL run journal (see :mod:`repro.training.runtime`).
 ``lint``       repo-aware static analysis (:mod:`repro.lint`): concurrency,
-               RNG discipline, atomic-IO, and literal-drift rules with
-               inline suppressions and a committed baseline.
+               RNG discipline, atomic-IO, literal-drift and
+               interprocedural flow rules; any finding fails the run
+               unless a reasoned inline suppression accepts it.
 ``bench``      benchmark platform (:mod:`repro.bench`): ``check`` gates
                CI on out-of-tolerance regressions vs committed baselines,
                ``report`` renders trend tables + sparklines from the
@@ -441,7 +442,7 @@ def _build_train_retrainer(config: dict):
 
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.models import atomic_write_bytes
-    from repro.training import RuntimeConfig, TrainingRuntime
+    from repro.training.runtime import RuntimeConfig, TrainingRuntime
 
     run_dir = Path(args.run_dir)
     config = {"seed": args.seed, "size": args.size,
@@ -727,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="repo-aware static analysis over src/repro (repro.lint)")
     lint.add_argument("lint_args", nargs=argparse.REMAINDER,
                       help="forwarded to the lint driver — e.g. "
-                           "--baseline tools/lint_baseline.json, "
-                           "--format json, --list-rules")
+                           "--format json, --max-seconds 10, "
+                           "--list-rules")
 
     bench = sub.add_parser(
         "bench",

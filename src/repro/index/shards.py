@@ -72,10 +72,6 @@ class ShardData:
     def __len__(self) -> int:
         return len(self.names)
 
-    def cluster_rows(self, cell: int) -> tuple[int, int]:
-        """Half-open row range of cluster ``cell``."""
-        return int(self.offsets[cell]), int(self.offsets[cell + 1])
-
 
 def write_shard(directory: str | Path, stem: str, names: list[str],
                 vectors: np.ndarray, nlist: int, seed: int = 0) -> dict:

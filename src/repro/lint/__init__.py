@@ -10,18 +10,20 @@ of being rediscovered in production.
 Framework (stdlib ``ast``/``tokenize`` only, no new dependencies):
 
 * a pluggable checker registry (:data:`~repro.lint.core.RULES`, populated
-  by the :func:`~repro.lint.core.rule` decorator) with per-rule severity;
-* inline suppressions — ``# repro-lint: allow[RL00x] reason`` on the
-  violating line or the line above (a reason is mandatory);
-* a committed baseline (``tools/lint_baseline.json``) keyed by
-  line-drift-tolerant fingerprints, so new violations fail CI while any
-  tracked legacy ones are burned down to zero;
+  by the :func:`~repro.lint.core.rule` decorator);
+* every finding fails the run; the one way to accept one is an inline
+  suppression — ``# repro-lint: allow[RL00x] reason`` on the violating
+  line or the line above (a reason is mandatory, else RL000 fires);
 * text/JSON/SARIF reporting with CI-friendly exit codes via
-  ``tools/run_lint.py`` and ``python -m repro lint``;
+  ``tools/run_lint.py`` and ``python -m repro lint``; SARIF results
+  carry line-drift-tolerant fingerprints so code scanning matches an
+  alert across commits;
 * a whole-program layer (:mod:`repro.lint.project`): repo-wide symbol
   table, call graph, and per-function lock/deadline/resource summaries,
   cached per file SHA in ``tools/.lint_cache.json``, that the
-  project-scope rules (:mod:`repro.lint.flowrules`) reason over.
+  project-scope rules (:mod:`repro.lint.flowrules`) reason over.  The
+  cache key includes a digest of this package's sources, so an edited
+  analyzer never replays findings an older one wrote.
 
 Shipped rules (see :mod:`repro.lint.rules` and
 :mod:`repro.lint.flowrules` for the full rationale):
@@ -48,7 +50,6 @@ RL011     resource handle (socket, mmap, ``SharedArray``, file, ...)
 ========  ============================================================
 """
 
-from repro.lint.baseline import Baseline, load_baseline, save_baseline
 from repro.lint.cli import main as lint_main
 from repro.lint.core import (
     RULES,
@@ -66,7 +67,6 @@ from repro.lint import rules as _rules  # registers the module rules
 from repro.lint import flowrules as _flowrules  # registers RL008-RL011
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintConfig",
     "ProjectContext",
@@ -79,7 +79,5 @@ __all__ = [
     "build_project",
     "iter_python_files",
     "lint_main",
-    "load_baseline",
     "rule",
-    "save_baseline",
 ]

@@ -2,10 +2,11 @@
 
 Exit codes (CI contract):
 
-* ``0`` — clean, or every error-severity finding is in the baseline;
-* ``1`` — at least one *new* error-severity finding, or the
-  ``--max-seconds`` wall-time budget was exceeded;
-* ``2`` — usage error (unknown rule code, unreadable baseline, ...).
+* ``0`` — clean: every rule violation is fixed or carries a reasoned
+  inline ``# repro-lint: allow[RL00x] reason`` suppression;
+* ``1`` — at least one finding, or the ``--max-seconds`` wall-time
+  budget was exceeded;
+* ``2`` — usage error (unknown rule code).
 
 Besides the plain lint run the driver exposes:
 
@@ -13,11 +14,10 @@ Besides the plain lint run the driver exposes:
   what GitHub code scanning ingests for inline PR annotations;
 * ``--graph`` — dump the resolved call graph and lock-acquisition
   graph as JSON (the inputs RL008/RL009 reason over) and exit;
-* ``baseline prune`` — drop baseline entries whose debt was paid down,
-  reporting each one, so the file ratchets toward empty;
 * ``--cache`` / ``--no-cache`` — per-file summary cache
   (``tools/.lint_cache.json``), keyed by file SHA and invalidated
-  wholesale when the rule set or config changes.
+  wholesale when the analyzer's code, the rule set or the config
+  changes.
 
 Used both by ``tools/run_lint.py`` (no-install entry point) and
 ``python -m repro lint``.
@@ -33,7 +33,6 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.lint.baseline import Baseline, load_baseline, save_baseline
 from repro.lint.core import (
     RULES,
     Finding,
@@ -50,9 +49,6 @@ DEFAULT_PATHS = ("src/repro", "tools", "benchmarks", "tests")
 
 #: Default on-disk summary cache, relative to the repo root.
 DEFAULT_CACHE = "tools/.lint_cache.json"
-
-#: SARIF severity levels for our two finding severities.
-_SARIF_LEVEL = {"error": "error", "warning": "warning"}
 
 
 def find_repo_root(start: Path | None = None) -> Path:
@@ -83,14 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--root", default=None,
         help="repository root for scoping and fingerprints "
              "(default: auto-detected via pyproject.toml)")
-    parser.add_argument(
-        "--baseline", default=None,
-        help="baseline JSON file; findings whose fingerprint it lists "
-             "are reported but do not fail the run")
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline to exactly the current findings "
-             "(prunes stale entries) and exit 0")
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
         help="report format (default: text); sarif is the GitHub "
@@ -124,7 +112,7 @@ def _list_rules() -> str:
     blocks = []
     for code in sorted(RULES):
         meta = RULES[code]
-        block = f"{code} [{meta.severity}/{meta.scope}] {meta.title}"
+        block = f"{code} [{meta.scope}] {meta.title}"
         if meta.rationale:
             indented = "\n".join("    " + line for line in
                                  meta.rationale.splitlines())
@@ -133,46 +121,24 @@ def _list_rules() -> str:
     return "\n\n".join(blocks)
 
 
-def _render_text(new: list[Finding], baselined: list[Finding],
-                 stale_count: int) -> str:
-    lines = []
-    for finding in new:
-        lines.append(finding.render())
-    for finding in baselined:
-        lines.append(f"{finding.render()} (baselined)")
-    if stale_count:
-        lines.append(f"note: {stale_count} stale baseline entr"
-                     f"{'y' if stale_count == 1 else 'ies'} — the debt "
-                     f"was fixed; run `baseline prune` to drop them")
-    errors = sum(1 for f in new if f.severity == "error")
-    warnings = sum(1 for f in new if f.severity == "warning")
-    lines.append(
-        f"repro-lint: {errors} new error(s), {warnings} new warning(s), "
-        f"{len(baselined)} baselined")
+def _render_text(findings: list[Finding]) -> str:
+    lines = [finding.render() for finding in findings]
+    lines.append(f"repro-lint: {len(findings)} finding(s)")
     return "\n".join(lines)
 
 
-def _render_json(new: list[Finding], baselined: list[Finding],
-                 stale_count: int, exit_code: int) -> str:
+def _render_json(findings: list[Finding], exit_code: int) -> str:
     return json.dumps({
-        "version": 1,
-        "new": [f.to_dict() for f in new],
-        "baselined": [f.to_dict() for f in baselined],
-        "stale_baseline_entries": stale_count,
-        "summary": {
-            "new_errors": sum(1 for f in new if f.severity == "error"),
-            "new_warnings": sum(1 for f in new
-                                if f.severity == "warning"),
-            "baselined": len(baselined),
-            "exit_code": exit_code,
-        },
+        "version": 2,
+        "findings": [f.to_dict() for f in findings],
+        "summary": {"findings": len(findings), "exit_code": exit_code},
     }, indent=2)
 
 
-def _sarif_result(finding: Finding, baselined: bool) -> dict:
-    result = {
+def _sarif_result(finding: Finding) -> dict:
+    return {
         "ruleId": finding.rule,
-        "level": _SARIF_LEVEL.get(finding.severity, "warning"),
+        "level": "error",
         "message": {"text": finding.message},
         "locations": [{
             "physicalLocation": {
@@ -187,19 +153,14 @@ def _sarif_result(finding: Finding, baselined: bool) -> dict:
                 },
             },
         }],
+        # Matches one alert across commits as unrelated edits shift lines.
         "partialFingerprints": {
             "reproLint/v1": finding.fingerprint,
         },
     }
-    if baselined:
-        # GitHub treats non-"new" states as already-triaged: the
-        # annotation stays visible but does not gate the PR.
-        result["baselineState"] = "unchanged"
-        result["level"] = "note"
-    return result
 
 
-def _render_sarif(new: list[Finding], baselined: list[Finding]) -> str:
+def _render_sarif(findings: list[Finding]) -> str:
     rules = []
     for code in sorted(RULES):
         meta = RULES[code]
@@ -207,9 +168,7 @@ def _render_sarif(new: list[Finding], baselined: list[Finding]) -> str:
             "id": code,
             "name": code,
             "shortDescription": {"text": meta.title},
-            "defaultConfiguration": {
-                "level": _SARIF_LEVEL.get(meta.severity, "warning"),
-            },
+            "defaultConfiguration": {"level": "error"},
         }
         if meta.rationale:
             rule["fullDescription"] = {
@@ -229,9 +188,7 @@ def _render_sarif(new: list[Finding], baselined: list[Finding]) -> str:
                 },
             },
             "columnKind": "utf16CodeUnits",
-            "results": ([_sarif_result(f, baselined=False) for f in new]
-                        + [_sarif_result(f, baselined=True)
-                           for f in baselined]),
+            "results": [_sarif_result(f) for f in findings],
         }],
     }
     return json.dumps(payload, indent=2)
@@ -270,70 +227,6 @@ def _dump_graph(paths, root: Path, stdout) -> int:
     return 0
 
 
-def _prune_baseline(argv: Sequence[str], stdout, stderr) -> int:
-    """``repro lint baseline prune`` — drop entries whose debt is paid."""
-    parser = argparse.ArgumentParser(
-        prog="repro-lint baseline",
-        description="Baseline maintenance: prune drops entries whose "
-                    "fingerprint no longer matches any finding and "
-                    "reports each one.")
-    parser.add_argument("action", choices=("prune",))
-    parser.add_argument(
-        "paths", nargs="*", default=None,
-        help=f"paths to re-lint when deciding staleness "
-             f"(default: {DEFAULT_PATHS})")
-    parser.add_argument("--root", default=None)
-    parser.add_argument(
-        "--baseline", default="tools/lint_baseline.json",
-        help="baseline file to prune (default: "
-             "tools/lint_baseline.json)")
-    parser.add_argument(
-        "--dry-run", action="store_true",
-        help="report what would be dropped without rewriting the file")
-    # intermixed: options may appear between the action and the paths.
-    args = parser.parse_intermixed_args(argv)
-
-    root = Path(args.root).resolve() if args.root else find_repo_root()
-    baseline_path = Path(args.baseline)
-    if not baseline_path.is_absolute():
-        baseline_path = root / baseline_path
-    try:
-        baseline = load_baseline(baseline_path)
-    except (ValueError, json.JSONDecodeError) as error:
-        print(f"repro-lint: bad baseline {baseline_path}: {error}",
-              file=stderr)
-        return 2
-    if not baseline.entries:
-        print("repro-lint: baseline is empty — nothing to prune",
-              file=stdout)
-        return 0
-
-    paths = args.paths or [root / p for p in DEFAULT_PATHS]
-    findings = analyze_paths(paths, root=root)
-    _, kept, stale = baseline.partition(findings)
-    if not stale:
-        print(f"repro-lint: all {len(baseline.entries)} baseline "
-              f"entr{'y is' if len(baseline.entries) == 1 else 'ies are'}"
-              f" still live — nothing to prune", file=stdout)
-        return 0
-    for entry in stale:
-        print(f"pruned {entry.fingerprint} {entry.rule} {entry.path} "
-              f"({entry.tracking})", file=stdout)
-    if args.dry_run:
-        print(f"repro-lint: would prune {len(stale)} stale entr"
-              f"{'y' if len(stale) == 1 else 'ies'} (dry run)",
-              file=stdout)
-        return 0
-    live = {f.fingerprint for f in kept}
-    baseline.entries = [entry for entry in baseline.entries
-                        if entry.fingerprint in live]
-    save_baseline(baseline, baseline_path)
-    print(f"repro-lint: pruned {len(stale)} stale entr"
-          f"{'y' if len(stale) == 1 else 'ies'}; "
-          f"{len(baseline.entries)} remain", file=stdout)
-    return 0
-
-
 def main(argv: Sequence[str] | None = None,
          stdout=None, stderr=None) -> int:
     """Run the lint driver; returns the CI exit code (see module doc).
@@ -344,8 +237,6 @@ def main(argv: Sequence[str] | None = None,
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["baseline"]:
-        return _prune_baseline(argv[1:], stdout, stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
 
@@ -381,47 +272,21 @@ def main(argv: Sequence[str] | None = None,
     if cache is not None:
         cache.save()
 
-    baseline = Baseline()
-    baseline_path = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.is_absolute():
-            baseline_path = root / baseline_path
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, json.JSONDecodeError) as error:
-            print(f"repro-lint: bad baseline {baseline_path}: {error}",
-                  file=stderr)
-            return 2
-
-    if args.update_baseline:
-        if baseline_path is None:
-            print("repro-lint: --update-baseline requires --baseline",
-                  file=stderr)
-            return 2
-        errors = [f for f in findings if f.severity == "error"]
-        save_baseline(Baseline.from_findings(errors), baseline_path)
-        print(f"repro-lint: baseline updated with {len(errors)} "
-              f"entr{'y' if len(errors) == 1 else 'ies'} at "
-              f"{baseline_path}", file=stdout)
-        return 0
-
-    new, baselined, stale = baseline.partition(findings)
-    exit_code = 1 if any(f.severity == "error" for f in new) else 0
+    over_budget = (args.max_seconds is not None
+                   and elapsed > args.max_seconds)
+    exit_code = 1 if findings or over_budget else 0
 
     if args.format == "json":
-        print(_render_json(new, baselined, len(stale), exit_code),
-              file=stdout)
+        print(_render_json(findings, exit_code), file=stdout)
     elif args.format == "sarif":
-        print(_render_sarif(new, baselined), file=stdout)
+        print(_render_sarif(findings), file=stdout)
     else:
-        print(_render_text(new, baselined, len(stale)), file=stdout)
+        print(_render_text(findings), file=stdout)
 
-    if args.max_seconds is not None and elapsed > args.max_seconds:
+    if over_budget:
         print(f"repro-lint: analysis took {elapsed:.2f}s, over the "
               f"--max-seconds budget of {args.max_seconds:.2f}s — the "
               f"summary cache or the analyzer regressed", file=stderr)
-        return 1
     return exit_code
 
 

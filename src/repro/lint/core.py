@@ -9,9 +9,10 @@ Design points
 
 *Fingerprints, not line numbers.*  A finding's identity is the SHA-1 of
 ``rule | path | enclosing qualname | normalised source line``.  Unrelated
-edits that shift line numbers leave fingerprints (and therefore the
-committed baseline) untouched; editing the offending line itself makes the
-finding "new" again, which is exactly when a human should re-look.
+edits that shift line numbers leave fingerprints untouched, so the SARIF
+report's ``partialFingerprints`` match one alert across commits; editing
+the offending line itself makes the finding a new alert, which is exactly
+when a human should re-look.
 
 *Suppressions need a reason.*  ``# repro-lint: allow[RL001] holding the
 lock here is bounded by X`` trailing the violating line (or standing
@@ -31,10 +32,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-#: Severities a rule (or finding) can carry.  ``error`` fails the run;
-#: ``warning`` is reported but never changes the exit code.
-SEVERITIES = ("error", "warning")
-
 #: Framework-level diagnostics (parse failures, malformed suppressions)
 #: are reported under this pseudo-rule code.
 FRAMEWORK_CODE = "RL000"
@@ -48,7 +45,6 @@ class Finding:
     """One rule violation at one source location."""
 
     rule: str
-    severity: str
     path: str          # repo-relative posix path (stable across machines)
     line: int
     col: int
@@ -58,7 +54,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Line-drift-tolerant identity used by the baseline."""
+        """Line-drift-tolerant identity (SARIF ``partialFingerprints``)."""
         normalised = " ".join(self.line_text.split())
         key = f"{self.rule}|{self.path}|{self.qualname}|{normalised}"
         return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
@@ -67,7 +63,6 @@ class Finding:
         """JSON-ready representation (includes the fingerprint)."""
         return {
             "rule": self.rule,
-            "severity": self.severity,
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -78,9 +73,9 @@ class Finding:
         }
 
     def render(self) -> str:
-        """``path:line:col: RL00x [severity] message`` for the text report."""
+        """``path:line:col: RL00x message`` for the text report."""
         return (f"{self.path}:{self.line}:{self.col}: {self.rule} "
-                f"[{self.severity}] {self.message}")
+                f"{self.message}")
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
@@ -98,7 +93,6 @@ class Rule:
 
     code: str
     title: str
-    severity: str
     check: Callable[..., list[Finding]]
     rationale: str = ""
     scope: str = "module"
@@ -110,8 +104,7 @@ class Rule:
 RULES: dict[str, Rule] = {}
 
 
-def rule(code: str, title: str, severity: str = "error",
-         scope: str = "module"):
+def rule(code: str, title: str, scope: str = "module"):
     """Class-decorator-free registration: ``@rule("RL001", "...")``.
 
     The decorated callable receives a :class:`ModuleContext` (``scope=
@@ -119,16 +112,13 @@ def rule(code: str, title: str, severity: str = "error",
     (``scope="project"``) and returns a list of :class:`Finding`; its
     docstring becomes the rule's rationale (shown by ``--list-rules``).
     """
-    if severity not in SEVERITIES:
-        raise ValueError(f"severity must be one of {SEVERITIES}")
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}")
 
     def decorate(check: Callable[..., list[Finding]]):
         if code in RULES:
             raise ValueError(f"duplicate rule code {code}")
-        RULES[code] = Rule(code=code, title=title, severity=severity,
-                           check=check,
+        RULES[code] = Rule(code=code, title=title, check=check,
                            rationale=(check.__doc__ or "").strip(),
                            scope=scope)
         return check
@@ -275,10 +265,9 @@ class ModuleContext:
 
     # -- finding construction -----------------------------------------
     def finding(self, code: str, node: ast.AST, message: str) -> Finding:
-        meta = RULES[code]
         lineno = getattr(node, "lineno", 1)
-        return Finding(rule=code, severity=meta.severity, path=self.rel,
-                       line=lineno, col=getattr(node, "col_offset", 0),
+        return Finding(rule=code, path=self.rel, line=lineno,
+                       col=getattr(node, "col_offset", 0),
                        message=message, line_text=self.line_text(lineno),
                        qualname=self.qualname(node))
 
@@ -414,9 +403,9 @@ def _framework_findings(problems: list[tuple[int, str]], rel: str,
                         ) -> list[Finding]:
     if selected is not None and FRAMEWORK_CODE not in selected:
         return []
-    return [Finding(rule=FRAMEWORK_CODE, severity="error", path=rel,
-                    line=line, col=0, message=message,
-                    line_text=line_text(line), qualname="<module>")
+    return [Finding(rule=FRAMEWORK_CODE, path=rel, line=line, col=0,
+                    message=message, line_text=line_text(line),
+                    qualname="<module>")
             for line, message in problems]
 
 
@@ -469,9 +458,8 @@ def analyze_sources(sources: dict[str, str],
             tree = ast.parse(source)
         except SyntaxError as error:
             findings.append(Finding(
-                rule=FRAMEWORK_CODE, severity="error", path=rel,
-                line=error.lineno or 1, col=error.offset or 0,
-                message=f"syntax error: {error.msg}"))
+                rule=FRAMEWORK_CODE, path=rel, line=error.lineno or 1,
+                col=error.offset or 0, message=f"syntax error: {error.msg}"))
             continue
         context = ModuleContext(rel=rel, source=source, tree=tree,
                                 config=config)
@@ -568,8 +556,8 @@ def analyze_paths(paths: Iterable[str | Path], root: str | Path,
             sources[rel] = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as error:
             findings.append(Finding(
-                rule=FRAMEWORK_CODE, severity="error", path=rel, line=1,
-                col=0, message=f"unreadable file: {error}"))
+                rule=FRAMEWORK_CODE, path=rel, line=1, col=0,
+                message=f"unreadable file: {error}"))
     findings.extend(analyze_sources(sources, config=config, select=select,
                                     cache=cache))
     return sorted(findings, key=Finding.sort_key)
@@ -583,7 +571,6 @@ __all__ = [
     "RULES",
     "Rule",
     "SCOPES",
-    "SEVERITIES",
     "analyze_paths",
     "analyze_source",
     "analyze_sources",

@@ -48,10 +48,6 @@ from repro.lint.core import (
     _attr_chain,
 )
 
-#: Bump when summary extraction changes shape/semantics: stale cache
-#: entries from an older linter must not feed the graph passes.
-SUMMARY_VERSION = 1
-
 _DEADLINE_PARAM_RE = re.compile(r"(deadline|timeout)", re.IGNORECASE)
 
 #: Keyword names that bound a call (a timeout or a threaded-through
@@ -262,7 +258,6 @@ class ModuleSummary:
 
     def to_dict(self) -> dict:
         return {
-            "version": SUMMARY_VERSION,
             "rel": self.rel, "module": self.module,
             "imports": self.imports,
             "functions": {q: f.to_dict()
@@ -1015,10 +1010,6 @@ class ProjectContext:
                     changed = True
                     break
 
-    def block_chain(self, fqn: str) -> str | None:
-        witness = self.may_block(fqn)
-        return witness[0] if witness else None
-
     # -- transitive lock acquisition + lock graph (RL008) -------------
     def acquires_transitive(self, fqn: str) -> set[str]:
         if self._acquired is None:
@@ -1134,9 +1125,8 @@ class ProjectContext:
 
     def finding(self, code: str, rel: str, line: int, col: int,
                 qualname: str, message: str) -> Finding:
-        meta = RULES[code]
-        return Finding(rule=code, severity=meta.severity, path=rel,
-                       line=line, col=col, message=message,
+        return Finding(rule=code, path=rel, line=line, col=col,
+                       message=message,
                        line_text=self.line_text(rel, line),
                        qualname=qualname)
 
@@ -1165,18 +1155,25 @@ def build_project(module_contexts: Iterable[ModuleContext],
 # ---------------------------------------------------------------------
 # Summary cache (tools/.lint_cache.json)
 # ---------------------------------------------------------------------
-CACHE_VERSION = 1
-
-
 def source_sha(source: str) -> str:
     """Cache key for one file's content (sha1 of the source text)."""
     return hashlib.sha1(source.encode("utf-8")).hexdigest()
 
 
+def _analyzer_digest() -> str:
+    """SHA-1 of this package's sources: cached summaries and findings
+    are only as current as the rules and the extraction that made them."""
+    digest = hashlib.sha1()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode("utf-8") + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def cache_key(config: LintConfig, select) -> str:
-    """Invalidate wholesale when the rule set / config / selection moves."""
-    parts = [str(CACHE_VERSION), str(SUMMARY_VERSION),
-             ",".join(sorted(RULES)), repr(config),
+    """Invalidate wholesale when the analyzer's code, the rule set, the
+    config or the selection moves."""
+    parts = [_analyzer_digest(), ",".join(sorted(RULES)), repr(config),
              ",".join(sorted(select)) if select else "<all>"]
     return hashlib.sha1("|".join(parts).encode("utf-8")).hexdigest()[:16]
 
@@ -1202,8 +1199,7 @@ class SummaryCache:
             raw = json.loads(self.path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return
-        if raw.get("version") != CACHE_VERSION or raw.get("key") != \
-                self.key:
+        if raw.get("key") != self.key:
             return
         files = raw.get("files")
         if isinstance(files, dict):
@@ -1232,8 +1228,7 @@ class SummaryCache:
                       if rel in live}
 
     def save(self) -> None:
-        payload = {"version": CACHE_VERSION, "key": self.key,
-                   "files": self.files}
+        payload = {"key": self.key, "files": self.files}
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             handle = tempfile.NamedTemporaryFile(
@@ -1247,7 +1242,6 @@ class SummaryCache:
 
 
 __all__ = [
-    "CACHE_VERSION",
     "CallSummary",
     "ClassSummary",
     "FunctionSummary",
@@ -1256,7 +1250,6 @@ __all__ = [
     "ModuleSummary",
     "ProjectContext",
     "ResourceSummary",
-    "SUMMARY_VERSION",
     "SummaryCache",
     "build_project",
     "cache_key",

@@ -66,8 +66,3 @@ class KnowledgeEmbeddingObjective:
             negative_term = log_negative.mean(axis=-1)
 
         return (positive_term + negative_term).mean()
-
-    def score_triples(self, head: Tensor, relation: Tensor,
-                      tail: Tensor) -> np.ndarray:
-        """Distances (lower = more plausible); used for ranking evaluation."""
-        return transe_distance(head, relation, tail).data

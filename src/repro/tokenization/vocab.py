@@ -100,10 +100,6 @@ class Vocab:
         return token in self._special
 
     @property
-    def special_tokens(self) -> frozenset[str]:
-        return frozenset(self._special)
-
-    @property
     def num_special(self) -> int:
         """Number of special tokens; O(1) cache key for special-id caches."""
         return len(self._special)

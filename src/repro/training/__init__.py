@@ -16,52 +16,13 @@ from repro.training.mtl import (
     build_strategy,
     IMTL_SCHEDULE,
 )
-# stage2 / retrainer depend on repro.models (which itself imports the leaf
-# modules of this package), so they are loaded lazily to avoid a cycle.
-_LAZY = {
-    "Stage2Data": ("repro.training.stage2", "Stage2Data"),
-    "build_stage2_data": ("repro.training.stage2", "build_stage2_data"),
-    "KTeleBertRetrainer": ("repro.training.retrainer", "KTeleBertRetrainer"),
-    "RetrainingLog": ("repro.training.retrainer", "RetrainingLog"),
-    "StepLosses": ("repro.training.retrainer", "StepLosses"),
-    "GradientWorkerPool": ("repro.training.runtime", "GradientWorkerPool"),
-    "PoolSharedState": ("repro.training.shm", "PoolSharedState"),
-    "SharedArray": ("repro.training.shm", "SharedArray"),
-    "RunJournal": ("repro.training.runtime", "RunJournal"),
-    "RuntimeConfig": ("repro.training.runtime", "RuntimeConfig"),
-    "SnapshotStore": ("repro.training.runtime", "SnapshotStore"),
-    "TrainingRuntime": ("repro.training.runtime", "TrainingRuntime"),
-    "WorkerPoolError": ("repro.training.runtime", "WorkerPoolError"),
-}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        import importlib
-
-        module_name, attr = _LAZY[name]
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module 'repro.training' has no attribute {name!r}")
 
 __all__ = [
     "BatchIterator",
     "DynamicMasker",
-    "GradientWorkerPool",
     "IMTL_SCHEDULE",
-    "KTeleBertRetrainer",
     "MaskedBatch",
     "MtlStrategy",
-    "PoolSharedState",
-    "RetrainingLog",
-    "RunJournal",
-    "SharedArray",
-    "RuntimeConfig",
-    "SnapshotStore",
-    "Stage2Data",
-    "StepLosses",
     "TrainingPhase",
-    "TrainingRuntime",
-    "WorkerPoolError",
-    "build_stage2_data",
     "build_strategy",
 ]

@@ -124,9 +124,7 @@ class TestLint:
         assert args.command == "lint"
 
     def test_clean_tree_exits_zero(self, capsys):
-        code = main(["lint", "--root", str(self.ROOT),
-                     "--baseline", str(self.ROOT / "tools" /
-                                       "lint_baseline.json")])
+        code = main(["lint", "--root", str(self.ROOT)])
         assert code == 0
         assert "repro-lint:" in capsys.readouterr().out
 
@@ -140,7 +138,7 @@ class TestLint:
                      str(self.ROOT / "src" / "repro" / "lint")])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["new_errors"] == 0
+        assert payload["summary"]["findings"] == 0
 
     def test_unknown_rule_code_is_usage_error(self, capsys):
         code = main(["lint", "--root", str(self.ROOT), "--select", "RL998",

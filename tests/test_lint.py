@@ -1,35 +1,33 @@
-"""Tests for :mod:`repro.lint` — rules, suppressions, baseline, CLI.
+"""Tests for :mod:`repro.lint` — rules, suppressions, summary cache, CLI.
 
 Fixture snippets are analysed with injected repo-relative paths
 (``analyze_source(source, rel)``), so a fixture can be placed inside or
 outside a rule's scope without touching the real tree.  The meta-test at
-the bottom holds the live ``src/repro`` tree to the committed baseline.
+the bottom holds the live ``src/repro`` tree to zero findings.
 """
 
 import io
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.lint import (
     RULES,
-    Baseline,
     LintConfig,
     analyze_paths,
     analyze_source,
     analyze_sources,
     lint_main,
-    load_baseline,
     rule,
-    save_baseline,
 )
-from repro.lint.baseline import BaselineEntry
 from repro.lint.core import FRAMEWORK_CODE
 from repro.lint.project import SummaryCache, cache_key
 
 ROOT = Path(__file__).resolve().parents[1]
-BASELINE_PATH = ROOT / "tools" / "lint_baseline.json"
 
 SERVING_REL = "src/repro/serving/fixture.py"
 MODELS_REL = "src/repro/models/fixture.py"
@@ -62,7 +60,6 @@ class TestRegistry:
         for meta in RULES.values():
             assert meta.title
             assert meta.rationale, f"{meta.code} has no rationale"
-            assert meta.severity in ("error", "warning")
             assert meta.scope in ("module", "project")
 
     def test_flow_rules_are_project_scoped(self):
@@ -72,10 +69,6 @@ class TestRegistry:
     def test_duplicate_code_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             rule("RL001", "again")(lambda ctx: [])
-
-    def test_bad_severity_rejected(self):
-        with pytest.raises(ValueError, match="severity"):
-            rule("RL999", "x", severity="fatal")
 
     def test_unknown_select_rejected(self):
         with pytest.raises(ValueError, match="RL998"):
@@ -1121,6 +1114,15 @@ class S:
 # ----------------------------------------------------------------------
 # Summary cache
 # ----------------------------------------------------------------------
+#: Appended to a copy of ``rules.py`` to make an analyzer whose RL005
+#: never fires.
+OLDER_RL005 = """
+from dataclasses import replace as _replace
+from repro.lint.core import RULES as _RULES
+_RULES["RL005"] = _replace(_RULES["RL005"], check=lambda context: [])
+"""
+
+
 class TestSummaryCache:
     def make_tree(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text("[project]\n")
@@ -1187,6 +1189,34 @@ class TestSummaryCache:
         reloaded = SummaryCache(cache_path, key)
         assert set(reloaded.files) == {"src/repro/analysis/dirty.py"}
 
+    def test_cache_from_another_analyzer_ignored(self, tmp_path):
+        # An analyzer whose RL005 finds nothing writes the cache; this
+        # one must re-analyze instead of replaying its empty findings.
+        root = self.make_tree(tmp_path)
+        cache_path = tmp_path / "cache.json"
+        older = tmp_path / "older"
+        shutil.copytree(ROOT / "src" / "repro" / "lint", older / "lint",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        rules = older / "lint" / "rules.py"
+        rules.write_text(rules.read_text() + OLDER_RL005)
+        # Run the copy as ``repro.lint`` the way tools/run_lint.py does:
+        # a bare ``repro`` stub whose __path__ is the copy's parent.
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys, types; stub = types.ModuleType('repro'); "
+             "stub.__path__ = [sys.argv[1]]; sys.modules['repro'] = stub; "
+             "from repro.lint.cli import main; sys.exit(main(sys.argv[2:]))",
+             str(older), "--root", str(root), "--cache", str(cache_path),
+             str(root / "src")],
+            check=True, capture_output=True, timeout=60)
+        assert "src/repro/analysis/dirty.py" in \
+            json.loads(cache_path.read_text())["files"]
+
+        cache = SummaryCache(cache_path, cache_key(LintConfig(), None))
+        findings = analyze_paths([root / "src"], root=root, cache=cache)
+        assert cache.hits == 0
+        assert codes(findings) == ["RL005", "RL005", "RL005"]
+
     def test_corrupt_cache_degrades_to_cold(self, tmp_path):
         root = self.make_tree(tmp_path)
         cache_path = tmp_path / "cache.json"
@@ -1240,60 +1270,14 @@ class TestFramework:
     def test_finding_dict_schema(self):
         finding = lint(RL005_BAD, select=["RL005"])[0]
         payload = finding.to_dict()
-        assert set(payload) == {"rule", "severity", "path", "line", "col",
-                                "message", "line_text", "qualname",
-                                "fingerprint"}
+        assert set(payload) == {"rule", "path", "line", "col", "message",
+                                "line_text", "qualname", "fingerprint"}
 
     def test_config_is_injectable(self):
         config = LintConfig(bounded_wait_scope=("src/repro/analysis/",))
         found = analyze_source(RL002_BAD, OTHER_REL, config=config,
                                select=["RL002"])
         assert codes(found) == ["RL002", "RL002"]
-
-
-# ----------------------------------------------------------------------
-# Baseline round-trips
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        findings = lint(RL005_BAD, select=["RL005"])
-        baseline = Baseline.from_findings(findings, tracking="issue #12")
-        target = tmp_path / "baseline.json"
-        save_baseline(baseline, target)
-        loaded = load_baseline(target)
-        assert loaded.fingerprints == baseline.fingerprints
-        assert all(e.tracking == "issue #12" for e in loaded.entries)
-
-    def test_partition(self):
-        findings = lint(RL005_BAD, select=["RL005"])
-        baseline = Baseline.from_findings(findings[:1])
-        new, baselined, stale = baseline.partition(findings)
-        assert len(new) == 2 and len(baselined) == 1 and stale == []
-
-    def test_stale_entries_reported(self):
-        findings = lint(RL005_BAD, select=["RL005"])
-        baseline = Baseline(entries=[BaselineEntry(
-            fingerprint="deadbeefdeadbeef", rule="RL005",
-            path="src/gone.py", tracking="was fixed")])
-        new, baselined, stale = baseline.partition(findings)
-        assert len(new) == 3 and baselined == [] and len(stale) == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json").entries == []
-
-    def test_bad_version_rejected(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        target.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(target)
-
-    def test_empty_tracking_rejected(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        target.write_text(json.dumps({"version": 1, "entries": [
-            {"fingerprint": "ab", "rule": "RL001", "path": "x.py",
-             "tracking": "  "}]}))
-        with pytest.raises(ValueError, match="tracking"):
-            load_baseline(target)
 
 
 # ----------------------------------------------------------------------
@@ -1320,55 +1304,35 @@ class TestCli:
         assert code == 1
         assert "RL005" in out
 
-    def test_exit_0_with_baseline(self, dirty_tree):
-        code, _, _ = run_cli(["--root", str(dirty_tree),
-                              "--baseline", "baseline.json",
-                              "--update-baseline",
-                              str(dirty_tree / "src")])
-        assert code == 0
+    def test_exit_0_with_inline_suppression(self, dirty_tree):
+        allow = "  # repro-lint: allow[RL005] fixture seeds its own run"
+        source = RL005_BAD
+        for call in ("random.shuffle([1, 2])", "np.random.seed(0)",
+                     "np.random.normal(size=3)"):
+            source = source.replace(call, call + allow)
+        dirty = dirty_tree / "src" / "repro" / "analysis" / "dirty.py"
+        dirty.write_text(source)
         code, out, _ = run_cli(["--root", str(dirty_tree),
-                                "--baseline", "baseline.json",
                                 str(dirty_tree / "src")])
         assert code == 0
-        assert "(baselined)" in out
-
-    def test_update_prunes_stale_entries(self, dirty_tree):
-        baseline = dirty_tree / "baseline.json"
-        run_cli(["--root", str(dirty_tree), "--baseline", str(baseline),
-                 "--update-baseline", str(dirty_tree / "src")])
-        (dirty_tree / "src" / "repro" / "analysis" / "dirty.py"
-         ).write_text("x = 1\n")
-        code, out, _ = run_cli(["--root", str(dirty_tree),
-                                "--baseline", str(baseline),
-                                str(dirty_tree / "src")])
-        assert code == 0 and "stale" in out
-        run_cli(["--root", str(dirty_tree), "--baseline", str(baseline),
-                 "--update-baseline", str(dirty_tree / "src")])
-        assert load_baseline(baseline).entries == []
+        assert out.strip() == "repro-lint: 0 finding(s)"
 
     def test_json_output_schema(self, dirty_tree):
         code, out, _ = run_cli(["--root", str(dirty_tree),
                                 "--format", "json",
                                 str(dirty_tree / "src")])
         payload = json.loads(out)
-        assert set(payload) == {"version", "new", "baselined",
-                                "stale_baseline_entries", "summary"}
-        assert payload["summary"]["exit_code"] == code == 1
-        assert payload["new"] and payload["new"][0]["rule"] == "RL005"
+        assert set(payload) == {"version", "findings", "summary"}
+        assert payload["version"] == 2
+        assert payload["summary"] == {"findings": 3, "exit_code": 1}
+        assert code == 1
+        assert [f["rule"] for f in payload["findings"]] == ["RL005"] * 3
 
     def test_exit_2_on_unknown_select(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text("[project]\n")
         code, _, err = run_cli(["--root", str(tmp_path),
                                 "--select", "RL998", str(tmp_path)])
         assert code == 2 and "RL998" in err
-
-    def test_exit_2_on_bad_baseline(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text("[project]\n")
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{not json")
-        code, _, err = run_cli(["--root", str(tmp_path),
-                                "--baseline", str(bad), str(tmp_path)])
-        assert code == 2 and "baseline" in err
 
     def test_list_rules(self):
         code, out, _ = run_cli(["--list-rules"])
@@ -1397,20 +1361,6 @@ class TestCli:
         assert location["region"]["startColumn"] >= 1
         assert result["partialFingerprints"]["reproLint/v1"]
 
-    def test_sarif_baselined_results_demoted(self, dirty_tree):
-        run_cli(["--root", str(dirty_tree), "--baseline",
-                 "baseline.json", "--update-baseline",
-                 str(dirty_tree / "src")])
-        code, out, _ = run_cli(["--root", str(dirty_tree),
-                                "--baseline", "baseline.json",
-                                "--format", "sarif",
-                                str(dirty_tree / "src")])
-        assert code == 0
-        results = json.loads(out)["runs"][0]["results"]
-        assert results
-        assert all(r["baselineState"] == "unchanged" and
-                   r["level"] == "note" for r in results)
-
     def test_graph_dump(self, dirty_tree):
         pkg = dirty_tree / "src" / "repro" / "analysis"
         (pkg / "locks.py").write_text(RL008_ORDERED_OK)
@@ -1424,52 +1374,20 @@ class TestCli:
         assert any(outer.endswith("lock_a") for outer in outers)
         assert payload["lock_cycles"] == []
 
-    def test_baseline_prune_drops_stale(self, dirty_tree):
-        baseline = dirty_tree / "baseline.json"
-        run_cli(["--root", str(dirty_tree), "--baseline", str(baseline),
-                 "--update-baseline", str(dirty_tree / "src")])
-        assert len(load_baseline(baseline).entries) == 3
-        dirty = dirty_tree / "src" / "repro" / "analysis" / "dirty.py"
-        dirty.write_text(RL005_BAD.replace(
-            "    random.shuffle([1, 2])\n", ""))
-        code, out, _ = run_cli(["baseline", "prune",
-                                "--root", str(dirty_tree),
-                                "--baseline", str(baseline),
-                                str(dirty_tree / "src")])
-        assert code == 0
-        assert "pruned 1 stale entry" in out
-        assert len(load_baseline(baseline).entries) == 2
-
-    def test_baseline_prune_dry_run(self, dirty_tree):
-        baseline = dirty_tree / "baseline.json"
-        run_cli(["--root", str(dirty_tree), "--baseline", str(baseline),
-                 "--update-baseline", str(dirty_tree / "src")])
-        (dirty_tree / "src" / "repro" / "analysis" / "dirty.py"
-         ).write_text("x = 1\n")
-        code, out, _ = run_cli(["baseline", "prune", "--dry-run",
-                                "--root", str(dirty_tree),
-                                "--baseline", str(baseline),
-                                str(dirty_tree / "src")])
-        assert code == 0 and "dry run" in out
-        assert len(load_baseline(baseline).entries) == 3
-
-    def test_baseline_prune_nothing_stale(self, dirty_tree):
-        baseline = dirty_tree / "baseline.json"
-        run_cli(["--root", str(dirty_tree), "--baseline", str(baseline),
-                 "--update-baseline", str(dirty_tree / "src")])
-        code, out, _ = run_cli(["baseline", "prune",
-                                "--root", str(dirty_tree),
-                                "--baseline", str(baseline),
-                                str(dirty_tree / "src")])
-        assert code == 0 and "nothing to prune" in out
-        assert len(load_baseline(baseline).entries) == 3
-
     def test_max_seconds_gate(self, dirty_tree):
         code, _, err = run_cli(["--root", str(dirty_tree),
                                 "--max-seconds", "0", "--no-cache",
                                 str(dirty_tree / "src" / "repro" /
                                     "analysis" / "dirty.py")])
         assert code == 1 and "--max-seconds" in err
+        # A clean file over budget: the report states the real exit code.
+        clean = dirty_tree / "src" / "repro" / "analysis" / "clean.py"
+        clean.write_text("x = 1\n")
+        code, out, _ = run_cli(["--root", str(dirty_tree), "--format",
+                                "json", "--max-seconds", "0", "--no-cache",
+                                str(clean)])
+        assert json.loads(out)["summary"] == {"findings": 0, "exit_code": 1}
+        assert code == 1
 
     def test_default_cache_written_and_reused(self, dirty_tree):
         run_cli(["--root", str(dirty_tree), str(dirty_tree / "src")])
@@ -1485,19 +1403,10 @@ class TestCli:
 
 
 # ----------------------------------------------------------------------
-# Meta: the live tree is clean modulo the committed baseline
+# Meta: the live tree is clean
 # ----------------------------------------------------------------------
 class TestLiveTree:
-    def test_src_repro_clean_modulo_baseline(self):
+    def test_src_repro_clean(self):
         findings = analyze_paths([ROOT / "src" / "repro"], root=ROOT)
-        baseline = load_baseline(BASELINE_PATH)
-        new, _, _ = baseline.partition(
-            [f for f in findings if f.severity == "error"])
-        rendered = "\n".join(f.render() for f in new)
-        assert not new, f"new repro-lint findings:\n{rendered}"
-
-    def test_committed_baseline_is_near_empty(self):
-        baseline = load_baseline(BASELINE_PATH)
-        assert len(baseline.entries) <= 5
-        for entry in baseline.entries:
-            assert entry.tracking.strip()
+        rendered = "\n".join(f.render() for f in findings)
+        assert not findings, f"repro-lint findings:\n{rendered}"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.diagnostics.gradcheck import assert_gradcheck
 from repro.tensor import Tensor
-from repro.tensor.gradcheck import check_gradients
 
 
 def rng():
@@ -81,7 +81,7 @@ class TestLinear:
     def test_gradients_flow(self):
         layer = nn.Linear(3, 2, rng())
         x = Tensor(np.random.default_rng(0).normal(size=(4, 3)), requires_grad=True)
-        check_gradients(lambda x: (layer(x) ** 2).sum(), [x])
+        assert_gradcheck(lambda: (layer(x) ** 2).sum(), {"x": x})
 
 
 class TestEmbedding:

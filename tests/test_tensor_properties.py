@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from repro.diagnostics.gradcheck import assert_gradcheck
 from repro.tensor import Tensor
-from repro.tensor.gradcheck import check_gradients
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -105,11 +105,11 @@ def test_random_composite_expression_gradient(seed):
     a = Tensor(rng.normal(0, 0.5, size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(0, 0.5, size=(4, 2)), requires_grad=True)
 
-    def fn(a, b):
+    def fn():
         h = (a @ b).tanh()
         return (h * h).sum() + a.sigmoid().mean()
 
-    check_gradients(fn, [a, b])
+    assert_gradcheck(fn, {"a": a, "b": b})
 
 
 @settings(max_examples=25, deadline=None)

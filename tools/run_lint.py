@@ -3,9 +3,13 @@
 
 Usage (from anywhere inside the repo):
 
-    python tools/run_lint.py --baseline tools/lint_baseline.json
+    python tools/run_lint.py --max-seconds 10
     python tools/run_lint.py --format json src/repro/serving
     python tools/run_lint.py --list-rules
+
+Any finding exits 1; the one way to accept a finding is a reasoned
+inline ``# repro-lint: allow[RL00x] reason`` on its line or the line
+above.
 
 The linter is stdlib-only (``ast`` + ``tokenize``).  ``repro/__init__.py``
 imports the numeric stack, so instead of importing the package normally we
