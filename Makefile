@@ -131,14 +131,18 @@ index-smoke:
 # One-second run of each real-encoder benchmark workload (perfbench/): a
 # non-zero exit means a correctness check failed (served vector vs the
 # offline encode, knn/rca/eap/fct replies, finite stage-2 losses) or the
-# benchmark could not run.  The first run builds and caches the `small`
+# benchmark could not run.  Each workload runs untraced and then traced
+# (--trace 1), so the tracer's wraps of serving, index and training
+# methods by name run too.  The first run builds and caches the `small`
 # checkpoint under .bench_build/.
 PERFBENCH_WORKLOADS = serve_cold_bulk serve_hot_mix train_stage2
 
 perfbench-smoke:
 	set -e; for workload in $(PERFBENCH_WORKLOADS); do \
-	  timeout 600 $(PYTHON) perfbench/run.py --workload $$workload \
-	    --seed 1 --seconds 1 --trace 0; \
+	  for trace in 0 1; do \
+	    timeout 600 $(PYTHON) perfbench/run.py --workload $$workload \
+	      --seed 1 --seconds 1 --trace $$trace; \
+	  done; \
 	done
 
 # Exercise the fault-tolerant training runtime end to end: train two steps,

@@ -13,11 +13,10 @@ scale:
   table sidecar, written through the repo's atomic temp+fsync+rename
   discipline;
 * :mod:`repro.index.index` — :class:`VectorIndex`: generation-tagged
-  crash-safe rebuilds, ``nprobe``-tunable top-k cosine queries, and an
-  incremental ``add()`` buffer folded in on ``flush()``;
-* :mod:`repro.index.provider` — :class:`IndexedEmbeddingProvider`
-  bridging providers/stores into the index, keyed by checkpoint
-  fingerprint;
+  crash-safe rebuilds, ``nprobe``-tunable top-k cosine queries, an
+  incremental ``add()`` buffer folded in on ``flush()``, and
+  :func:`build_from_store` bulk ingestion from an embedding store keyed
+  by the same checkpoint fingerprint;
 * :mod:`repro.index.synthetic` — seeded clustered entity worlds for
   benchmarks and smoke tests;
 * :mod:`repro.index.cli` — ``python -m repro index build|query|stats``.
@@ -28,10 +27,10 @@ from repro.index.index import (
     FingerprintMismatch,
     IndexCorrupt,
     VectorIndex,
+    build_from_store,
     default_nlist,
 )
 from repro.index.ivf import coarse_cluster
-from repro.index.provider import IndexedEmbeddingProvider
 from repro.index.shards import shard_for_name
 from repro.index.synthetic import (
     exact_topk,
@@ -44,8 +43,8 @@ __all__ = [
     "DEFAULT_NUM_SHARDS",
     "FingerprintMismatch",
     "IndexCorrupt",
-    "IndexedEmbeddingProvider",
     "VectorIndex",
+    "build_from_store",
     "coarse_cluster",
     "default_nlist",
     "exact_topk",

@@ -20,8 +20,7 @@ import argparse
 import json
 import sys
 
-from repro.index.index import DEFAULT_NUM_SHARDS, VectorIndex
-from repro.index.provider import build_from_store
+from repro.index.index import DEFAULT_NUM_SHARDS, VectorIndex, build_from_store
 
 
 def _cmd_build(args: argparse.Namespace) -> int:

@@ -25,6 +25,10 @@ commit.
 Incremental growth goes through :meth:`VectorIndex.add`, an in-memory
 buffer that answers queries brute-force immediately and folds into the
 affected shards' clustered files on :meth:`VectorIndex.flush`.
+:func:`build_from_store` bulk-loads an index from an
+:class:`~repro.serving.store.EmbeddingStore`.  Serving imports this
+module, so it names the store only as an annotation (under
+``TYPE_CHECKING``) and never imports :mod:`repro.serving` at run time.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,6 +50,9 @@ from repro.index.shards import (
     write_shard,
 )
 
+if TYPE_CHECKING:
+    from repro.serving.store import EmbeddingStore
+
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
 
@@ -54,6 +62,8 @@ MANIFEST_VERSION = 1
 DEFAULT_NUM_SHARDS = 4
 #: Upper bound on coarse clusters per shard.
 MAX_NLIST = 1024
+#: Store names read per ``get_many`` batch by :func:`build_from_store`.
+INGEST_BATCH = 2048
 
 
 def default_nlist(shard_count: int) -> int:
@@ -578,11 +588,26 @@ class VectorIndex:
             }
 
 
+def build_from_store(index: VectorIndex, store: EmbeddingStore) -> int:
+    """Rebuild ``index`` from every name ``store`` holds; returns rows built.
+
+    Reads the store through the batched ``get_many`` path, one lock
+    acquisition and at most one file open per :data:`INGEST_BATCH` names.
+    """
+    names = store.names()
+    vectors: dict[str, np.ndarray] = {}
+    for start in range(0, len(names), INGEST_BATCH):
+        vectors.update(store.get_many(names[start:start + INGEST_BATCH]))
+    return index.build(vectors)
+
+
 __all__ = [
     "DEFAULT_NUM_SHARDS",
     "FingerprintMismatch",
+    "INGEST_BATCH",
     "IndexCorrupt",
     "MANIFEST_NAME",
     "VectorIndex",
+    "build_from_store",
     "default_nlist",
 ]

@@ -1199,7 +1199,7 @@ class SummaryCache:
             raw = json.loads(self.path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return
-        if raw.get("key") != self.key:
+        if not isinstance(raw, dict) or raw.get("key") != self.key:
             return
         files = raw.get("files")
         if isinstance(files, dict):
@@ -1207,7 +1207,7 @@ class SummaryCache:
 
     def lookup(self, rel: str, sha: str) -> dict | None:
         entry = self.files.get(rel)
-        if entry is None or entry.get("sha") != sha:
+        if not isinstance(entry, dict) or entry.get("sha") != sha:
             self.misses += 1
             return None
         self.hits += 1

@@ -11,18 +11,19 @@ imply (Sec. V-A3) and that industrial tele-PLM systems build around:
 * :class:`EmbeddingStore` / :class:`PersistentProvider` — the one
   embedding cache: an LRU memory tier, optionally over an append-only
   on-disk log keyed by checkpoint fingerprint (versioned invalidation);
+  given a :class:`~repro.index.VectorIndex`, the provider also adds
+  every name it serves that the index lacks;
 * :class:`FaultAnalysisService` — one façade exposing ``embed`` plus the
   three fault-analysis calls (``rank_root_causes`` / ``propagate_alarms``
   / ``classify_fault``) with per-request deadlines, bounded retry with
   backoff, and graceful degradation to a fallback provider; every
   attempt runs on the calling thread;
-* :class:`Deadline` / :class:`CancellationToken` — the propagated budget
-  and cooperative-stop primitives that keep a hung encoder from wedging
-  the stack (typed failures: :class:`DeadlineExceeded`,
+* :class:`Deadline` — the propagated budget that keeps a hung encoder
+  from wedging the stack (typed failures: :class:`DeadlineExceeded`,
   :class:`FlushTimeout`);
 * :class:`CancellableWorkerPool` — the one mechanism for writing off a
-  hung call: daemon threads with hung-thread accounting and bounded
-  replacement, on which the batcher runs every flush;
+  hung call: one live daemon flush thread, replaced when the batcher
+  abandons a flush stuck in the provider;
 * :class:`MetricsRegistry` — counters, gauges, latency histograms with
   p50/p95/p99, and structured event logging.
 
@@ -31,13 +32,7 @@ The request language and the stdin/stdout loop behind
 """
 
 from repro.serving.batcher import MicroBatcher
-from repro.serving.deadline import (
-    CancellationToken,
-    CancelledError,
-    Deadline,
-    DeadlineExceeded,
-    FlushTimeout,
-)
+from repro.serving.deadline import Deadline, DeadlineExceeded, FlushTimeout
 from repro.serving.metrics import (
     Counter,
     Gauge,
@@ -59,8 +54,6 @@ from repro.serving.store import (
 
 __all__ = [
     "CancellableWorkerPool",
-    "CancellationToken",
-    "CancelledError",
     "Counter",
     "Deadline",
     "DeadlineExceeded",

@@ -34,16 +34,19 @@ Two mechanisms keep a hung or slow provider from wedging the batcher:
   :class:`~repro.serving.deadline.DeadlineExceeded`.  Entries with no
   remaining waiters leave the queue, so they neither hold the flush
   deadline open nor ride a future batch nobody wants.
-* **Flush watchdog** — the worker submits each provider flush to a
-  single-worker :class:`~repro.serving.pool.CancellableWorkerPool` (the
-  flusher) and waits at most ``flush_timeout_s`` for it.  A flush that
-  blows the bound is abandoned: its entries fail with a typed
+* **Flush watchdog** — the worker submits each provider flush to its
+  :class:`~repro.serving.pool.CancellableWorkerPool` (the flusher, one
+  live thread) and waits at most ``flush_timeout_s`` for it.  A flush
+  that blows the bound is abandoned: its entries fail with a typed
   :class:`~repro.serving.deadline.FlushTimeout` (waking every waiter so
   retry/fallback policy can engage), and the pool writes its thread off
   and starts a replacement.  Hung flush threads are tracked in the
   ``serving.pool.hung_threads`` gauge; when a late call returns, its
   result is discarded, the gauge comes back down
-  (``serving.pool.recovered``) and the written-off thread exits.
+  (``serving.pool.recovered``) and the written-off thread exits.  With
+  ``max_hung_flushes`` threads written off and still stuck, a circuit
+  breaker fails each batch at once instead of submitting it, which is
+  the one bound on stuck threads.
 """
 
 from __future__ import annotations
@@ -94,8 +97,7 @@ class MicroBatcher:
     Flushes on size, on every counted caller waiting, or on the oldest
     name's deadline (see the module docstring).  Thread-safe; usable as a
     context manager (``with MicroBatcher(...)``) so the worker and flush
-    threads are always joined.  The batcher itself implements the provider
-    interface, so it can wrap — and be wrapped by — the cache decorators.
+    threads are always joined.
 
     ``flush_timeout_s`` bounds each provider call; ``max_hung_flushes``
     bounds how many written-off flush threads may be stuck in it at once.
@@ -114,7 +116,6 @@ class MicroBatcher:
         if max_hung_flushes < 1:
             raise ValueError("max_hung_flushes must be positive")
         self.provider = provider
-        self.label = provider.label
         self.dim = provider.dim
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
@@ -127,11 +128,7 @@ class MicroBatcher:
         self._callers = 0
         self._waiting = 0
         self._closed = False
-        # One usable flush thread; the cap leaves room for every hung
-        # flush the breaker allows plus the live one.
-        self._flusher = CancellableWorkerPool(
-            max_workers=1, max_total_threads=max_hung_flushes + 1,
-            name_prefix="repro-batcher-flush", metrics=self.metrics)
+        self._flusher = CancellableWorkerPool(metrics=self.metrics)
         self.batches_flushed = 0
         self.names_encoded = 0
         self._worker = threading.Thread(target=self._run,
@@ -240,9 +237,6 @@ class MicroBatcher:
             self.metrics.counter(mn.BATCHER_DROPPED_NAMES).inc(
                 dropped)
 
-    # Provider-interface alias so the batcher composes with decorators.
-    encode_names = encode
-
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
@@ -301,7 +295,7 @@ class MicroBatcher:
             return
         flush = _Flush(names)
         job = self._flusher.submit(lambda: self._call_provider(flush))
-        if not job.wait(self.flush_timeout_s):
+        if not job.done.wait(self.flush_timeout_s):
             # Write the stuck thread off: the pool replaces it, and it
             # exits once its late call returns.
             self._flusher.abandon(job)

@@ -1,4 +1,4 @@
-"""Deadlines and cooperative cancellation for the serving stack.
+"""Deadlines for the serving stack.
 
 The façade's documented policy — "timeout, bounded retry, fallback" —
 only holds if *every* blocking wait under :class:`FaultAnalysisService`
@@ -7,29 +7,21 @@ is bounded.  A ``future.result(timeout=...)`` on top of an unbounded
 the pool thread underneath stays blocked forever, and eight hung
 requests deadlock the service (and then block interpreter exit).
 
-This module provides the two primitives that make the policy real:
+:class:`Deadline` is an absolute point on the monotonic clock, created
+once at the edge (one per request attempt) and *propagated* down the
+stack, so every layer waits for ``deadline.remaining()`` instead of
+forever.  Sleeping the budget away in one layer automatically shrinks
+every later wait.  It is dependency-free and thread-safe.
 
-* :class:`Deadline` — an absolute point on the monotonic clock, created
-  once at the edge (one per request attempt) and *propagated* down the
-  stack, so every layer waits for ``deadline.remaining()`` instead of
-  forever.  Sleeping the budget away in one layer automatically shrinks
-  every later wait.
-* :class:`CancellationToken` — a cooperative stop flag the waiter flips
-  when it gives up, checked by pool workers before (and during) work so
-  abandoned jobs are skipped or wound down instead of silently leaking
-  a thread.
-
-Both are dependency-free and thread-safe.  The typed exceptions let
-callers distinguish "my budget ran out while waiting"
-(:class:`DeadlineExceeded`) from "the provider itself is wedged"
-(:class:`FlushTimeout`) — the latter is raised *for* every request that
-was riding a flush the watchdog had to abandon.
+The typed exceptions let callers distinguish "my budget ran out while
+waiting" (:class:`DeadlineExceeded`) from "the provider itself is
+wedged" (:class:`FlushTimeout`) — the latter is raised *for* every
+request that was riding a flush the watchdog had to abandon.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 
 
@@ -49,10 +41,6 @@ class FlushTimeout(TimeoutError):
     flush fails with this error instead of staying pending forever, so
     waiters wake up and the retry/fallback policy can take over.
     """
-
-
-class CancelledError(RuntimeError):
-    """The job's :class:`CancellationToken` fired before it started."""
 
 
 class Deadline:
@@ -85,15 +73,6 @@ class Deadline:
         """Seconds left before expiry, floored at 0 (``inf`` for never)."""
         return max(0.0, self.expires_at - time.monotonic())
 
-    def expired(self) -> bool:
-        """Whether the deadline has passed."""
-        return time.monotonic() >= self.expires_at
-
-    def check(self, what: str = "operation") -> None:
-        """Raise :class:`DeadlineExceeded` if the deadline has passed."""
-        if self.expired():
-            raise DeadlineExceeded(f"{what} exceeded its deadline")
-
     def wait_timeout(self) -> float | None:
         """``remaining()`` shaped for ``Event.wait`` (None = unbounded)."""
         return None if math.isinf(self.expires_at) else self.remaining()
@@ -102,32 +81,3 @@ class Deadline:
         if math.isinf(self.expires_at):
             return "Deadline(never)"
         return f"Deadline(remaining={self.remaining():.3f}s)"
-
-
-class CancellationToken:
-    """Cooperative cancellation flag shared between a waiter and a worker.
-
-    The waiter calls :meth:`cancel` when it stops caring about the
-    result (deadline expiry, shutdown); workers poll :attr:`cancelled`
-    (or call :meth:`raise_if_cancelled`) at their check-points.  Firing
-    the token never interrupts running code — it only asks.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self):
-        self._event = threading.Event()
-
-    def cancel(self) -> None:
-        """Flip the flag (idempotent)."""
-        self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._event.is_set()
-
-    def raise_if_cancelled(self) -> None:
-        """Raise :class:`CancelledError` if the token has fired."""
-        if self._event.is_set():
-            raise CancelledError("operation was cancelled")

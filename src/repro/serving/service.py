@@ -9,13 +9,15 @@ Composes the serving stack the rest of :mod:`repro.serving` provides::
                   │           deadline-aware waits, flush watchdog)
                   ▼
                PersistentProvider ──▶ EmbeddingStore (LRU + optional disk log)
-                  ▼
+                  │               ──▶ VectorIndex (optional: adds the names
+                  ▼                   it lacks, folds its buffer at 4,096 rows)
                primary EmbeddingProvider (the frozen encoder)
 
 Task calls (:meth:`rank_root_causes`, :meth:`propagate_alarms`,
 :meth:`classify_fault`) route through lazily-fitted adapters from
 ``repro.tasks.*.serve``; the embeddings they consume travel the same
-pipeline, so they hit the same caches and metrics.
+pipeline, so they hit the same caches and metrics.  :meth:`retrieve`
+and the ``fct`` adapter query the index directly.
 
 Batching: each :meth:`embed` is counted as a batcher caller from its
 first attempt to its return (:meth:`MicroBatcher.caller`), and
@@ -39,7 +41,8 @@ Exhausted budget falls back to the ``fallback`` provider when one is
 configured (counted in ``serving.fallbacks``), else raises
 :class:`ServingError`.  ``close()`` is bounded by ``close_timeout_s``
 and never blocks on a wedged provider — hung flush threads are daemons
-and cannot block interpreter exit.
+and cannot block interpreter exit.  Every call on a closed service
+raises ``RuntimeError`` before the policy: no attempt, no fallback.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.index.provider import IndexedEmbeddingProvider
+from repro.index.index import build_from_store
 from repro.serving import metric_names as mn
 from repro.serving.batcher import MicroBatcher
 from repro.serving.deadline import Deadline, DeadlineExceeded, FlushTimeout
@@ -145,9 +148,11 @@ class FaultAnalysisService:
         first use with embeddings drawn through this service.
     index:
         Optional :class:`~repro.index.VectorIndex` enabling
-        :meth:`retrieve`.  The provider stack is wrapped in an
-        :class:`~repro.index.IndexedEmbeddingProvider` so every encode
-        keeps the index in sync, and the ``fct`` adapter draws its
+        :meth:`retrieve`.  An empty index over a non-empty store is built
+        from the store at construction; the
+        :class:`~repro.serving.store.PersistentProvider` adds every name
+        it serves that the index lacks; ``close()`` folds the index's
+        buffer into its shards; and the ``fct`` adapter draws its
         candidate next hops from it.  Must carry the service's fingerprint.
     """
 
@@ -171,16 +176,13 @@ class FaultAnalysisService:
             store_dir, fingerprint=fingerprint, label=provider.label,
             mode=mode or getattr(provider, "mode", "name"),
             lru_capacity=self.config.lru_capacity)
-        stack: EmbeddingProvider = PersistentProvider(provider, self.store)
         self.index = index
-        self._retriever = None
+        stack = PersistentProvider(provider, self.store, index)
         if index is not None:
-            self._retriever = IndexedEmbeddingProvider(
-                stack, index, store=self.store)
-            self._retriever.ensure_indexed()
-            stack = self._retriever
+            if len(index) == 0 and len(self.store):
+                build_from_store(index, self.store)
             if fct is not None:
-                fct.attach_retriever(self._retriever)
+                fct.attach_index(index)
         self.batcher = MicroBatcher(
             stack,
             max_batch_size=self.config.max_batch_size,
@@ -209,8 +211,12 @@ class FaultAnalysisService:
         ``config.total_budget_s()`` and the deadline's remaining time, so
         an end-to-end budget propagates through every retry and wait.
         An already-expired deadline degrades immediately (fallback or
-        :class:`ServingError`) without touching the provider.
+        :class:`ServingError`) without touching the provider.  On a
+        closed service it raises ``RuntimeError`` at once, counting
+        nothing.
         """
+        if self._closed:
+            raise RuntimeError("FaultAnalysisService is closed")
         self.metrics.counter(mn.SERVING_REQUESTS).inc()
         self.metrics.counter(mn.requests_for(op)).inc()
         attempts = self.config.max_retries + 1
@@ -294,6 +300,8 @@ class FaultAnalysisService:
         re-check under the lock makes exactly one of them fit the adapter
         (same liveness-over-dedup trade as ``PersistentProvider``).
         """
+        if self._closed:
+            raise RuntimeError("FaultAnalysisService is closed")
         if adapter is None:
             raise ValueError(f"no {op} adapter configured on this service")
         with self._fit_lock:
@@ -413,10 +421,10 @@ class FaultAnalysisService:
             return
         self._closed = True
         self.batcher.close(timeout=self.config.close_timeout_s)
-        if self._retriever is not None:
+        if self.index is not None:
             # Fold any buffered adds into the shards so vectors encoded
             # during this process survive into the next one.
-            flushed = self._retriever.flush()
+            flushed = self.index.flush()
             if flushed:
                 self.metrics.counter(mn.INDEX_FLUSHED_ROWS).inc(flushed)
 

@@ -24,6 +24,10 @@ them, as after a fingerprint change.
 
 The append-only format is crash-tolerant by construction: a torn final
 line (killed process) is detected and skipped on the next open.
+
+:class:`PersistentProvider` puts the store in front of an encoder and,
+given a :class:`~repro.index.VectorIndex`, keeps that index in step with
+every name it serves.
 """
 
 from __future__ import annotations
@@ -36,12 +40,16 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.index.index import VectorIndex
 from repro.ioutil import atomic_writer
 from repro.service.providers import EmbeddingProvider
 
 _LOG_NAME = "embeddings.jsonl"
 #: Byte layout of a logged vector: little-endian float64.
 _VECTOR_DTYPE = np.dtype("<f8")
+#: Pending index rows at which :class:`PersistentProvider` folds the
+#: index's ``add`` buffer into its shards.
+INDEX_FLUSH_ROWS = 4096
 
 
 class ProviderShapeError(ValueError):
@@ -331,11 +339,23 @@ class PersistentProvider(EmbeddingProvider):
     *any* earlier process with the same fingerprint) skip the inner
     encoder entirely; fresh names are encoded once, stored, and served
     from memory afterwards.
+
+    With an ``index``, every name served that the index lacks is added to
+    it, and its ``add`` buffer is folded into the shards once it holds
+    :data:`INDEX_FLUSH_ROWS` rows.  The index must carry the store's
+    fingerprint, so a re-trained encoder never serves neighbours from a
+    stale geometry.
     """
 
-    def __init__(self, inner: EmbeddingProvider, store: EmbeddingStore):
+    def __init__(self, inner: EmbeddingProvider, store: EmbeddingStore,
+                 index: VectorIndex | None = None):
+        if index is not None and index.fingerprint != store.fingerprint:
+            raise ValueError(
+                f"store fingerprint {store.fingerprint!r} does not match "
+                f"index fingerprint {index.fingerprint!r}")
         self.inner = inner
         self.store = store
+        self.index = index
         self.label = inner.label
         self.dim = inner.dim
         self._lock = threading.Lock()
@@ -364,6 +384,13 @@ class PersistentProvider(EmbeddingProvider):
             with self._lock:
                 self.store.put_many(fresh)
             found.update(fresh)
+        if self.index is not None:
+            unindexed = {name: found[name] for name in names
+                         if name not in self.index}
+            if unindexed:
+                self.index.add(unindexed)
+                if self.index.stats()["pending"] >= INDEX_FLUSH_ROWS:
+                    self.index.flush()
         return np.stack([found[n] for n in names])
 
     def stats(self) -> dict:

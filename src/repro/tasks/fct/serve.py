@@ -51,8 +51,8 @@ class FctAdapter:
         self.epochs = epochs
         #: the fitted GTransE, ``None`` before :meth:`fit`
         self.model: GTransE | None = None
-        #: object with ``retrieve(queries, k)``, or ``None``
-        self.retriever = None
+        #: the :class:`~repro.index.VectorIndex` candidates come from
+        self.index = None
         self._fitted_vectors: dict[str, np.ndarray] = {}
         self._entity_index = {name: i
                               for i, name in enumerate(dataset.entity_names)}
@@ -67,9 +67,9 @@ class FctAdapter:
         """Whether :meth:`fit` has run."""
         return self.model is not None
 
-    def attach_retriever(self, retriever) -> None:
-        """Draw :meth:`trace`'s candidate tails from ``retriever``'s index."""
-        self.retriever = retriever
+    def attach_index(self, index) -> None:
+        """Draw :meth:`trace`'s candidate tails from ``index``."""
+        self.index = index
 
     def fit(self, entity_embeddings: np.ndarray,
             facts: list[UncertainTriple] | None = None,
@@ -121,20 +121,20 @@ class FctAdapter:
         negated TransE distance).
 
         ``candidates`` restricts the tails considered; names outside the
-        catalog, and the alarm itself, are dropped.  When omitted and a
-        retriever is attached (:meth:`attach_retriever`), candidates are
-        the index's nearest neighbours of the vector the alarm was
-        fitted on, so no encoder call; otherwise, or when no candidate is
-        left, every catalog alarm is scored.
+        catalog, and the alarm itself, are dropped.  When omitted and an
+        index is attached (:meth:`attach_index`), candidates are the
+        index's nearest neighbours of the vector the alarm was fitted on,
+        so no encoder call; otherwise, or when no candidate is left,
+        every catalog alarm is scored.
         """
         if self.model is None:
             raise RuntimeError("FctAdapter.fit has not been called")
         head = self._entity_index.get(alarm_name)
         if head is None:
             raise KeyError(f"unknown alarm: {alarm_name!r}")
-        if candidates is None and self.retriever is not None:
+        if candidates is None and self.index is not None:
             query = self._fitted_vectors[alarm_name][None, :]
-            [hits] = self.retriever.retrieve(query, k=max(4 * top_k, 16))
+            [hits] = self.index.query(query, k=max(4 * top_k, 16))
             candidates = [name for name, _ in hits]
         allowed: set[int] | None = None
         if candidates:

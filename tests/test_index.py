@@ -3,8 +3,8 @@
 Covers the index itself (build/query determinism, recall against the
 brute-force oracle, incremental add/flush with shadowing, crash-safe
 generation swaps including a real ``SIGKILL`` mid-build), the
-:class:`IndexedEmbeddingProvider` glue onto the serving store, and the
-``python -m repro index`` CLI.
+:class:`~repro.serving.PersistentProvider` that keeps an index in step
+with the serving store, and the ``python -m repro index`` CLI.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import pytest
 from repro.index import (
     DEFAULT_NUM_SHARDS,
     FingerprintMismatch,
-    IndexedEmbeddingProvider,
     VectorIndex,
+    build_from_store,
     coarse_cluster,
     default_nlist,
     exact_topk,
@@ -32,7 +32,12 @@ from repro.index import (
     synthetic_world,
 )
 from repro.index import ivf
-from repro.serving import EmbeddingStore, PersistentProvider
+from repro.serving import (
+    EmbeddingStore,
+    FaultAnalysisService,
+    PersistentProvider,
+    ServiceConfig,
+)
 from repro.service import RandomProvider
 
 
@@ -351,42 +356,64 @@ raise SystemExit("unreachable: the build should have been killed")
 
 
 # ----------------------------------------------------------------------
-# IndexedEmbeddingProvider
+# The serving stack over an index: PersistentProvider and the service
 # ----------------------------------------------------------------------
+def _service(tmp_path, index):
+    """A service over the disk store in ``tmp_path / "store"`` (f1)."""
+    return FaultAnalysisService(
+        RandomProvider(dim=8, seed=0),
+        config=ServiceConfig(max_wait_ms=2, backoff_s=0.001),
+        store_dir=tmp_path / "store", fingerprint="f1", index=index)
+
+
 class TestIndexedProvider:
-    def test_encode_names_keeps_index_in_sync(self, tmp_path):
-        provider = RandomProvider(dim=8, seed=0)
+    def test_encode_names_keeps_index_in_sync(self, tmp_path, monkeypatch):
+        import repro.serving.store as store_mod
+
+        monkeypatch.setattr(store_mod, "INDEX_FLUSH_ROWS", 3)
         index = VectorIndex(tmp_path / "idx", fingerprint="fp")
-        indexed = IndexedEmbeddingProvider(provider, index, auto_flush=3)
-        indexed.encode_names(["a", "b"])
+        provider = PersistentProvider(RandomProvider(dim=8, seed=0),
+                                      EmbeddingStore(None, fingerprint="fp"),
+                                      index)
+        provider.encode_names(["a", "b"])
         assert "a" in index and index.stats()["pending"] == 2
-        indexed.encode_names(["c"])          # hits auto_flush threshold
+        provider.encode_names(["c"])         # reaches the flush threshold
         assert index.stats()["pending"] == 0
-        [hits] = indexed.retrieve_names(["a"], k=1)
+        [hits] = index.query(provider.encode_names(["a"]), k=1)
         assert hits[0][0] == "a"
 
     def test_populate_from_store(self, tmp_path):
-        store = EmbeddingStore(tmp_path / "store", fingerprint="fp")
-        provider = PersistentProvider(RandomProvider(dim=8, seed=0), store)
         catalog = [f"ev-{i}" for i in range(40)]
-        provider.encode_names(catalog)
-        index = VectorIndex(tmp_path / "idx", fingerprint="fp")
-        indexed = IndexedEmbeddingProvider(provider, index, store=store)
-        assert indexed.ensure_indexed() == len(catalog)
-        assert len(index) == len(catalog)
-        # idempotent: a populated index is not rebuilt
-        assert indexed.ensure_indexed() == 0
+        with _service(tmp_path, None) as service:
+            service.embed(catalog)
+        index = VectorIndex(tmp_path / "idx", fingerprint="f1")
+        with _service(tmp_path, index):     # empty index, full store
+            assert len(index) == len(catalog)
+            assert index.stats()["generation"] == 1
+        with _service(tmp_path, index):     # a populated index is kept
+            assert index.stats()["generation"] == 1
 
     def test_empty_store_builds_no_generation(self, tmp_path):
-        store = EmbeddingStore(None, fingerprint="fp")
-        index = VectorIndex(tmp_path / "idx", fingerprint="fp")
-        indexed = IndexedEmbeddingProvider(RandomProvider(dim=8, seed=0),
-                                           index, store=store)
-        assert indexed.ensure_indexed() == 0
-        assert index.stats()["generation"] == 0
+        index = VectorIndex(tmp_path / "idx", fingerprint="f1")
+        with _service(tmp_path, index):
+            assert index.stats()["generation"] == 0
+        assert not (tmp_path / "idx" / "manifest.json").exists()
+
+    def test_stored_name_missing_from_index_added_on_next_embed(
+            self, tmp_path):
+        with _service(tmp_path, None) as service:
+            service.embed(["a", "b"])
+        index = VectorIndex(tmp_path / "idx", fingerprint="f1")
+        index.build({"b": np.ones(8)})       # not empty: no build at start
+        with _service(tmp_path, index) as service:
+            assert "a" not in index
+            vector = service.embed(["a"])[0]
+            assert service.stats()["cache"]["misses"] == 0   # the store's
+            assert np.allclose(index.get("a"),
+                               vector / np.linalg.norm(vector), atol=1e-6)
 
     def test_build_from_store_reads_in_batches(self, tmp_path, monkeypatch):
-        import repro.index.provider as provider_mod
+        import repro.index.index as index_mod
 
         store = EmbeddingStore(tmp_path / "store", fingerprint="fp")
         PersistentProvider(RandomProvider(dim=8, seed=0),
@@ -398,10 +425,10 @@ class TestIndexedProvider:
             batches.append(len(names))
             return real_get_many(names)
 
-        monkeypatch.setattr(provider_mod, "INGEST_BATCH", 8)
+        monkeypatch.setattr(index_mod, "INGEST_BATCH", 8)
         monkeypatch.setattr(store, "get_many", get_many)
         index = VectorIndex(tmp_path / "idx", fingerprint="fp")
-        assert provider_mod.build_from_store(index, store) == 20
+        assert build_from_store(index, store) == 20
         assert batches == [8, 8, 4]
         assert len(index) == 20
 
@@ -409,8 +436,7 @@ class TestIndexedProvider:
         store = EmbeddingStore(tmp_path / "store", fingerprint="ckpt-a")
         index = VectorIndex(tmp_path / "idx", fingerprint="ckpt-b")
         with pytest.raises(ValueError, match="fingerprint"):
-            IndexedEmbeddingProvider(RandomProvider(dim=8, seed=0), index,
-                                     store=store)
+            PersistentProvider(RandomProvider(dim=8, seed=0), store, index)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Import layering between :mod:`repro.serving` and :mod:`repro.index`.
 
 The edge runs one way: serving imports index at module level (the
-service wraps its stack in an ``IndexedEmbeddingProvider``), and index
-names serving types only as annotations, under ``TYPE_CHECKING``.  The
+store's ``PersistentProvider`` adds served names to a ``VectorIndex``,
+and the service builds one with ``build_from_store``), and index names
+serving types only as annotations, under ``TYPE_CHECKING``.  The
 index CLI driver is the one index module allowed to import serving at
 run time, lazily.  A call-time import of index inside serving would mean
 the cycle is back and merely hidden; these tests read the ASTs so they

@@ -1225,6 +1225,32 @@ class TestSummaryCache:
         findings = analyze_paths([root / "src"], root=root, cache=cache)
         assert codes(findings) == ["RL005", "RL005", "RL005"]
 
+    @pytest.mark.parametrize("payload", ["list", "string", "entries"])
+    def test_cache_of_the_wrong_shape_degrades_to_cold(self, tmp_path,
+                                                        payload):
+        # Valid JSON that is not the cache's layout: a top level that is
+        # not an object, or a correctly keyed cache whose file entries
+        # are not objects.  The run matches a --no-cache run.
+        root = self.make_tree(tmp_path)
+        cache_path = tmp_path / "cache.json"
+        cache_path.write_text(json.dumps({
+            "list": [],
+            "string": "x",
+            "entries": {"key": cache_key(LintConfig(), None),
+                        "files": {"src/repro/analysis/dirty.py": [],
+                                  "src/repro/analysis/clean.py": "x"}},
+        }[payload]))
+        common = ["--root", str(root), "--format", "json", str(root / "src")]
+        cold_code, cold_out, _ = run_cli(common + ["--no-cache"])
+        code, out, err = run_cli(common + ["--cache", str(cache_path)])
+        assert (code, err) == (cold_code, "")
+        assert json.loads(out) == json.loads(cold_out)
+        assert json.loads(out)["summary"]["findings"] == 3
+        # The run replaced the unusable cache with one a warm run hits.
+        cache = SummaryCache(cache_path, cache_key(LintConfig(), None))
+        analyze_paths([root / "src"], root=root, cache=cache)
+        assert (cache.hits, cache.misses) == (2, 0)
+
 
 # ----------------------------------------------------------------------
 # Framework: suppressions, syntax errors, fingerprints

@@ -686,6 +686,30 @@ class TestFaultAnalysisService:
             service.embed(["a"])
         assert list(tmp_path.iterdir()) == [tmp_path / "idx"]
 
+    def test_closed_service_refuses_every_op(self, tmp_path):
+        """After close(), embed, retrieve and a task op raise at once:
+        no attempt, no backoff, no fallback, no metric moves."""
+        from repro.index import VectorIndex
+
+        _, rca, _, _ = _tiny_adapters()
+        provider = CountingProvider(dim=16)
+        fallback = CountingProvider(dim=16, seed=1)
+        service = FaultAnalysisService(
+            provider, fallback=fallback, config=_fast_config(),
+            fingerprint="f1", rca=rca,
+            index=VectorIndex(tmp_path, fingerprint="f1"))
+        service.close()
+        before = service.metrics.snapshot()
+        for op in (lambda: service.embed(["b"]),
+                   lambda: service.retrieve(["b"], k=1),
+                   lambda: service.rank_root_causes(rca.dataset.states[0])):
+            with pytest.raises(RuntimeError, match="closed"):
+                op()
+        assert service.metrics.snapshot() == before
+        assert service.metrics.events == []
+        assert provider.calls == fallback.calls == 0
+        assert not rca.fitted
+
 
 # ----------------------------------------------------------------------
 # Flush rule: a batch goes once every embed in flight waits on it
@@ -1038,7 +1062,7 @@ class TestFaultAnalysisFacade:
         catalog = fct.dataset.entity_names
         for alarm in catalog:
             reply = service.classify_fault(alarm, top_k=5)
-            [hits] = fct.retriever.retrieve_names([alarm], k=20)
+            [hits] = fct.index.query(service.embed([alarm]), k=20)
             candidates = [name for name, _ in hits
                           if name in catalog and name != alarm]
             assert reply == fct.trace(alarm, top_k=5, candidates=candidates)

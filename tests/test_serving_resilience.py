@@ -21,8 +21,6 @@ import pytest
 
 from repro.serving import (
     CancellableWorkerPool,
-    CancellationToken,
-    CancelledError,
     Deadline,
     DeadlineExceeded,
     EmbeddingStore,
@@ -127,116 +125,92 @@ def _poll(predicate, timeout=5.0, interval=0.01) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Deadline / token primitives
+# Deadline
 # ----------------------------------------------------------------------
 class TestDeadline:
     def test_after_and_expiry(self):
         deadline = Deadline.after(0.05)
         assert 0.0 < deadline.remaining() <= 0.05
-        assert not deadline.expired()
+        assert 0.0 < deadline.wait_timeout() <= 0.05
         time.sleep(0.06)
-        assert deadline.expired()
         assert deadline.remaining() == 0.0
-        with pytest.raises(DeadlineExceeded):
-            deadline.check("unit test")
+        assert deadline.wait_timeout() == 0.0
 
     def test_never(self):
         deadline = Deadline.never()
-        assert not deadline.expired()
+        assert deadline.remaining() == float("inf")
         assert deadline.wait_timeout() is None
-        deadline.check()  # never raises
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             Deadline.after(-1.0)
 
-    def test_token(self):
-        token = CancellationToken()
-        assert not token.cancelled
-        token.raise_if_cancelled()
-        token.cancel()
-        token.cancel()  # idempotent
-        assert token.cancelled
-        with pytest.raises(CancelledError):
-            token.raise_if_cancelled()
-
 
 # ----------------------------------------------------------------------
-# Cancellable worker pool
+# Flush worker pool: one live worker
 # ----------------------------------------------------------------------
 class TestCancellableWorkerPool:
     @pytest.mark.timeout(30)
     def test_submit_result_and_error(self):
-        with CancellableWorkerPool(max_workers=2) as pool:
+        with CancellableWorkerPool() as pool:
             job = pool.submit(lambda: 41 + 1)
-            assert job.wait(5.0)
-            assert job.result() == 42
+            assert job.done.wait(5.0)
+            assert job.result_value == 42 and job.error is None
             failing = pool.submit(lambda: 1 / 0)
-            assert failing.wait(5.0)
-            with pytest.raises(ZeroDivisionError):
-                failing.result()
+            assert failing.done.wait(5.0)
+            assert isinstance(failing.error, ZeroDivisionError)
+            assert pool.stats() == {"hung": 0, "spawned": 1}
 
     @pytest.mark.timeout(30)
     def test_abandon_before_start_skips_job(self):
         blocker = threading.Event()
-        with CancellableWorkerPool(max_workers=1) as pool:
+        ran = []
+        with CancellableWorkerPool() as pool:
             running = pool.submit(blocker.wait)
-            queued = pool.submit(lambda: "never runs")
-            pool.abandon(queued)           # cancelled while still queued
+            queued = pool.submit(lambda: ran.append("queued"))
+            pool.abandon(queued)           # abandoned while still queued
             blocker.set()
-            assert queued.wait(5.0)
-            with pytest.raises(CancelledError):
-                queued.result()
-            assert running.wait(5.0)
+            assert queued.done.wait(5.0)
+            assert ran == [] and queued.error is not None
+            assert running.done.wait(5.0)
             assert pool.metrics.counter("serving.pool.skipped").value == 1
-            assert pool.stats()["hung"] == 0   # nothing actually hung
+            # Nothing hung, so no thread was written off or replaced.
+            assert pool.stats() == {"hung": 0, "spawned": 1}
 
     @pytest.mark.timeout(30)
     def test_hung_worker_is_replaced_then_retired(self):
+        before = set(threading.enumerate())
         blocker = threading.Event()
-        pool = CancellableWorkerPool(max_workers=2)
+        pool = CancellableWorkerPool()
         try:
             stuck = pool.submit(blocker.wait)
             assert _poll(lambda: stuck.started)
             pool.abandon(stuck)
-            stats = pool.stats()
-            assert stats["hung"] == 1
-            assert stats["alive"] == 3     # replacement spawned
+            assert pool.stats() == {"hung": 1, "spawned": 2}
             assert pool.metrics.gauge(
                 "serving.pool.hung_threads").value == 1
-            # Capacity is intact: both regular workers still serve.
+            assert pool.metrics.counter(
+                "serving.pool.replacements").value == 1
+            # The replacement is the live worker.
             jobs = [pool.submit(lambda i=i: i) for i in range(4)]
             for i, job in enumerate(jobs):
-                assert job.wait(5.0) and job.result() == i
-            # The stuck call recovers: gauge drops, surplus retires.
+                assert job.done.wait(5.0) and job.result_value == i
+            assert len(_new_flush_threads(before)) == 2
+            # The stuck call returns: the gauge drops and the written-off
+            # thread exits, leaving the one live flush thread.
             blocker.set()
             assert _poll(lambda: pool.stats()["hung"] == 0)
-            assert _poll(lambda: pool.stats()["alive"] == 2)
+            assert _poll(lambda: len(_new_flush_threads(before)) == 1)
             assert pool.metrics.counter(
                 "serving.pool.recovered").value == 1
+            assert pool.submit(lambda: "still served").done.wait(5.0)
         finally:
             blocker.set()
             pool.shutdown()
-
-    @pytest.mark.timeout(30)
-    def test_total_thread_cap_bounds_the_leak(self):
-        blocker = threading.Event()
-        pool = CancellableWorkerPool(max_workers=2, max_total_threads=4)
-        try:
-            for _ in range(8):   # far more hangs than the cap
-                job = pool.submit(blocker.wait)
-                # Once every thread up to the cap is hung, later jobs
-                # queue without starting — that is the bounded-leak
-                # contract, so the poll is best-effort.
-                _poll(lambda: job.started or job.done.is_set(), timeout=0.5)
-                pool.abandon(job)
-            assert pool.stats()["alive"] <= 4
-        finally:
-            blocker.set()
-            pool.shutdown()
+        assert _poll(lambda: _new_flush_threads(before) == [])
 
     def test_shutdown_rejects_new_work(self):
-        pool = CancellableWorkerPool(max_workers=1)
+        pool = CancellableWorkerPool()
         pool.shutdown()
         pool.shutdown()  # idempotent
         with pytest.raises(RuntimeError):

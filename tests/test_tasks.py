@@ -462,13 +462,13 @@ class TestOneModelPerTask:
         alarm, first, second = dataset.entity_names[:3]
         queries = []
 
-        class Retriever:
-            def retrieve(self, query, k):
+        class Index:
+            def query(self, query, k):
                 queries.append((query, k))
                 return [[(alarm, 1.0), ("not in the catalog", 0.9),
                          (second, 0.8), (first, 0.7)]]
 
-        fct.attach_retriever(Retriever())
+        fct.attach_index(Index())
         reply = fct.trace(alarm, top_k=3)
         assert reply == fct.trace(alarm, top_k=3, candidates=[second, first])
         assert {hop["alarm"] for hop in reply} == {first, second}
