@@ -18,12 +18,17 @@ Framework (stdlib ``ast``/``tokenize`` only, no new dependencies):
   ``tools/run_lint.py`` and ``python -m repro lint``; SARIF results
   carry line-drift-tolerant fingerprints so code scanning matches an
   alert across commits;
+* one path from source text to findings, ``--graph`` included: each
+  file is read, parsed and walked once
+  (:class:`~repro.lint.core.ModuleContext`), and the module rules and
+  the summary extractor read that one walk;
 * a whole-program layer (:mod:`repro.lint.project`): repo-wide symbol
   table, call graph, and per-function lock/deadline/resource summaries,
   cached per file SHA in ``tools/.lint_cache.json``, that the
   project-scope rules (:mod:`repro.lint.flowrules`) reason over.  The
   cache key includes a digest of this package's sources, so an edited
-  analyzer never replays findings an older one wrote.
+  analyzer never replays findings an older one wrote; an entry of the
+  wrong shape is a miss, and an unchanged cache is not rewritten.
 
 Shipped rules (see :mod:`repro.lint.rules` and
 :mod:`repro.lint.flowrules` for the full rationale):
@@ -62,7 +67,7 @@ from repro.lint.core import (
     iter_python_files,
     rule,
 )
-from repro.lint.project import ProjectContext, SummaryCache, build_project
+from repro.lint.project import ProjectContext, SummaryCache
 from repro.lint import rules as _rules  # registers the module rules
 from repro.lint import flowrules as _flowrules  # registers RL008-RL011
 
@@ -76,7 +81,6 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
     "analyze_sources",
-    "build_project",
     "iter_python_files",
     "lint_main",
     "rule",

@@ -13,11 +13,12 @@ Besides the plain lint run the driver exposes:
 * ``--format json|sarif`` — machine-readable reports; SARIF 2.1.0 is
   what GitHub code scanning ingests for inline PR annotations;
 * ``--graph`` — dump the resolved call graph and lock-acquisition
-  graph as JSON (the inputs RL008/RL009 reason over) and exit;
+  graph as JSON (the inputs RL008/RL009 reason over) and exit; files
+  are read, cached and summarised as in any other run;
 * ``--cache`` / ``--no-cache`` — per-file summary cache
   (``tools/.lint_cache.json``), keyed by file SHA and invalidated
   wholesale when the analyzer's code, the rule set or the config
-  changes.
+  changes; written only when the run stored or pruned an entry.
 
 Used both by ``tools/run_lint.py`` (no-install entry point) and
 ``python -m repro lint``.
@@ -26,7 +27,6 @@ Used both by ``tools/run_lint.py`` (no-install entry point) and
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import sys
 import time
@@ -37,9 +37,8 @@ from repro.lint.core import (
     RULES,
     Finding,
     LintConfig,
-    ModuleContext,
     analyze_paths,
-    iter_python_files,
+    graph_paths,
 )
 
 #: Default lint targets relative to the repo root.  Tests, benchmarks,
@@ -194,39 +193,6 @@ def _render_sarif(findings: list[Finding]) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _read_sources(paths, root: Path) -> dict[str, str]:
-    sources: dict[str, str] = {}
-    for path in iter_python_files(paths, root):
-        try:
-            rel = path.resolve().relative_to(root).as_posix()
-        except ValueError:
-            rel = path.as_posix()
-        try:
-            sources[rel] = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            continue
-    return sources
-
-
-def _dump_graph(paths, root: Path, stdout) -> int:
-    """Print the call/lock graphs RL008-RL011 reason over, as JSON."""
-    from repro.lint.project import build_project
-
-    config = LintConfig()
-    sources = _read_sources(paths, root)
-    contexts = []
-    for rel in sorted(sources):
-        try:
-            tree = ast.parse(sources[rel])
-        except SyntaxError:
-            continue
-        contexts.append(ModuleContext(rel=rel, source=sources[rel],
-                                      tree=tree, config=config))
-    project = build_project(contexts, config, sources=sources)
-    print(json.dumps(project.graph_dump(), indent=2), file=stdout)
-    return 0
-
-
 def main(argv: Sequence[str] | None = None,
          stdout=None, stderr=None) -> int:
     """Run the lint driver; returns the CI exit code (see module doc).
@@ -247,9 +213,6 @@ def main(argv: Sequence[str] | None = None,
     root = Path(args.root).resolve() if args.root else find_repo_root()
     paths = args.paths or [root / p for p in DEFAULT_PATHS]
 
-    if args.graph:
-        return _dump_graph(paths, root, stdout)
-
     cache = None
     if not args.no_cache:
         from repro.lint.project import SummaryCache, cache_key
@@ -263,14 +226,21 @@ def main(argv: Sequence[str] | None = None,
 
     started = time.monotonic()
     try:
-        findings = analyze_paths(paths, root=root, select=args.select,
-                                 cache=cache)
+        if args.graph:
+            graph = graph_paths(paths, root, select=args.select,
+                                cache=cache)
+        else:
+            findings = analyze_paths(paths, root=root, select=args.select,
+                                     cache=cache)
     except ValueError as error:  # unknown --select code
         print(f"repro-lint: {error}", file=stderr)
         return 2
     elapsed = time.monotonic() - started
     if cache is not None:
         cache.save()
+    if args.graph:
+        print(json.dumps(graph, indent=2), file=stdout)
+        return 0
 
     over_budget = (args.max_seconds is not None
                    and elapsed > args.max_seconds)

@@ -30,7 +30,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 #: Framework-level diagnostics (parse failures, malformed suppressions)
 #: are reported under this pseudo-rule code.
@@ -213,21 +213,36 @@ class LintConfig:
 
 @dataclass
 class ModuleContext:
-    """Everything a rule needs to check one parsed module."""
+    """Everything a rule needs to check one parsed module, from its one
+    full-tree walk: the module rules read ``nodes`` and the summary
+    extractor the parent map."""
 
     rel: str                      # repo-relative posix path
     source: str
     tree: ast.AST
     config: LintConfig
     lines: list[str] = field(default_factory=list)
+    nodes: list[ast.AST] = field(init=False)  # in ast.walk order
+    import_aliases: dict[str, str] = field(init=False)  # alias -> dotted
     _parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
     _qualnames: dict[ast.AST, str] = field(default_factory=dict)
 
     def __post_init__(self):
         self.lines = self.source.splitlines()
+        self.nodes = []
+        self.import_aliases = {}
         for parent in ast.walk(self.tree):
+            self.nodes.append(parent)
             for child in ast.iter_child_nodes(parent):
                 self._parents[child] = parent
+            if isinstance(parent, ast.Import):
+                for name in parent.names:
+                    self.import_aliases[
+                        name.asname or name.name.split(".")[0]] = name.name
+            elif isinstance(parent, ast.ImportFrom) and parent.module:
+                for name in parent.names:
+                    self.import_aliases[name.asname or name.name] = \
+                        f"{parent.module}.{name.name}"
 
     # -- structure helpers --------------------------------------------
     def parent(self, node: ast.AST) -> ast.AST | None:
@@ -303,10 +318,9 @@ def _attr_chain(node: ast.AST) -> list[str] | None:
 # ---------------------------------------------------------------------
 # Suppressions
 # ---------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Suppression:
+class _Suppression(NamedTuple):
     line: int
-    codes: frozenset[str]
+    codes: list[str]              # sorted
     reason: str
 
 
@@ -323,6 +337,8 @@ def _parse_suppressions(source: str) -> tuple[list[_Suppression],
     """
     suppressions: list[_Suppression] = []
     problems: list[tuple[int, str]] = []
+    if "repro-lint" not in source:
+        return suppressions, problems  # no comment can name the tool
     lines = source.splitlines()
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
@@ -338,8 +354,8 @@ def _parse_suppressions(source: str) -> tuple[list[_Suppression],
                      "malformed repro-lint comment (expected "
                      "'# repro-lint: allow[RL00x] reason')"))
             continue
-        codes = frozenset(c.strip() for c in match.group("codes").split(",")
-                          if c.strip())
+        codes = sorted({c.strip() for c in match.group("codes").split(",")
+                        if c.strip()})
         reason = match.group("reason").strip()
         if not codes:
             problems.append((token.start[0],
@@ -414,6 +430,52 @@ def _apply_exemptions(findings: list[Finding],
     return [f for f in findings if not config.exempt(f.path, f.rule)]
 
 
+def _load(sources: dict[str, str], config: LintConfig,
+          selected: set[str] | None, cache):
+    """The per-file step of every run, ``--graph`` included: replay a
+    file's cache entry, or parse, walk, check and summarise it once.
+    Returns the project built from every summary, the module findings
+    and each file's suppressions."""
+    from repro.lint import project
+
+    summaries = {}
+    findings: list[Finding] = []
+    suppressions: dict[str, list[_Suppression]] = {}
+    for rel in sorted(sources):
+        source = sources[rel]
+        sha = project.source_sha(source)
+        entry = cache.lookup(rel, sha) if cache is not None else None
+        if entry is None:
+            try:
+                tree = ast.parse(source)
+            except SyntaxError as error:
+                findings.append(Finding(
+                    rule=FRAMEWORK_CODE, path=rel, line=error.lineno or 1,
+                    col=error.offset or 0,
+                    message=f"syntax error: {error.msg}"))
+                continue
+            context = ModuleContext(rel=rel, source=source, tree=tree,
+                                    config=config)
+            module_findings = _module_findings(context, selected)
+            file_suppressions, problems = _parse_suppressions(source)
+            module_findings = _apply_suppressions(module_findings,
+                                                  file_suppressions)
+            module_findings.extend(_framework_findings(
+                problems, rel, context.line_text, selected))
+            entry = project.CacheEntry(
+                sha=sha, summary=project.summarise_module(context),
+                findings=module_findings, suppressions=file_suppressions)
+            if cache is not None:
+                cache.store(rel, entry)
+        summaries[rel] = entry.summary
+        findings.extend(entry.findings)
+        suppressions[rel] = entry.suppressions
+    if cache is not None:
+        cache.prune(set(sources))
+    return (project.ProjectContext(summaries, sources, config), findings,
+            suppressions)
+
+
 def analyze_sources(sources: dict[str, str],
                     config: LintConfig | None = None,
                     select: Iterable[str] | None = None,
@@ -427,76 +489,21 @@ def analyze_sources(sources: dict[str, str],
     :class:`~repro.lint.project.SummaryCache`: files whose SHA it knows
     replay their summary and module findings without re-parsing.
     """
-    from repro.lint.project import (ModuleSummary, build_project,
-                                    source_sha, summarise_module)
-
     config = config or LintConfig()
     selected = _validate_select(select)
-    findings: list[Finding] = []
-    contexts: list[ModuleContext] = []
-    cached_summaries: dict[str, ModuleSummary] = {}
-    suppressions_by_rel: dict[str, list[_Suppression]] = {}
-
-    for rel in sorted(sources):
-        source = sources[rel]
-        if cache is not None:
-            sha = source_sha(source)
-            entry = cache.lookup(rel, sha)
-            if entry is not None:
-                cached_summaries[rel] = ModuleSummary.from_dict(
-                    entry["summary"])
-                findings.extend(Finding(**{
-                    key: value for key, value in raw.items()
-                    if key != "fingerprint"})
-                    for raw in entry["findings"])
-                suppressions_by_rel[rel] = [
-                    _Suppression(line=line, codes=frozenset(codes),
-                                 reason=reason)
-                    for line, codes, reason in entry["suppressions"]]
-                continue
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as error:
-            findings.append(Finding(
-                rule=FRAMEWORK_CODE, path=rel, line=error.lineno or 1,
-                col=error.offset or 0, message=f"syntax error: {error.msg}"))
-            continue
-        context = ModuleContext(rel=rel, source=source, tree=tree,
-                                config=config)
-        contexts.append(context)
-        module_findings = _module_findings(context, selected)
-        suppressions, problems = _parse_suppressions(source)
-        suppressions_by_rel[rel] = suppressions
-        module_findings = _apply_suppressions(module_findings,
-                                              suppressions)
-        module_findings.extend(_framework_findings(
-            problems, rel, context.line_text, selected))
-        findings.extend(module_findings)
-        if cache is not None:
-            cache.store(rel, source_sha(source),
-                        summarise_module(tree, rel, config),
-                        module_findings,
-                        [[s.line, sorted(s.codes), s.reason]
-                         for s in suppressions])
-
-    project_rules = [meta for meta in RULES.values()
-                     if meta.scope == "project"
-                     and (selected is None or meta.code in selected)]
-    if project_rules:
-        project = build_project(contexts, config,
-                                cached=cached_summaries, sources=sources)
-        project_findings: list[Finding] = []
-        for meta in project_rules:
+    project, findings, suppressions = _load(sources, config, selected,
+                                            cache)
+    project_findings: list[Finding] = []
+    for meta in RULES.values():
+        if meta.scope == "project" and (selected is None
+                                        or meta.code in selected):
             project_findings.extend(meta.check(project))
-        by_rel: dict[str, list[Finding]] = {}
-        for finding in project_findings:
-            by_rel.setdefault(finding.path, []).append(finding)
-        for rel, batch in by_rel.items():
-            findings.extend(_apply_suppressions(
-                batch, suppressions_by_rel.get(rel, [])))
-
-    if cache is not None:
-        cache.prune(set(sources))
+    by_rel: dict[str, list[Finding]] = {}
+    for finding in project_findings:
+        by_rel.setdefault(finding.path, []).append(finding)
+    for rel, batch in by_rel.items():
+        findings.extend(_apply_suppressions(batch,
+                                            suppressions.get(rel, [])))
     return sorted(_apply_exemptions(findings, config), key=Finding.sort_key)
 
 
@@ -515,7 +522,8 @@ def analyze_source(source: str, rel: str,
 
 def iter_python_files(paths: Iterable[str | Path],
                       root: Path) -> Iterator[Path]:
-    """Yield ``.py`` files under ``paths`` (files or directories), sorted."""
+    """Yield ``.py`` files under ``paths`` (files or directories), sorted,
+    each once and resolved."""
     seen: set[Path] = set()
     for raw in paths:
         path = Path(raw)
@@ -529,7 +537,28 @@ def iter_python_files(paths: Iterable[str | Path],
             resolved = candidate.resolve()
             if resolved not in seen:
                 seen.add(resolved)
-                yield candidate
+                yield resolved
+
+
+def _read_sources(paths: Iterable[str | Path], root: str | Path
+                  ) -> tuple[dict[str, str], list[Finding]]:
+    """Source text of every Python file under ``paths``, keyed by its
+    path relative to ``root``, plus an RL000 finding per unreadable file."""
+    root = Path(root).resolve()
+    sources: dict[str, str] = {}
+    findings: list[Finding] = []
+    for path in iter_python_files(paths, root):
+        try:
+            rel = path.relative_to(root).as_posix()
+        except ValueError:
+            rel = path.as_posix()
+        try:
+            sources[rel] = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as error:
+            findings.append(Finding(
+                rule=FRAMEWORK_CODE, path=rel, line=1, col=0,
+                message=f"unreadable file: {error}"))
+    return sources, findings
 
 
 def analyze_paths(paths: Iterable[str | Path], root: str | Path,
@@ -543,24 +572,25 @@ def analyze_paths(paths: Iterable[str | Path], root: str | Path,
     optional :class:`~repro.lint.project.SummaryCache` (the caller saves
     it after the run).
     """
-    root = Path(root).resolve()
     _validate_select(select)  # fail fast even when no file matches
-    findings: list[Finding] = []
-    sources: dict[str, str] = {}
-    for path in iter_python_files(paths, root):
-        try:
-            rel = path.resolve().relative_to(root).as_posix()
-        except ValueError:
-            rel = path.as_posix()
-        try:
-            sources[rel] = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as error:
-            findings.append(Finding(
-                rule=FRAMEWORK_CODE, path=rel, line=1, col=0,
-                message=f"unreadable file: {error}"))
+    sources, findings = _read_sources(paths, root)
     findings.extend(analyze_sources(sources, config=config, select=select,
                                     cache=cache))
     return sorted(findings, key=Finding.sort_key)
+
+
+def graph_paths(paths: Iterable[str | Path], root: str | Path,
+                config: LintConfig | None = None,
+                select: Iterable[str] | None = None,
+                cache=None) -> dict:
+    """The call and lock graphs RL008-RL011 reason over (``repro lint
+    --graph``), for files read and summarised as :func:`analyze_paths`
+    does it."""
+    config = config or LintConfig()
+    selected = _validate_select(select)
+    sources, _ = _read_sources(paths, root)
+    project, _, _ = _load(sources, config, selected, cache)
+    return project.graph_dump()
 
 
 __all__ = [
@@ -574,6 +604,7 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
     "analyze_sources",
+    "graph_paths",
     "iter_python_files",
     "rule",
 ]

@@ -17,9 +17,13 @@ another.  This module builds the project-wide context those rules need:
   project-wide identities), blocking calls made, ``deadline``/``timeout``
   parameters accepted and forwarded, and resources opened/closed.
 
-Summaries are plain-JSON serialisable so incremental runs can reuse them
-from ``tools/.lint_cache.json`` keyed by file SHA: an unchanged file is
-never re-parsed; only the (cheap) graph fixpoints rerun.
+Each parsed file is summarised once, from the one walk its module rules
+read (:class:`~repro.lint.core.ModuleContext`), into the
+:class:`ModuleSummary` that both the :class:`ProjectContext` and the
+cache (``tools/.lint_cache.json``, keyed by file SHA) hold.  One codec
+writes and strictly reads each :class:`CacheEntry`, so an entry of the
+wrong shape is a miss: an unchanged file is never re-parsed, only the
+(cheap) graph fixpoints rerun, and an unchanged cache is not rewritten.
 
 Everything here is stdlib-only (``ast`` + ``hashlib``) so the lint tier
 keeps running without the package's numeric dependencies installed.
@@ -28,14 +32,19 @@ keeps running without the package's numeric dependencies installed.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import functools
 import hashlib
+import itertools
 import json
+import operator
 import os
 import re
 import tempfile
+import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.lint.core import (
     _BLOCKING_ATTRS,
@@ -46,6 +55,7 @@ from repro.lint.core import (
     LintConfig,
     ModuleContext,
     _attr_chain,
+    _Suppression,
 )
 
 _DEADLINE_PARAM_RE = re.compile(r"(deadline|timeout)", re.IGNORECASE)
@@ -111,24 +121,6 @@ class CallSummary:
     nargs: int = 0            # positional argument count
     const_str_args: bool = False  # every positional arg a str literal
 
-    def to_dict(self) -> dict:
-        return {"chain": self.chain, "line": self.line, "col": self.col,
-                "locks_held": self.locks_held, "bounded": self.bounded,
-                "tainted": self.tainted, "guarded": self.guarded,
-                "nargs": self.nargs,
-                "const_str_args": self.const_str_args}
-
-    @staticmethod
-    def from_dict(raw: dict) -> "CallSummary":
-        return CallSummary(chain=list(raw["chain"]), line=raw["line"],
-                           col=raw["col"],
-                           locks_held=list(raw["locks_held"]),
-                           bounded=raw["bounded"], tainted=raw["tainted"],
-                           guarded=raw["guarded"],
-                           nargs=raw.get("nargs", 0),
-                           const_str_args=raw.get("const_str_args",
-                                                  False))
-
     @property
     def attr(self) -> str:
         return self.chain[-1]
@@ -149,18 +141,6 @@ class ResourceSummary:
     closed: str               # "with" | "guaranteed" | "conditional" | "none"
     escapes: bool             # returned / yielded / stored / passed away
 
-    def to_dict(self) -> dict:
-        return {"var": self.var, "kind": self.kind, "line": self.line,
-                "col": self.col, "closed": self.closed,
-                "escapes": self.escapes}
-
-    @staticmethod
-    def from_dict(raw: dict) -> "ResourceSummary":
-        return ResourceSummary(var=raw["var"], kind=raw["kind"],
-                               line=raw["line"], col=raw["col"],
-                               closed=raw["closed"],
-                               escapes=raw["escapes"])
-
 
 @dataclass
 class LockEdge:
@@ -169,14 +149,6 @@ class LockEdge:
     outer: str
     inner: str
     line: int
-
-    def to_dict(self) -> dict:
-        return {"outer": self.outer, "inner": self.inner, "line": self.line}
-
-    @staticmethod
-    def from_dict(raw: dict) -> "LockEdge":
-        return LockEdge(outer=raw["outer"], inner=raw["inner"],
-                        line=raw["line"])
 
 
 @dataclass
@@ -194,33 +166,6 @@ class FunctionSummary:
     var_types: dict[str, str]  # local var -> raw constructor text
     class_name: str = ""       # enclosing class, "" for free functions
 
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname, "line": self.line,
-            "params": self.params,
-            "deadline_params": self.deadline_params,
-            "calls": [c.to_dict() for c in self.calls],
-            "locks": self.locks,
-            "lock_edges": [e.to_dict() for e in self.lock_edges],
-            "resources": [r.to_dict() for r in self.resources],
-            "var_types": self.var_types,
-            "class_name": self.class_name,
-        }
-
-    @staticmethod
-    def from_dict(raw: dict) -> "FunctionSummary":
-        return FunctionSummary(
-            qualname=raw["qualname"], line=raw["line"],
-            params=list(raw["params"]),
-            deadline_params=list(raw["deadline_params"]),
-            calls=[CallSummary.from_dict(c) for c in raw["calls"]],
-            locks=list(raw["locks"]),
-            lock_edges=[LockEdge.from_dict(e) for e in raw["lock_edges"]],
-            resources=[ResourceSummary.from_dict(r)
-                       for r in raw["resources"]],
-            var_types=dict(raw["var_types"]),
-            class_name=raw.get("class_name", ""))
-
 
 @dataclass
 class ClassSummary:
@@ -231,18 +176,6 @@ class ClassSummary:
     methods: list[str]
     bases: list[str]            # raw base names (resolved at build time)
     attr_types: dict[str, str]  # self.attr -> raw constructor text
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "line": self.line,
-                "methods": self.methods, "bases": self.bases,
-                "attr_types": self.attr_types}
-
-    @staticmethod
-    def from_dict(raw: dict) -> "ClassSummary":
-        return ClassSummary(name=raw["name"], line=raw["line"],
-                            methods=list(raw["methods"]),
-                            bases=list(raw["bases"]),
-                            attr_types=dict(raw["attr_types"]))
 
 
 @dataclass
@@ -256,26 +189,86 @@ class ModuleSummary:
     classes: dict[str, ClassSummary]
     module_locals: list[str]       # module-level assigned names
 
-    def to_dict(self) -> dict:
-        return {
-            "rel": self.rel, "module": self.module,
-            "imports": self.imports,
-            "functions": {q: f.to_dict()
-                          for q, f in self.functions.items()},
-            "classes": {n: c.to_dict() for n, c in self.classes.items()},
-            "module_locals": self.module_locals,
-        }
 
-    @staticmethod
-    def from_dict(raw: dict) -> "ModuleSummary":
-        return ModuleSummary(
-            rel=raw["rel"], module=raw["module"],
-            imports=dict(raw["imports"]),
-            functions={q: FunctionSummary.from_dict(f)
-                       for q, f in raw["functions"].items()},
-            classes={n: ClassSummary.from_dict(c)
-                     for n, c in raw["classes"].items()},
-            module_locals=list(raw["module_locals"]))
+@dataclass
+class CacheEntry:
+    """One file's cache record: what a hit replays instead of parsing."""
+
+    sha: str                       # source_sha of the text it describes
+    summary: ModuleSummary
+    findings: list[Finding]        # module findings, suppressions applied
+    suppressions: list[_Suppression]
+
+
+def _stored_as(kind) -> type:
+    """The JSON type a value of summary type ``kind`` is stored as."""
+    if dataclasses.is_dataclass(kind):
+        return dict
+    return typing.get_origin(kind) or (
+        list if issubclass(kind, tuple) else kind)
+
+
+@functools.cache
+def _decoder(kind) -> Callable[[object, list], object]:
+    """Compile the decoder of a record type or a container of records.
+
+    ``decode(raw, strings)`` takes a value stored as ``_stored_as(kind)``:
+    a dataclass comes from an object of exactly its fields, a named tuple
+    from a list of its length, and every field and item must be stored
+    as its declared type, else ``ValueError`` (``KeyError`` for a missing
+    field).  A list or dict of ``str`` is kept as loaded (summaries are
+    never mutated) and its items go to ``strings``, for the caller to
+    check in one pass.
+    """
+    origin = typing.get_origin(kind)
+    if origin in (list, dict):
+        item = typing.get_args(kind)[-1]
+        allowed, inner = {_stored_as(item)}, _decoder(item)
+
+        def decode_container(raw, strings):
+            values = raw if origin is list else raw.values()
+            if not allowed.issuperset(map(type, values)):
+                raise ValueError(f"{kind} holds a value of another type")
+            if origin is list:
+                return [inner(value, strings) for value in raw]
+            return {key: inner(value, strings) for key, value in raw.items()}
+        return decode_container
+
+    hints = typing.get_type_hints(kind)
+    stored = tuple(map(_stored_as, hints.values()))
+    strs, nested = [], []
+    for index, hint in enumerate(hints.values()):
+        if hint in (list[str], dict[str, str]):
+            strs.append((index, hint == dict[str, str]))
+        elif hint not in (str, int, bool):
+            nested.append((index, _decoder(hint)))
+    pick = operator.itemgetter(*hints) if dataclasses.is_dataclass(kind) \
+        else tuple
+
+    def decode_record(raw, strings):
+        values = pick(raw)
+        if len(raw) != len(stored) or tuple(map(type, values)) != stored:
+            raise ValueError(f"{kind.__name__} is not stored as {stored}")
+        for index, is_dict in strs:
+            strings.append(values[index].values() if is_dict
+                           else values[index])
+        if nested:
+            values = list(values)
+            for index, decode in nested:
+                values[index] = decode(values[index], strings)
+        return kind(*values)
+    return decode_record
+
+
+def _decode(kind, raw):
+    """The codec's read half: ``raw``, stored as ``_stored_as(kind)``, as a
+    ``kind``; ``ValueError`` or ``KeyError`` for any other shape."""
+    strings: list = []
+    value = _decoder(kind)(raw, strings)
+    if not {str}.issuperset(map(type, itertools.chain.from_iterable(
+            strings))):
+        raise ValueError("a list or dict of str holds another type")
+    return value
 
 
 # ---------------------------------------------------------------------
@@ -284,11 +277,12 @@ class ModuleSummary:
 class _Extractor:
     """Single pass over one module's AST producing its summary."""
 
-    def __init__(self, rel: str, tree: ast.AST, config: LintConfig):
-        self.rel = rel
-        self.module = rel_to_module(rel)
-        self.config = config
-        self.tree = tree
+    def __init__(self, context: ModuleContext):
+        self.context = context
+        self.rel = context.rel
+        self.module = rel_to_module(context.rel)
+        self.config = context.config
+        self.tree = context.tree
         self.imports: dict[str, str] = {}
         self.functions: dict[str, FunctionSummary] = {}
         self.classes: dict[str, ClassSummary] = {}
@@ -352,7 +346,7 @@ class _Extractor:
                     child, qualname)
                 self._walk_defs(child, prefix=f"{qualname}.",
                                 class_name=qualname)
-            elif not isinstance(child, (ast.Lambda,)):
+            elif not isinstance(child, ast.expr):  # no def inside an expr
                 self._walk_defs(child, prefix=prefix,
                                 class_name=class_name)
 
@@ -702,10 +696,6 @@ class _Extractor:
     def _close_state(self, node, aliases: set[str]) -> str:
         """'guaranteed' / 'conditional' / 'none' for the close calls."""
         best = "none"
-        parents: dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(node):
-            for child in ast.iter_child_nodes(parent):
-                parents[child] = parent
         for stmt in ast.walk(node):
             if not isinstance(stmt, ast.Call):
                 continue
@@ -717,12 +707,9 @@ class _Extractor:
             state = "guaranteed"
             cursor: ast.AST | None = stmt
             while cursor is not None and cursor is not node:
-                parent = parents.get(cursor)
+                parent = self.context.parent(cursor)
                 if isinstance(parent, ast.Try):
-                    in_finally = any(cursor is s or any(
-                        cursor is d for d in ast.walk(s))
-                        for s in parent.finalbody)
-                    if in_finally:
+                    if any(cursor is s for s in parent.finalbody):
                         break  # finally runs on every path: guaranteed
                     state = "conditional"  # try/except body may be skipped
                 elif isinstance(parent, (ast.If, ast.While, ast.For,
@@ -740,10 +727,9 @@ class _Extractor:
         return best
 
 
-def summarise_module(tree: ast.AST, rel: str,
-                     config: LintConfig) -> ModuleSummary:
+def summarise_module(context: ModuleContext) -> ModuleSummary:
     """Extract the cacheable per-file summary from a parsed module."""
-    return _Extractor(rel, tree, config).run()
+    return _Extractor(context).run()
 
 
 # ---------------------------------------------------------------------
@@ -1131,27 +1117,6 @@ class ProjectContext:
                        qualname=qualname)
 
 
-def build_project(module_contexts: Iterable[ModuleContext],
-                  config: LintConfig,
-                  cached: dict[str, ModuleSummary] | None = None,
-                  sources: dict[str, str] | None = None
-                  ) -> ProjectContext:
-    """Build the project context from parsed modules + cached summaries.
-
-    ``cached`` maps rel -> already-extracted summary (from the cache);
-    files present there are not re-summarised.  ``sources`` supplies
-    text for cached files that were never parsed this run.
-    """
-    modules: dict[str, ModuleSummary] = dict(cached or {})
-    all_sources: dict[str, str] = dict(sources or {})
-    for context in module_contexts:
-        modules[context.rel] = summarise_module(context.tree, context.rel,
-                                                config)
-        all_sources[context.rel] = context.source
-    return ProjectContext(modules=modules, sources=all_sources,
-                          config=config)
-
-
 # ---------------------------------------------------------------------
 # Summary cache (tools/.lint_cache.json)
 # ---------------------------------------------------------------------
@@ -1179,19 +1144,22 @@ def cache_key(config: LintConfig, select) -> str:
 
 
 class SummaryCache:
-    """File-SHA-keyed cache of per-file summaries and module findings.
+    """File-SHA-keyed cache of one :class:`CacheEntry` per file.
 
     A hit skips the parse *and* the module-rule pass for that file; the
     project fixpoints always rerun (they are cheap graph walks).  The
-    cache is advisory: any read problem degrades to a cold start.
+    cache is advisory: any read problem degrades to a cold start, and an
+    entry that does not decode is a miss.  ``save`` writes the file only
+    when the run stored or pruned an entry.
     """
 
     def __init__(self, path: str | Path, key: str):
         self.path = Path(path)
         self.key = key
-        self.files: dict[str, dict] = {}
+        self.files: dict[str, object] = {}  # as loaded, or a CacheEntry
         self.hits = 0
         self.misses = 0
+        self._changed = False
         self._load()
 
     def _load(self) -> None:
@@ -1205,43 +1173,49 @@ class SummaryCache:
         if isinstance(files, dict):
             self.files = files
 
-    def lookup(self, rel: str, sha: str) -> dict | None:
-        entry = self.files.get(rel)
-        if not isinstance(entry, dict) or entry.get("sha") != sha:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
+    def lookup(self, rel: str, sha: str) -> CacheEntry | None:
+        raw = self.files.get(rel)
+        if type(raw) is dict and raw.get("sha") == sha:
+            try:
+                entry = _decode(CacheEntry, raw)
+            except (KeyError, ValueError):
+                pass  # an entry of the wrong shape is a miss
+            else:
+                self.hits += 1
+                return entry
+        self.misses += 1
+        return None
 
-    def store(self, rel: str, sha: str, summary: ModuleSummary,
-              findings: list[Finding],
-              suppressed_lines: list[list]) -> None:
-        self.files[rel] = {
-            "sha": sha,
-            "summary": summary.to_dict(),
-            "findings": [f.to_dict() for f in findings],
-            "suppressions": suppressed_lines,
-        }
+    def store(self, rel: str, entry: CacheEntry) -> None:
+        self.files[rel] = entry
+        self._changed = True
 
     def prune(self, live: set[str]) -> None:
-        self.files = {rel: entry for rel, entry in self.files.items()
-                      if rel in live}
+        kept = {rel: entry for rel, entry in self.files.items()
+                if rel in live}
+        self._changed |= len(kept) != len(self.files)
+        self.files = kept
 
     def save(self) -> None:
-        payload = {"key": self.key, "files": self.files}
+        if not self._changed:
+            return
+        # One C-encoder call; ``vars`` is the codec's write half.
+        text = json.dumps({"key": self.key, "files": self.files},
+                          default=vars)
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             handle = tempfile.NamedTemporaryFile(
                 "w", dir=str(self.path.parent), suffix=".tmp",
                 delete=False, encoding="utf-8")
             with handle:
-                json.dump(payload, handle)
+                handle.write(text)
             os.replace(handle.name, self.path)
         except OSError:
             return  # best-effort: a cache that cannot be written is cold
 
 
 __all__ = [
+    "CacheEntry",
     "CallSummary",
     "ClassSummary",
     "FunctionSummary",
@@ -1251,7 +1225,6 @@ __all__ = [
     "ProjectContext",
     "ResourceSummary",
     "SummaryCache",
-    "build_project",
     "cache_key",
     "rel_to_module",
     "source_sha",

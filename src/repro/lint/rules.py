@@ -54,20 +54,6 @@ def _walk_shallow(nodes: Iterable[ast.AST]) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _import_aliases(tree: ast.AST) -> dict[str, str]:
-    """Map local alias -> imported module dotted path (top-level only)."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                aliases[name.asname or name.name.split(".")[0]] = name.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for name in node.names:
-                aliases[name.asname or name.name] = \
-                    f"{node.module}.{name.name}"
-    return aliases
-
-
 def _enclosing_function_names(ctx: ModuleContext, node: ast.AST) -> list[str]:
     names = []
     cursor: ast.AST | None = node
@@ -92,7 +78,7 @@ def check_blocking_in_lock(ctx: ModuleContext) -> list[Finding]:
     Waiting on the *same* condition variable the block holds is exempt:
     `Condition.wait` releases the lock while sleeping."""
     findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, (ast.With, ast.AsyncWith)):
             continue
         contexts = [_unparse(item.context_expr) for item in node.items]
@@ -141,7 +127,7 @@ def check_unbounded_wait(ctx: ModuleContext) -> list[Finding]:
     if not ctx.in_scope(ctx.config.bounded_wait_scope):
         return []
     findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call) or \
                 not isinstance(node.func, ast.Attribute):
             continue
@@ -170,9 +156,9 @@ def check_nondaemon_thread(ctx: ModuleContext) -> list[Finding]:
     SIGKILL.  Library threads must be `daemon=True` and owned by an
     explicit lifecycle (`close()` / context manager) instead of relying
     on interpreter-exit joins."""
-    aliases = _import_aliases(ctx.tree)
+    aliases = ctx.import_aliases
     findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         chain = _attr_chain(node.func)
@@ -218,9 +204,9 @@ def check_non_atomic_write(ctx: ModuleContext) -> list[Finding]:
     Serialise to memory, then hand the bytes to the atomic writer."""
     if not ctx.in_scope(ctx.config.atomic_scope):
         return []
-    aliases = _import_aliases(ctx.tree)
+    aliases = ctx.import_aliases
     findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         enclosing = _enclosing_function_names(ctx, node)
@@ -283,11 +269,11 @@ def check_global_rng(ctx: ModuleContext) -> list[Finding]:
     silently diverges from the uninterrupted one.  Thread an explicit
     seeded `np.random.default_rng(...)` Generator through the caller
     instead."""
-    aliases = _import_aliases(ctx.tree)
+    aliases = ctx.import_aliases
     findings: list[Finding] = []
     allowed_np = set(ctx.config.rng_allowed)
     allowed_std = set(ctx.config.stdlib_rng_allowed)
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.ImportFrom) and node.module in (
                 "random", "numpy.random"):
             allowed = allowed_std if node.module == "random" else allowed_np
@@ -352,7 +338,7 @@ def check_silent_broad_except(ctx: ModuleContext) -> list[Finding]:
     serving stack reports a healthy response for a request that actually
     died.  Narrow the type, re-raise, or record a structured event."""
     findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.ExceptHandler):
             continue
         if node.type is None:
@@ -415,7 +401,7 @@ def check_literal_drift(ctx: ModuleContext) -> list[Finding]:
     in_metric_names = ctx.rel == ctx.config.metric_names_module
     in_bench_registry = ctx.rel == ctx.config.bench_registry_module
     separator_scoped = ctx.in_scope(ctx.config.separator_scope)
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Constant) or \
                 not isinstance(node.value, str):
             continue

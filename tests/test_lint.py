@@ -6,6 +6,8 @@ outside a rule's scope without touching the real tree.  The meta-test at
 the bottom holds the live ``src/repro`` tree to zero findings.
 """
 
+import ast
+import collections
 import io
 import json
 import shutil
@@ -24,6 +26,7 @@ from repro.lint import (
     lint_main,
     rule,
 )
+from repro.lint import project
 from repro.lint.core import FRAMEWORK_CODE
 from repro.lint.project import SummaryCache, cache_key
 
@@ -1148,6 +1151,52 @@ class TestSummaryCache:
         assert [f.to_dict() for f in warm] == \
             [f.to_dict() for f in cold]
 
+    def test_cold_run_summarises_and_walks_each_file_once(
+            self, tmp_path, monkeypatch):
+        # The work, not the time: a cold run parses, walks the full tree
+        # of, and summarises each file once; the warm run that follows
+        # does none of it.
+        root = self.make_tree(tmp_path)
+        (root / "src" / "repro" / "analysis" / "locks.py").write_text(
+            RL008_ORDERED_OK)
+        counts = collections.Counter()
+
+        def counting(name, call, counted=lambda *args: True):
+            def wrapper(*args):
+                if counted(*args):
+                    counts[name] += 1
+                return call(*args)
+            return wrapper
+
+        monkeypatch.setattr(ast, "parse", counting("parse", ast.parse))
+        monkeypatch.setattr(ast, "walk", counting(
+            "walk", ast.walk, lambda node: isinstance(node, ast.Module)))
+        monkeypatch.setattr(project, "summarise_module", counting(
+            "summary", project.summarise_module))
+        cache_path = tmp_path / "cache.json"
+        key = cache_key(LintConfig(), None)
+        cache = SummaryCache(cache_path, key)
+        cold = analyze_paths([root / "src"], root=root, cache=cache)
+        cache.save()
+        assert counts == {"parse": 3, "walk": 3, "summary": 3}
+
+        counts.clear()
+        cache = SummaryCache(cache_path, key)
+        warm = analyze_paths([root / "src"], root=root, cache=cache)
+        assert cache.hits == 3 and counts == {}
+        assert warm == cold
+
+    def test_warm_run_leaves_the_cache_file_alone(self, tmp_path):
+        # A run that stores and prunes nothing does not rewrite the cache.
+        root = self.make_tree(tmp_path)
+        cache_path = tmp_path / "cache.json"
+        args = ["--root", str(root), "--cache", str(cache_path),
+                str(root / "src")]
+        run_cli(args)
+        before = (cache_path.stat().st_ino, cache_path.read_bytes())
+        run_cli(args)
+        assert (cache_path.stat().st_ino, cache_path.read_bytes()) == before
+
     def test_edited_file_misses(self, tmp_path):
         root = self.make_tree(tmp_path)
         cache_path = tmp_path / "cache.json"
@@ -1225,22 +1274,40 @@ class TestSummaryCache:
         findings = analyze_paths([root / "src"], root=root, cache=cache)
         assert codes(findings) == ["RL005", "RL005", "RL005"]
 
-    @pytest.mark.parametrize("payload", ["list", "string", "entries"])
+    @pytest.mark.parametrize("payload", [
+        "list", "string", "entries", "summary-list", "no-summary",
+        "findings-string", "suppressions-int"])
     def test_cache_of_the_wrong_shape_degrades_to_cold(self, tmp_path,
                                                         payload):
         # Valid JSON that is not the cache's layout: a top level that is
-        # not an object, or a correctly keyed cache whose file entries
-        # are not objects.  The run matches a --no-cache run.
+        # not an object, a correctly keyed cache whose file entries are
+        # not objects, or an entry keyed to the file's current SHA whose
+        # body has the wrong shape.  The run matches a --no-cache run.
         root = self.make_tree(tmp_path)
         cache_path = tmp_path / "cache.json"
-        cache_path.write_text(json.dumps({
-            "list": [],
-            "string": "x",
-            "entries": {"key": cache_key(LintConfig(), None),
-                        "files": {"src/repro/analysis/dirty.py": [],
-                                  "src/repro/analysis/clean.py": "x"}},
-        }[payload]))
         common = ["--root", str(root), "--format", "json", str(root / "src")]
+        run_cli(common + ["--cache", str(cache_path)])
+        layout = json.loads(cache_path.read_text())
+        dirty = layout["files"]["src/repro/analysis/dirty.py"]
+        bad_entries = {
+            "summary-list": {**dirty, "summary": []},
+            "no-summary": {key: value for key, value in dirty.items()
+                           if key != "summary"},
+            "findings-string": {**dirty, "findings": "x"},
+            "suppressions-int": {**dirty, "suppressions": [1]},
+        }
+        if payload in bad_entries:
+            layout["files"]["src/repro/analysis/dirty.py"] = \
+                bad_entries[payload]
+        else:
+            layout = {
+                "list": [],
+                "string": "x",
+                "entries": {"key": cache_key(LintConfig(), None),
+                            "files": {"src/repro/analysis/dirty.py": [],
+                                      "src/repro/analysis/clean.py": "x"}},
+            }[payload]
+        cache_path.write_text(json.dumps(layout))
         cold_code, cold_out, _ = run_cli(common + ["--no-cache"])
         code, out, err = run_cli(common + ["--cache", str(cache_path)])
         assert (code, err) == (cold_code, "")
@@ -1399,6 +1466,25 @@ class TestCli:
         outers = {edge["outer"] for edge in payload["lock_edges"]}
         assert any(outer.endswith("lock_a") for outer in outers)
         assert payload["lock_cycles"] == []
+
+    def test_graph_dump_through_a_warm_cache(self, dirty_tree, monkeypatch):
+        # --graph reads and summarises files like any run, cache included.
+        pkg = dirty_tree / "src" / "repro" / "analysis"
+        (pkg / "locks.py").write_text(RL008_ORDERED_OK)
+        cache_path = dirty_tree / "cache.json"
+        common = ["--root", str(dirty_tree), "--graph",
+                  str(dirty_tree / "src")]
+        uncached = run_cli(common + ["--no-cache"])
+        cold = run_cli(common + ["--cache", str(cache_path)])
+        assert cache_path.exists()
+
+        def no_parse(*args):
+            raise AssertionError("a warm --graph run parsed a file")
+
+        monkeypatch.setattr(ast, "parse", no_parse)
+        warm = run_cli(common + ["--cache", str(cache_path)])
+        assert uncached[0] == 0
+        assert uncached == cold == warm
 
     def test_max_seconds_gate(self, dirty_tree):
         code, _, err = run_cli(["--root", str(dirty_tree),
