@@ -95,9 +95,12 @@ api:
 # reads both names of the first embed back from the disk log.  The loop
 # is the batcher's only caller, so each embed must flush at once: under a
 # 1 s flush timer the p95 bound fails a batcher that waits for the timer.
+# An embed of stored names is answered without the batcher, so the first
+# pass flushes once (its first embed) and the second pass never.
 serve-smoke:
 	store=$$(mktemp -d); trap 'rm -rf "$$store"' EXIT; \
-	for hits in 1 3; do \
+	for pass in "1 1" "3 0"; do \
+	  set -- $$pass; \
 	  printf '%s\n' \
 	    '{"op": "ping"}' \
 	    '{"op": "embed", "names": ["link failure", "paging storm"]}' \
@@ -105,8 +108,8 @@ serve-smoke:
 	    '{"op": "stats"}' \
 	    | $(PYTHON) -m repro serve --stats --max-wait-ms 1000 \
 	      --store "$$store" \
-	    | $(PYTHON) tools/check_serve_smoke.py --min-hits $$hits \
-	      --max-p95-s 0.5 || exit 1; \
+	    | $(PYTHON) tools/check_serve_smoke.py --min-hits $$1 \
+	      --max-p95-s 0.5 --max-batches $$2 || exit 1; \
 	done
 
 # Boot the TCP frontend as a real subprocess, drive a short open-loop

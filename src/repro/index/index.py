@@ -167,6 +167,10 @@ class VectorIndex:
         self._shards: list[ShardData | None] = [None] * num_shards
         self._probe_plan: _ProbePlan | None = None
         self._pending: dict[str, np.ndarray] = {}
+        # (names, stacked rows or None, name set) of ``_pending``: built
+        # by the first query after a change, like ``_probe_plan``.
+        self._pending_view: tuple[list[str], np.ndarray | None,
+                                  set[str]] | None = None
         self._counters = {"queries": 0, "adds": 0, "flushes": 0,
                           "builds": 0, "rows_scanned": 0}
         self._load_manifest()
@@ -301,6 +305,7 @@ class VectorIndex:
                 shards.append(read_shard(self.directory, stem))
             with self._lock:
                 self._pending.clear()
+                self._pending_view = None
                 self._counters["builds"] += 1
             self._commit(shards, generation)
         return len(names)
@@ -321,6 +326,7 @@ class VectorIndex:
             self._check_dim(matrix, "added vectors")
             for row, name in enumerate(vectors):
                 self._pending[name] = matrix[row]
+            self._pending_view = None
             self._counters["adds"] += len(vectors)
 
     def flush(self) -> int:
@@ -335,6 +341,7 @@ class VectorIndex:
             with self._lock:
                 pending = dict(self._pending)
                 self._pending = {}
+                self._pending_view = None
                 current = list(self._shards)
             if not pending:
                 return 0
@@ -373,7 +380,10 @@ class VectorIndex:
         ``nprobe`` (default: the index's build-time setting) is the
         clusters probed per shard — exact within probed clusters, so
         raising it trades speed for recall.  Probing auto-extends while
-        the candidate pool holds fewer than ``k`` rows.
+        the candidate pool holds fewer than ``k`` rows.  Pending rows
+        are scanned exactly, from one stacked view of the buffer that
+        the first query after an :meth:`add`, :meth:`flush` or
+        :meth:`build` makes and later queries reuse.
         """
         if k < 1:
             raise ValueError("k must be positive")
@@ -394,11 +404,15 @@ class VectorIndex:
             plan = self._probe_plan
             if plan is None and live:
                 plan = self._probe_plan = _ProbePlan(live)
-            pending_names = list(self._pending)
-            pending_matrix = (np.stack([self._pending[n]
-                                        for n in pending_names])
-                              if pending_names else None)
-            pending_set = set(pending_names)
+            view = self._pending_view
+            if view is None:
+                names = list(self._pending)
+                view = self._pending_view = (
+                    names,
+                    np.stack([self._pending[n] for n in names])
+                    if names else None,
+                    set(names))
+            pending_names, pending_matrix, pending_set = view
         # Stage 1 is batched across the whole query matrix: one matmul
         # against every coarse centroid and one axis-1 argpartition pick
         # each query's probe set.  ``nprobe`` is clusters *per shard*;

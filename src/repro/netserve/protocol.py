@@ -28,6 +28,7 @@ every wait underneath (retries, backoff, batcher) end to end.
 from __future__ import annotations
 
 import json
+import math
 from typing import TYPE_CHECKING, IO
 
 import numpy as np
@@ -69,7 +70,7 @@ def parse_rca_state(request: dict):
     try:
         adjacency = np.asarray(request.get("adjacency"), dtype=float)
         features = np.asarray(request.get("features"), dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("rca 'adjacency'/'features' must be numeric "
                          "matrices") from None
     v = len(nodes)
@@ -77,6 +78,8 @@ def parse_rca_state(request: dict):
         raise ValueError(f"rca 'adjacency' must be {v}x{v}")
     if features.ndim != 2 or features.shape[0] != v:
         raise ValueError(f"rca 'features' must have {v} rows")
+    if not (np.isfinite(adjacency).all() and np.isfinite(features).all()):
+        raise ValueError("rca 'adjacency'/'features' must be finite")
     return state_for_inference(nodes, adjacency, features)
 
 
@@ -91,21 +94,25 @@ def parse_eap_pairs(request: dict):
     pairs = []
     for number, raw in enumerate(raw_pairs):
         try:
-            pairs.append(EventPair(
+            pair = EventPair(
                 event_i=str(raw.get("event_i", raw["name_i"])),
                 event_j=str(raw.get("event_j", raw["name_j"])),
                 name_i=str(raw["name_i"]), name_j=str(raw["name_j"]),
                 node_i=str(raw["node_i"]), node_j=str(raw["node_j"]),
                 time_i=float(raw["time_i"]), time_j=float(raw["time_j"]),
-                label=0))  # placeholder; never read at inference time
+                label=0)  # placeholder; never read at inference time
         except KeyError as missing:
             raise ValueError(
                 f"eap pair {number} lacks required field {missing}"
             ) from None
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(
                 f"eap pair {number} has non-numeric time_i/time_j"
             ) from None
+        if not (math.isfinite(pair.time_i) and math.isfinite(pair.time_j)):
+            raise ValueError(f"eap pair {number} has non-finite "
+                             f"time_i/time_j")
+        pairs.append(pair)
     return pairs
 
 

@@ -34,6 +34,7 @@ open connections with the ``draining`` envelope, and waits — bounded by
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import threading
@@ -364,10 +365,17 @@ class TeleServer:
         raw = request.get("deadline_ms")
         if raw is None:
             return Deadline.after(self.config.default_deadline_s)
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
-                or raw <= 0:
-            raise ValueError("deadline_ms must be a positive number")
-        return Deadline.after(float(raw) / 1000.0)
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise ValueError("deadline_ms must be a positive, finite number")
+        try:
+            seconds = float(raw) / 1000.0
+        except OverflowError:   # an integer too large for a float
+            seconds = math.inf
+        # NaN fails both comparisons: it is a bad request, not a
+        # deadline that has already passed.
+        if not 0 < seconds < math.inf:
+            raise ValueError("deadline_ms must be a positive, finite number")
+        return Deadline.after(seconds)
 
     # ------------------------------------------------------------------
     # Observability

@@ -5,9 +5,9 @@ inference service, the deployment shape the paper's "service embeddings"
 imply (Sec. V-A3) and that industrial tele-PLM systems build around:
 
 * :class:`MicroBatcher` — dynamic micro-batching with cross-request
-  deduplication (flush on size or deadline), deadline-aware waits, and a
-  flush watchdog that bounds provider calls, the only calls that can
-  hang;
+  deduplication (flush on size, once every caller waits, or on the
+  timer), deadline-aware waits, and a flush watchdog that bounds
+  provider calls, the only calls that can hang;
 * :class:`EmbeddingStore` / :class:`PersistentProvider` — the one
   embedding cache: an LRU memory tier, optionally over an append-only
   on-disk log keyed by checkpoint fingerprint (versioned invalidation);
@@ -17,7 +17,8 @@ imply (Sec. V-A3) and that industrial tele-PLM systems build around:
   three fault-analysis calls (``rank_root_causes`` / ``propagate_alarms``
   / ``classify_fault``) with per-request deadlines, bounded retry with
   backoff, and graceful degradation to a fallback provider; every
-  attempt runs on the calling thread;
+  attempt runs on the calling thread, and an ``embed`` attempt whose
+  names the store all holds is answered there, without the batcher;
 * :class:`Deadline` — the propagated budget that keeps a hung encoder
   from wedging the stack (typed failures: :class:`DeadlineExceeded`,
   :class:`FlushTimeout`);

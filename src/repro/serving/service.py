@@ -4,7 +4,10 @@ Composes the serving stack the rest of :mod:`repro.serving` provides::
 
     caller ──▶ FaultAnalysisService.embed
                   │  deadline / bounded retry with backoff / fallback
-                  ▼
+                  ├──▶ every name stored: PersistentProvider.encode_stored
+                  │    answers on the caller's thread (store read, index
+                  │    sync, stack)
+                  ▼ any name missing
                MicroBatcher  (coalesce + cross-request dedup,
                   │           deadline-aware waits, flush watchdog)
                   ▼
@@ -19,14 +22,16 @@ Task calls (:meth:`rank_root_causes`, :meth:`propagate_alarms`,
 pipeline, so they hit the same caches and metrics.  :meth:`retrieve`
 and the ``fct`` adapter query the index directly.
 
-Batching: each :meth:`embed` is counted as a batcher caller from its
-first attempt to its return (:meth:`MicroBatcher.caller`), and
-:meth:`retrieve` and the adapters' first fit reach the batcher through
-:meth:`embed`.  Once every counted caller is blocked in the batcher, no
-name can still join the pending batch, so it flushes at once: a lone
-caller never waits for ``max_wait_ms``.  That timer still bounds the
-wait while a counted caller sleeps in retry backoff or runs its
-fallback.
+Batching: an embed attempt whose names the store all holds never enters
+the batcher, so re-serving a name costs no thread hand-off and is
+answered even while a flush is wedged in the encoder.  Each
+:meth:`embed` is counted as a batcher caller from its first attempt to
+its return (:meth:`MicroBatcher.caller`), and :meth:`retrieve` and the
+adapters' first fit reach the batcher through :meth:`embed`.  Once every
+counted caller is blocked in the batcher, no name can still join the
+pending batch, so it flushes at once: a lone caller never waits for
+``max_wait_ms``.  That timer still bounds the wait while a counted
+caller sleeps in retry backoff or runs its fallback.
 
 Degradation policy: every request carries a total budget of
 ``timeout_s × (max_retries + 1)`` plus backoff.  Each attempt gets a
@@ -177,14 +182,14 @@ class FaultAnalysisService:
             mode=mode or getattr(provider, "mode", "name"),
             lru_capacity=self.config.lru_capacity)
         self.index = index
-        stack = PersistentProvider(provider, self.store, index)
+        self._cached = PersistentProvider(provider, self.store, index)
         if index is not None:
             if len(index) == 0 and len(self.store):
                 build_from_store(index, self.store)
             if fct is not None:
                 fct.attach_index(index)
         self.batcher = MicroBatcher(
-            stack,
+            self._cached,
             max_batch_size=self.config.max_batch_size,
             max_wait_ms=self.config.max_wait_ms,
             flush_timeout_s=self.config.effective_flush_timeout_s,
@@ -272,15 +277,20 @@ class FaultAnalysisService:
               deadline: Deadline | None = None) -> np.ndarray:
         """Service embeddings for ``names`` through the full stack.
 
-        ``deadline`` (optional) caps the total budget — see
-        :meth:`_call_with_policy`.
+        An attempt whose names the store all holds is answered on the
+        calling thread; any other rides the batcher.  ``deadline``
+        (optional) caps the total budget — see :meth:`_call_with_policy`.
         """
         fallback = None
         if self.fallback is not None:
             fallback = lambda: self.fallback.encode_names(names)  # noqa: E731
 
         def primary(attempt_deadline: Deadline):
-            return self.batcher.encode(names, deadline=attempt_deadline)
+            vectors = self._cached.encode_stored(names)
+            if vectors is None:
+                vectors = self.batcher.encode(names,
+                                              deadline=attempt_deadline)
+            return vectors
 
         # One count across every attempt: while this caller sleeps in
         # backoff the batcher keeps other callers' names to max_wait_ms.

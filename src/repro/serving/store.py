@@ -340,6 +340,12 @@ class PersistentProvider(EmbeddingProvider):
     encoder entirely; fresh names are encoded once, stored, and served
     from memory afterwards.
 
+    :meth:`encode_stored` answers a request whose every name the store
+    holds, and returns ``None`` for any other without touching the inner
+    encoder, so a caller can answer stored names on its own thread and
+    send the rest through :meth:`encode_names` (in the service, on the
+    batcher's flush thread).
+
     With an ``index``, every name served that the index lacks is added to
     it, and its ``add`` buffer is folded into the shards once it holds
     :data:`INDEX_FLUSH_ROWS` rows.  The index must carry the store's
@@ -384,6 +390,31 @@ class PersistentProvider(EmbeddingProvider):
             with self._lock:
                 self.store.put_many(fresh)
             found.update(fresh)
+        return self._serve(names, found)
+
+    def encode_stored(self, names: list[str]) -> np.ndarray | None:
+        """``names``' stored vectors, or ``None`` if the store lacks one.
+
+        Never calls the inner encoder.  Membership is checked with the
+        store's non-counting ``in`` first, so ``None`` counts nothing and
+        the :meth:`encode_names` that follows counts each name once.  The
+        exception is a log record found unreadable here: it gives
+        ``None`` too, and the request's names are counted again when
+        :meth:`encode_names` reads them.
+        """
+        with self._lock:
+            if not all(name in self.store for name in names):
+                return None
+            found = self.store.get_many(names)
+        if len(found) < len(set(names)):
+            return None
+        return self._serve(names, found)
+
+    def _serve(self, names: list[str],
+               found: dict[str, np.ndarray]) -> np.ndarray:
+        """Sync the index with ``found``; the matrix aligned with names."""
+        if not names:
+            return np.zeros((0, self.dim))
         if self.index is not None:
             unindexed = {name: found[name] for name in names
                          if name not in self.index}

@@ -13,6 +13,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +291,101 @@ class TestAddFlush:
         index.add({"doomed": vectors[0]})
         index.build(mapping)
         assert "doomed" not in index
+
+
+class TestPendingView:
+    """Queries share one stacked view of the pending buffer, which every
+    change to the buffer must drop."""
+
+    def test_query_finds_a_name_added_after_the_last_query(self, tmp_path):
+        _, vectors, mapping = _world(300, 8)
+        index = VectorIndex(tmp_path, fingerprint="fp")
+        index.build(mapping)
+        index.add({"first": vectors[0] + 0.01})
+        index.query(vectors[1], k=3)
+        index.add({"second": vectors[2] + 0.01})
+        [hits] = index.query(vectors[2] + 0.01, k=1)
+        assert hits[0][0] == "second"
+
+    def test_readding_a_pending_name_changes_its_score(self, tmp_path):
+        _, vectors, _ = _world(10, 8)
+        index = VectorIndex(tmp_path, fingerprint="fp")
+        index.add({"moving": vectors[0]})
+        [[(name, score)]] = index.query(vectors[0], k=1)
+        assert name == "moving" and score == pytest.approx(1.0, abs=1e-5)
+        index.add({"moving": -vectors[0]})
+        [[(name, score)]] = index.query(vectors[0], k=1)
+        assert name == "moving" and score == pytest.approx(-1.0, abs=1e-5)
+
+    def test_flush_and_build_drop_the_view(self, tmp_path):
+        names, vectors, mapping = _world(60, 8)
+        index = VectorIndex(tmp_path, fingerprint="fp")
+        index.add({"flushed": vectors[0]})
+        index.query(vectors[0], k=1)
+        assert index._pending_view is not None
+        index.flush()
+        assert index._pending_view is None
+        index.add({"doomed": vectors[1]})
+        index.query(vectors[1], k=1)
+        index.build(mapping)
+        assert index._pending_view is None
+        [hits] = index.query(vectors[1], k=len(names) + 2)
+        assert sorted(name for name, _ in hits) == sorted(names)
+
+    def test_results_equal_a_restack_on_every_query(self, tmp_path):
+        names, vectors, mapping = _world(400, 8)
+        index = VectorIndex(tmp_path, fingerprint="fp")
+        index.build(mapping)
+        queries = synthetic_queries(vectors, 12, seed=6)
+        rng = np.random.default_rng(5)
+        for step in range(12):
+            if step % 3 == 0:
+                shadowed = rng.choice(len(names), size=2, replace=False)
+                index.add({f"new-{step}": rng.normal(size=8),
+                           **{names[i]: rng.normal(size=8)
+                              for i in shadowed}})
+            cached = index.query(queries, k=7)
+            index._pending_view = None
+            assert cached == index.query(queries, k=7)
+
+    @pytest.mark.timeout(60)
+    def test_concurrent_adds_are_visible_to_the_next_query(self, tmp_path):
+        """More threads than cores, switching every 10 µs: each query
+        must see its own thread's add, which a stale view would miss."""
+        index = VectorIndex(tmp_path, fingerprint="fp")
+        workers = (os.cpu_count() or 1) + 2
+        stop_at = time.monotonic() + 1.0
+        added, failures = [], []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            count = 0
+            try:
+                while time.monotonic() < stop_at:
+                    name, vector = f"w{seed}-{count}", rng.normal(size=16)
+                    index.add({name: vector})
+                    [hits] = index.query(vector, k=1)
+                    if hits[0][0] != name:
+                        failures.append((name, hits[0]))
+                    count += 1
+            except Exception as error:  # noqa: BLE001 — reported
+                failures.append(error)
+            added.append(count)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert index.stats()["pending"] == sum(added) > workers
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the online serving subsystem (:mod:`repro.serving`)."""
 
 import base64
+import contextlib
 import io
 import json
 import sys
@@ -599,17 +600,28 @@ class TestFaultAnalysisService:
     @pytest.mark.timeout(60)
     def test_concurrent_inline_embeds_get_their_own_vectors(self):
         """Embed attempts run on the callers' threads: under a short
-        switch interval, many callers sharing the batcher each get the
-        provider's vector for every name, through one flush thread."""
+        switch interval, many callers sharing the store and the batcher
+        each get the provider's vector for every name, through one flush
+        thread, and exactly the embeds the store could not answer whole
+        enter the batcher."""
         provider = RandomProvider(dim=4, seed=0)
         pool = [f"name-{i}" for i in range(24)]
         callers, per_caller = 12, 20
-        replies, failures = [], []
+        replies, failures, from_store = [], [], []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with FaultAnalysisService(provider,
                                       config=_fast_config()) as service:
+                encode_stored = service._cached.encode_stored
+
+                def count_route(names):
+                    vectors = encode_stored(names)
+                    from_store.append(vectors is not None)
+                    return vectors
+
+                service._cached.encode_stored = count_route
+
                 def caller(seed):
                     rng = np.random.default_rng(seed)
                     try:
@@ -634,8 +646,10 @@ class TestFaultAnalysisService:
         for names, vectors in replies:
             assert np.array_equal(vectors, provider.encode_names(names))
         assert stats["requests"] == callers * per_caller
+        assert len(from_store) == callers * per_caller
         assert stats["metrics"]["counters"][
-            "serving.batcher.requests"] == callers * per_caller
+            "serving.batcher.requests"] == from_store.count(False)
+        assert 0 < from_store.count(False) < callers * per_caller
         assert stats["batcher"]["flush_threads"] == 1
 
     def test_negative_backoff_rejected(self):
@@ -907,6 +921,79 @@ class TestFlushWhenEveryCallerWaits:
         assert provider_calls < callers * per_caller
         for name, vector in replies:
             assert np.array_equal(vector, provider.encode_names([name]))
+
+
+# ----------------------------------------------------------------------
+# Route: an embed of stored names is answered on the caller's thread
+# ----------------------------------------------------------------------
+def _batcher_work(service, provider) -> tuple:
+    counters = service.metrics.snapshot()["counters"]
+    return (counters.get("serving.batcher.requests", 0),
+            service.batcher.stats()["batches_flushed"], provider.calls)
+
+
+class TestStoredNamesSkipTheBatcher:
+    @pytest.mark.timeout(60)
+    def test_stored_name_answers_while_a_flush_is_wedged(self):
+        """Through the batcher, the stored name would wait behind the
+        wedged flush until its attempt timed out."""
+        provider = WedgeableProvider(dim=8)
+        config = _fast_config(timeout_s=1.0, flush_timeout_s=5.0,
+                              max_retries=0)
+
+        def embed_new():
+            with contextlib.suppress(ServingError):
+                service.embed(["new"])
+
+        with FaultAnalysisService(provider, config=config) as service:
+            first = service.embed(["stored"])
+            provider.wedge()
+            wedged = threading.Thread(target=embed_new)
+            try:
+                wedged.start()
+                give_up = time.monotonic() + 5.0
+                while provider.wedged_calls < 1 and \
+                        time.monotonic() < give_up:
+                    time.sleep(0.001)
+                assert provider.wedged_calls == 1   # a flush is stuck
+                again, elapsed = _timed(lambda: service.embed(["stored"]))
+                counters = service.metrics.snapshot()["counters"]
+            finally:
+                provider.release()
+                wedged.join(timeout=5.0)
+        assert again.tobytes() == first.tobytes()
+        assert elapsed < config.timeout_s
+        assert counters.get("serving.fallbacks", 0) == 0
+        assert counters.get("serving.timeouts", 0) == 0
+
+    def test_all_stored_embed_leaves_the_batcher_alone(self):
+        provider = CountingProvider(dim=8)
+        with FaultAnalysisService(provider,
+                                  config=_fast_config()) as service:
+            first = service.embed(["a", "b"])
+            before = _batcher_work(service, provider)
+            again = service.embed(["b", "a", "b"])
+            after = _batcher_work(service, provider)
+            cache = service.stats()["cache"]
+        assert after == before
+        assert np.array_equal(again, first[[1, 0, 1]])
+        assert (cache["hits"], cache["misses"]) == (2, 2)
+
+    def test_mixed_embed_rides_the_batcher(self):
+        provider = CountingProvider(dim=8)
+        with FaultAnalysisService(provider,
+                                  config=_fast_config()) as service:
+            service.embed(["a"])
+            requests, batches, calls = _batcher_work(service, provider)
+            hits, misses = service.store.hits, service.store.misses
+            out = service.embed(["a", "new"])
+            after = _batcher_work(service, provider)
+            counted = (service.store.hits - hits,
+                       service.store.misses - misses)
+        assert after == (requests + 1, batches + 1, calls + 1)
+        assert provider.batches[-1] == ["new"]
+        assert counted == (1, 1)
+        assert np.array_equal(out, provider.encode_names(["a", "new"]))
 
 
 # ----------------------------------------------------------------------
@@ -1259,6 +1346,75 @@ class TestServerLoop:
         hops = handle_request(service, {"op": "classify_fault",
                                         "alarm": alarm, "top_k": 2})
         assert 1 <= len(hops["next_hops"]) <= 2
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"reply carries the non-JSON constant {name}")
+
+
+def _tcp_exchange(service, line: str) -> str:
+    """One raw request line through a fresh socket server; the reply."""
+    import socket
+
+    from repro.netserve import NetServeConfig, TeleServer, TenantRegistry
+
+    server = TeleServer(service, TenantRegistry.single("k-test"),
+                        config=NetServeConfig(close_timeout_s=2.0))
+    try:
+        with socket.create_connection(server.start(), timeout=10.0) as sock:
+            sock.sendall(line.encode() + b"\n")
+            reply = b""
+            while not reply.endswith(b"\n"):
+                chunk = sock.recv(65536)
+                assert chunk, "server closed the connection"
+                reply += chunk
+    finally:
+        server.close(timeout_s=2.0)
+    return reply.decode()
+
+
+class TestNonFiniteNumbers:
+    """``json.loads`` reads ``NaN``, ``Infinity`` and ``-Infinity``, and
+    integers no float can hold: a request carrying one is a bad request
+    on both frontends, never a retryable rejection, a dropped connection
+    or an ``"ok"`` reply scored from it."""
+
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), 10**400],
+                             ids=["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("field", ["deadline_ms", "adjacency",
+                                       "features", "time_i", "time_j"])
+    def test_is_a_bad_request(self, tiny_service, field, value):
+        service, _, rca, eap, _ = tiny_service
+        if field == "deadline_ms":
+            request = {"op": "embed", "names": ["a"], field: value}
+        elif field in ("adjacency", "features"):
+            state = rca.dataset.states[0]
+            request = {"op": "rca", "nodes": list(state.node_names),
+                       "adjacency": state.adjacency.tolist(),
+                       "features": state.features.tolist()}
+            request[field][0][0] = value
+        else:
+            pair = eap.dataset.pairs[0]
+            request = {"op": "eap", "pairs": [
+                {"name_i": pair.name_i, "name_j": pair.name_j,
+                 "node_i": pair.node_i, "node_j": pair.node_j,
+                 "time_i": pair.time_i, "time_j": pair.time_j,
+                 field: value}]}
+        line = json.dumps({**request, "api_key": "k-test"})
+        reply = json.loads(_tcp_exchange(service, line),
+                           parse_constant=_refuse_constant)
+        assert reply["ok"] is False and reply["code"] == "bad_request"
+        if field == "deadline_ms":
+            return  # the stdin loop reads no deadline
+        bad_requests = service.metrics.counter("serving.bad_requests")
+        before = bad_requests.value
+        output = io.StringIO()
+        serve_loop(service, io.StringIO(line + "\n"), output)
+        reply = json.loads(output.getvalue(), parse_constant=_refuse_constant)
+        assert reply["ok"] is False
+        assert bad_requests.value == before + 1
 
 
 class TestServeCli:

@@ -11,13 +11,18 @@ show that every flush of the session ran on one batcher flush thread, and
 with ``--max-p95-s`` that its p95 request latency is within that bound:
 the session has one caller, so under a long ``--max-wait-ms`` the bound
 fails a batcher that waits for its flush timer with no other caller to
-wait for.  Exits non-zero (with a message) on any violation so
-``make serve-smoke`` fails loudly in CI.
+wait for.  With ``--max-batches`` the stats response may report at most
+that many batcher flushes: an embed of names the store already holds is
+answered without the batcher, so the first session flushes once and a
+session whose names are all on the disk log flushes never.  Exits
+non-zero (with a message) on any violation so ``make serve-smoke`` fails
+loudly in CI.
 
 Usage::
 
     printf '{"op":"ping"}\\n...' | python -m repro serve --stats \\
-        | python tools/check_serve_smoke.py [--min-hits N] [--max-p95-s S]
+        | python tools/check_serve_smoke.py [--min-hits N] [--max-p95-s S] \\
+          [--max-batches N]
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ import sys
 
 
 def check(lines: list[str], min_hits: int = 1,
-          max_p95_s: float | None = None) -> list[dict]:
+          max_p95_s: float | None = None,
+          max_batches: int | None = None) -> list[dict]:
     """Validate response lines; returns the parsed responses."""
     responses = []
     for number, line in enumerate(lines, 1):
@@ -67,6 +73,10 @@ def check(lines: list[str], min_hits: int = 1,
             raise SystemExit(f"stats response shows p95 latency "
                              f"{stats['latency']['p95']:.4f}s over the "
                              f"{max_p95_s:g}s bound: {stats}")
+        if max_batches is not None \
+                and stats["batcher"]["batches_flushed"] > max_batches:
+            raise SystemExit(f"stats response shows more than "
+                             f"{max_batches} batcher flush(es): {stats}")
     return responses
 
 
@@ -77,8 +87,10 @@ if __name__ == "__main__":
     parser.add_argument("--max-p95-s", type=float, default=None,
                         help="bound on the stats reply's p95 latency "
                              "(seconds)")
+    parser.add_argument("--max-batches", type=int, default=None,
+                        help="bound on the stats reply's batcher flushes")
     args = parser.parse_args()
     checked = check(sys.stdin.readlines(), min_hits=args.min_hits,
-                    max_p95_s=args.max_p95_s)
+                    max_p95_s=args.max_p95_s, max_batches=args.max_batches)
     print(f"serve smoke OK: {len(checked)} valid responses "
           f"({', '.join(sorted({r['op'] for r in checked}))})")
