@@ -24,7 +24,9 @@ commit.
 
 Incremental growth goes through :meth:`VectorIndex.add`, an in-memory
 buffer that answers queries brute-force immediately and folds into the
-affected shards' clustered files on :meth:`VectorIndex.flush`.
+affected shards' clustered files on :meth:`VectorIndex.flush`.  A fold
+leaves its rows in the buffer until the commit that publishes them, so
+no query, membership test or ``get`` misses a row mid-fold.
 :func:`build_from_store` bulk-loads an index from an
 :class:`~repro.serving.store.EmbeddingStore`.  Serving imports this
 module, so it names the store only as an annotation (under
@@ -171,6 +173,8 @@ class VectorIndex:
         # by the first query after a change, like ``_probe_plan``.
         self._pending_view: tuple[list[str], np.ndarray | None,
                                   set[str]] | None = None
+        # Buffered rows the fold in flight carries (0 when none).
+        self._folding = 0
         self._counters = {"queries": 0, "adds": 0, "flushes": 0,
                           "builds": 0, "rows_scanned": 0}
         self._load_manifest()
@@ -219,9 +223,17 @@ class VectorIndex:
                 f"{self.num_shards}")
         self._shards = shards
 
-    def _commit(self, shards: list[ShardData | None],
-                generation: int) -> None:
-        """Atomically publish ``shards`` as generation ``generation``."""
+    def _commit(self, shards: list[ShardData | None], generation: int,
+                carried: dict[str, np.ndarray] | None) -> None:
+        """Atomically publish ``shards`` as generation ``generation``.
+
+        ``carried`` holds the buffered entries this generation folds in:
+        in the same ``_lock`` acquisition that swaps the shards, each is
+        dropped from the buffer unless re-added since (a re-add is a new
+        array, which keeps shadowing the shard row).  ``None`` (a build)
+        empties the buffer.  Until then queries, ``in`` and :meth:`get`
+        answer the rows from the buffer.
+        """
         manifest = {
             "version": MANIFEST_VERSION,
             "generation": generation,
@@ -241,6 +253,14 @@ class VectorIndex:
             self._shards = shards
             self._probe_plan = None
             self._generation = generation
+            if carried is None:
+                self._pending.clear()
+            else:
+                for name, vector in carried.items():
+                    if self._pending.get(name) is vector:
+                        del self._pending[name]
+                self._folding = 0
+            self._pending_view = None
         self._prune_generations({s.stem for s in shards if s is not None})
 
     def _prune_generations(self, live_stems: set[str]) -> None:
@@ -279,7 +299,9 @@ class VectorIndex:
         Replaces whatever the index held before, including the pending
         buffer.  Crash-safe: the new generation only becomes visible when
         its manifest lands, and the previous generation's files are kept
-        until then.
+        until then.  The buffer is emptied in the same step that swaps in
+        the new shards, so until then the old generation and the buffer
+        keep answering.
         """
         names = list(vectors)
         with self._rebuild_lock:
@@ -297,17 +319,13 @@ class VectorIndex:
                 if not rows:
                     shards.append(None)
                     continue
-                stem = shard_stem(generation, shard_id)
-                write_shard(self.directory, stem,
-                            [names[r] for r in rows], matrix[rows],
-                            self._nlist_for(len(rows)),
-                            seed=self.seed + shard_id)
-                shards.append(read_shard(self.directory, stem))
+                shards.append(write_shard(
+                    self.directory, shard_stem(generation, shard_id),
+                    [names[r] for r in rows], matrix[rows],
+                    self._nlist_for(len(rows)), seed=self.seed + shard_id))
             with self._lock:
-                self._pending.clear()
-                self._pending_view = None
                 self._counters["builds"] += 1
-            self._commit(shards, generation)
+            self._commit(shards, generation, None)
         return len(names)
 
     def add(self, vectors: dict[str, np.ndarray]) -> None:
@@ -335,40 +353,68 @@ class VectorIndex:
         Only the shards a buffered name hashes into are rewritten (new
         generation files for those shards; untouched shards keep their
         current files).  The manifest swap is the commit point, exactly
-        as in :meth:`build`.
+        as in :meth:`build`.  The folded rows stay in the buffer, and so
+        stay visible to :meth:`query`, ``in`` and :meth:`get`, until the
+        commit swaps in the shards that hold them; ``stats()["folding"]``
+        counts them meanwhile.
         """
         with self._rebuild_lock:
             with self._lock:
                 pending = dict(self._pending)
-                self._pending = {}
-                self._pending_view = None
                 current = list(self._shards)
+                self._folding = len(pending)
             if not pending:
                 return 0
-            per_shard: dict[int, dict[str, np.ndarray]] = {}
-            for name, vector in pending.items():
-                shard_id = shard_for_name(name, self.num_shards)
-                per_shard.setdefault(shard_id, {})[name] = vector
             generation = self._generation + 1
-            shards: list[ShardData | None] = list(current)
-            for shard_id, fresh in per_shard.items():
-                merged: dict[str, np.ndarray] = {}
-                existing = current[shard_id]
-                if existing is not None:
-                    for row, name in enumerate(existing.names):
-                        merged[name] = np.asarray(existing.vectors[row])
-                merged.update(fresh)             # newest write wins
-                stem = shard_stem(generation, shard_id)
-                names = list(merged)
-                write_shard(self.directory, stem, names,
-                            np.stack([merged[n] for n in names]),
-                            self._nlist_for(len(names)),
-                            seed=self.seed + shard_id)
-                shards[shard_id] = read_shard(self.directory, stem)
-            with self._lock:
-                self._counters["flushes"] += 1
-            self._commit(shards, generation)
+            try:
+                shards = self._fold(pending, current, generation)
+                with self._lock:
+                    self._counters["flushes"] += 1
+                self._commit(shards, generation, pending)
+            finally:
+                # The commit clears it with the swap; this covers a fold
+                # that failed, whose rows stay buffered.
+                with self._lock:
+                    self._folding = 0
         return len(pending)
+
+    def _fold(self, pending: dict[str, np.ndarray],
+              current: list[ShardData | None],
+              generation: int) -> list[ShardData | None]:
+        """Write ``generation`` of the shards ``pending`` touches.
+
+        Each touched shard's rows are taken as one block: a re-added
+        name overwrites its row in place (newest write wins), and new
+        names are appended in buffer order.
+        """
+        per_shard: dict[int, dict[str, np.ndarray]] = {}
+        for name, vector in pending.items():
+            shard_id = shard_for_name(name, self.num_shards)
+            per_shard.setdefault(shard_id, {})[name] = vector
+        shards: list[ShardData | None] = list(current)
+        for shard_id, fresh in per_shard.items():
+            existing = current[shard_id]
+            if existing is None:
+                names = list(fresh)
+                matrix = np.stack(list(fresh.values()))
+            else:
+                names = list(existing.names)
+                matrix = np.array(existing.vectors)
+                appended = []
+                for name, vector in fresh.items():
+                    row = existing.name_rows.get(name)
+                    if row is None:
+                        names.append(name)
+                        appended.append(vector)
+                    else:
+                        matrix[row] = vector
+                if appended:
+                    matrix = np.concatenate([matrix, np.stack(appended)])
+            shards[shard_id] = write_shard(
+                self.directory, shard_stem(generation, shard_id), names,
+                matrix, self._nlist_for(len(names)),
+                seed=self.seed + shard_id)
+        return shards
 
     # ------------------------------------------------------------------
     # Queries
@@ -582,7 +628,11 @@ class VectorIndex:
             return None if row is None else np.array(shard.vectors[row])
 
     def stats(self) -> dict:
-        """Counts, geometry, and counters (feeds ``index stats`` / knn)."""
+        """Counts, geometry, and counters (feeds ``index stats`` / knn).
+
+        ``pending`` counts the buffered names; ``folding`` how many of
+        them the fold in flight carries (0 when none).
+        """
         with self._lock:
             shard_counts = [len(s) if s is not None else 0
                             for s in self._shards]
@@ -595,6 +645,7 @@ class VectorIndex:
                 "nprobe": self.nprobe,
                 "count": sum(shard_counts),
                 "pending": len(self._pending),
+                "folding": self._folding,
                 "shard_counts": shard_counts,
                 "clusters": [int(s.centroids.shape[0]) if s is not None
                              else 0 for s in self._shards],

@@ -34,7 +34,14 @@ def _normalise(matrix: np.ndarray) -> np.ndarray:
 
 def _seed_centroids(vectors: np.ndarray, nlist: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """k-means++-style seeding: spread the initial centroids out."""
+    """k-means++-style seeding: spread the initial centroids out.
+
+    Each pick after the first makes the draw ``rng.choice(count,
+    p=distances / total)`` makes — the same float64 cdf, normalised by
+    its last entry, searched with one ``rng.random()`` — without
+    ``choice``'s per-call validation of ``p``, so the picks and the
+    generator's state match it exactly.
+    """
     count = vectors.shape[0]
     first = int(rng.integers(count))
     chosen = [first]
@@ -47,7 +54,9 @@ def _seed_centroids(vectors: np.ndarray, nlist: int,
             # All remaining rows coincide with a centroid; fill uniformly.
             pick = int(rng.integers(count))
         else:
-            pick = int(rng.choice(count, p=distances / total))
+            cdf = np.cumsum(distances / total, dtype=np.float64)
+            cdf /= cdf[-1]
+            pick = int(cdf.searchsorted(rng.random(), side="right"))
         chosen.append(pick)
         distances = np.minimum(distances, 1.0 - vectors @ vectors[pick])
     return vectors[chosen].copy()

@@ -74,9 +74,11 @@ class ShardData:
 
 
 def write_shard(directory: str | Path, stem: str, names: list[str],
-                vectors: np.ndarray, nlist: int, seed: int = 0) -> dict:
-    """Cluster, lay out, and durably write one shard; returns its manifest
-    entry (``{"stem", "count", "clusters"}``).
+                vectors: np.ndarray, nlist: int, seed: int = 0) -> ShardData:
+    """Cluster, lay out, and durably write one shard; returns the
+    :class:`ShardData` it wrote, as :func:`read_shard` would load it
+    (vectors memory-mapped from the new ``.npy``), so a caller never
+    re-reads the sidecar it just wrote.
 
     ``vectors`` must be L2-normalised float32 rows aligned with ``names``.
     Rows are regrouped cluster-contiguously before writing so a probed
@@ -99,13 +101,15 @@ def write_shard(directory: str | Path, stem: str, names: list[str],
     atomic_write_bytes(directory / f"{stem}.npy", buffer.getvalue())
     meta = {
         "names": names,
-        "centroids": [[float(x) for x in row] for row in centroids],
-        "offsets": [int(x) for x in offsets],
+        "centroids": centroids.astype(np.float64).tolist(),
+        "offsets": offsets.tolist(),
     }
     atomic_write_text(directory / f"{stem}.meta.json",
                       json.dumps(meta, ensure_ascii=False))
-    return {"stem": stem, "count": len(names),
-            "clusters": int(centroids.shape[0])}
+    return ShardData(vectors=np.load(directory / f"{stem}.npy",
+                                     mmap_mode="r"),
+                     names=names, centroids=centroids, offsets=offsets,
+                     stem=stem)
 
 
 def read_shard(directory: str | Path, stem: str) -> ShardData:

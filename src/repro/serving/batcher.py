@@ -25,6 +25,14 @@ Names are deduplicated **across requests**: if four threads concurrently
 ask for ``"link failure"``, the provider sees it once and all four callers
 share the resulting vector.
 
+Each flush completes once, not once per name: it publishes its whole
+batch (every vector, or one error for every entry) under the batcher's
+lock and wakes the blocked callers with a single ``notify_all`` on a
+completion condition.  That condition shares the lock but is not the one
+the worker parks on, so registering names wakes only the worker and a
+flush wakes only callers.  A woken caller re-checks its own entries and
+waits again while any is unfinished.
+
 Two mechanisms keep a hung or slow provider from wedging the batcher:
 
 * **Deadline-aware waits** — :meth:`encode` accepts a
@@ -70,12 +78,17 @@ _IDLE_WAKE_S = 0.5
 
 
 class _Pending:
-    """One in-flight unique name, shared by every request that wants it."""
+    """One in-flight unique name, shared by every request that wants it.
+
+    ``done``, ``vector`` and ``error`` are written once, under the
+    batcher's lock, by the flush that carried the entry; waiters read
+    them after seeing ``done`` under that lock.
+    """
 
     __slots__ = ("done", "vector", "error", "enqueued_at", "waiters")
 
     def __init__(self, enqueued_at: float):
-        self.done = threading.Event()
+        self.done = False
         self.vector: np.ndarray | None = None
         self.error: BaseException | None = None
         self.enqueued_at = enqueued_at
@@ -122,7 +135,11 @@ class MicroBatcher:
         self.flush_timeout_s = flush_timeout_s
         self.max_hung_flushes = max_hung_flushes
         self.metrics = metrics or MetricsRegistry()
-        self._cond = threading.Condition()
+        # One lock, two conditions: the worker parks on ``_cond``, callers
+        # wait for their flushes on ``_done``.
+        lock = threading.Lock()
+        self._cond = threading.Condition(lock)
+        self._done = threading.Condition(lock)
         self._pending: dict[str, _Pending] = {}
         # Callers counted by caller(), and callers blocked in encode().
         self._callers = 0
@@ -174,36 +191,39 @@ class MicroBatcher:
             return np.zeros((0, self.dim))
         deadline = deadline or Deadline.never()
         now = time.monotonic()
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("MicroBatcher is closed")
-            entries: dict[str, _Pending] = {}
-            for name in names:
-                if name in entries:
-                    continue
-                entry = self._pending.get(name)
-                if entry is None:
-                    entry = _Pending(now)
-                    self._pending[name] = entry
-                entry.waiters += 1
-                entries[name] = entry
-            self._waiting += 1
-            self.metrics.counter(mn.BATCHER_REQUESTS).inc()
-            self.metrics.gauge(mn.BATCHER_QUEUE_DEPTH).set(
-                len(self._pending))
-            self._cond.notify_all()
+        entries: dict[str, _Pending] = {}
         try:
-            for entry in entries.values():
-                if not entry.done.wait(timeout=deadline.wait_timeout()):
-                    raise DeadlineExceeded(
-                        f"encode of {len(names)} name(s) exceeded its "
-                        f"deadline while waiting for a flush")
+            with self._done:
+                if self._closed:
+                    raise RuntimeError("MicroBatcher is closed")
+                for name in names:
+                    if name in entries:
+                        continue
+                    entry = self._pending.get(name)
+                    if entry is None:
+                        entry = _Pending(now)
+                        self._pending[name] = entry
+                    entry.waiters += 1
+                    entries[name] = entry
+                self._waiting += 1
+                self.metrics.counter(mn.BATCHER_REQUESTS).inc()
+                self.metrics.gauge(mn.BATCHER_QUEUE_DEPTH).set(
+                    len(self._pending))
+                self._cond.notify_all()
+                try:
+                    # A wake-up is any flush completing: re-check ours.
+                    while not all(entry.done for entry in entries.values()):
+                        timeout = deadline.wait_timeout()
+                        if timeout is not None and timeout <= 0.0:
+                            raise DeadlineExceeded(
+                                f"encode of {len(names)} name(s) exceeded "
+                                f"its deadline while waiting for a flush")
+                        self._done.wait(timeout)
+                finally:
+                    self._waiting -= 1
         except DeadlineExceeded:
             self._abandon(entries)
             raise
-        finally:
-            with self._cond:
-                self._waiting -= 1
         rows = []
         for name in names:
             entry = entries[name]
@@ -223,7 +243,7 @@ class MicroBatcher:
         dropped = 0
         with self._cond:
             for name, entry in entries.items():
-                if entry.done.is_set():
+                if entry.done:
                     continue
                 entry.waiters -= 1
                 if entry.waiters <= 0 and self._pending.get(name) is entry:
@@ -313,11 +333,13 @@ class MicroBatcher:
             self.metrics.emit("batch_error", names=len(names),
                               error=repr(job.error))
             return
-        for name, vector in zip(names, job.result_value):
-            batch[name].vector = vector
-            batch[name].done.set()
-        self.batches_flushed += 1
-        self.names_encoded += len(names)
+        with self._done:
+            for entry, vector in zip(batch.values(), job.result_value):
+                entry.vector = vector
+                entry.done = True
+            self.batches_flushed += 1
+            self.names_encoded += len(names)
+            self._done.notify_all()
         self.metrics.counter(mn.BATCHER_BATCHES).inc()
         self.metrics.counter(mn.BATCHER_NAMES).inc(len(names))
         self.metrics.histogram(mn.BATCHER_BATCH_SIZE).observe(
@@ -328,12 +350,14 @@ class MicroBatcher:
         with self.metrics.time(mn.BATCHER_FLUSH_LATENCY):
             return self.provider.encode_names(flush.names)
 
-    @staticmethod
-    def _fail_batch(batch: dict[str, _Pending],
+    def _fail_batch(self, batch: dict[str, _Pending],
                     error: BaseException) -> None:
-        for entry in batch.values():
-            entry.error = error
-            entry.done.set()
+        """Fail every entry of ``batch`` and wake its waiters once."""
+        with self._done:
+            for entry in batch.values():
+                entry.error = error
+                entry.done = True
+            self._done.notify_all()
 
     # ------------------------------------------------------------------
     # Lifecycle

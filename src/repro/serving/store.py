@@ -89,6 +89,11 @@ class EmbeddingStore:
         self.fingerprint = fingerprint
         self.label = label
         self.mode = mode
+        # Every record of this store starts with its fixed namespace:
+        # ``{"v": ..., "p": ..., "m": ..., "n": `` as json.dumps lays it out.
+        namespace = json.dumps({"v": fingerprint, "p": label, "m": mode},
+                               ensure_ascii=False)
+        self._record_head = namespace[:-1] + ', "n": '
         self.lru_capacity = lru_capacity
         self._lock = threading.RLock()
         self._lru: OrderedDict[str, np.ndarray] = OrderedDict()
@@ -110,11 +115,17 @@ class EmbeddingStore:
                 and "b" in record)
 
     def _record_line(self, name: str, vector: np.ndarray) -> bytes:
-        """One newline-terminated log record for ``name``."""
+        """One newline-terminated log record for ``name``.
+
+        Byte for byte ``json.dumps(record, ensure_ascii=False).encode()
+        + b"\\n"`` of the five-key record, built from the store's encoded
+        namespace head: per record only the name is JSON-encoded and only
+        the vector packed and base64-encoded.
+        """
         packed = np.asarray(vector, dtype=_VECTOR_DTYPE).tobytes()
-        record = {"v": self.fingerprint, "p": self.label, "m": self.mode,
-                  "n": name, "b": base64.b64encode(packed).decode("ascii")}
-        return json.dumps(record, ensure_ascii=False).encode() + b"\n"
+        encoded = base64.b64encode(packed).decode("ascii")
+        name_json = json.dumps(name, ensure_ascii=False)
+        return f'{self._record_head}{name_json}, "b": "{encoded}"}}\n'.encode()
 
     def _scan(self) -> None:
         """Index the log: newest offset per name in this namespace."""
@@ -224,7 +235,12 @@ class EmbeddingStore:
                 handle.write(b"\n")
 
     def put_many(self, vectors: dict[str, np.ndarray]) -> None:
-        """Append vectors to the log (if any) and refresh both tiers."""
+        """Append vectors to the log (if any) and refresh both tiers.
+
+        The records go out in one write; each is encoded by
+        :meth:`_record_line` and packs its own vector, so one call may
+        mix vector lengths and dtypes.
+        """
         if not vectors:
             return
         with self._lock:
@@ -348,9 +364,9 @@ class PersistentProvider(EmbeddingProvider):
 
     With an ``index``, every name served that the index lacks is added to
     it, and its ``add`` buffer is folded into the shards once it holds
-    :data:`INDEX_FLUSH_ROWS` rows.  The index must carry the store's
-    fingerprint, so a re-trained encoder never serves neighbours from a
-    stale geometry.
+    :data:`INDEX_FLUSH_ROWS` rows that no fold in flight carries.  The
+    index must carry the store's fingerprint, so a re-trained encoder
+    never serves neighbours from a stale geometry.
     """
 
     def __init__(self, inner: EmbeddingProvider, store: EmbeddingStore,
@@ -420,7 +436,10 @@ class PersistentProvider(EmbeddingProvider):
                          if name not in self.index}
             if unindexed:
                 self.index.add(unindexed)
-                if self.index.stats()["pending"] >= INDEX_FLUSH_ROWS:
+                # Rows a fold in flight already carries stay pending (and
+                # visible) until it commits; they must not start another.
+                stats = self.index.stats()
+                if stats["pending"] - stats["folding"] >= INDEX_FLUSH_ROWS:
                     self.index.flush()
         return np.stack([found[n] for n in names])
 

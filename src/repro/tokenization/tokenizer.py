@@ -79,27 +79,43 @@ class WordTokenizer:
         id matrices and the token strings (the stage-2 masking path) should
         use this instead of calling :meth:`encode_batch` and :meth:`encode`
         separately, which doubles the tokenization work per training step.
+        Each token list is :meth:`encode`'s ``tokens``: wrapped and cut at
+        ``max_length``, never cut to ``pad_to``.
         """
-        encodings = [self.encode(t) for t in texts]
-        ids, mask = self._pad(encodings, pad_to)
-        return ids, mask, [e.tokens for e in encodings]
+        return self._encode_rows(texts, pad_to)
 
     def encode_batch(self, texts: Sequence[str],
                      pad_to: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Encode texts into padded ``(ids, attention_mask)`` matrices."""
-        return self._pad([self.encode(t) for t in texts], pad_to)
+        """Encode texts into padded ``(ids, attention_mask)`` matrices.
 
-    def _pad(self, encodings: Sequence[Encoding],
-             pad_to: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        length = pad_to or max(len(e.ids) for e in encodings)
-        ids = np.full((len(encodings), length), self.vocab.pad_id,
-                      dtype=np.int64)
-        mask = np.zeros((len(encodings), length), dtype=np.int64)
-        for row, enc in enumerate(encodings):
-            n = min(len(enc.ids), length)
-            ids[row, :n] = enc.ids[:n]
-            mask[row, :n] = enc.attention_mask[:n]
+        Row ``i`` holds :meth:`encode` of ``texts[i]`` cut to the padded
+        length (``pad_to``, else the longest row), then ``pad_id`` with
+        mask 0; both matrices are int64.
+        """
+        ids, mask, _ = self._encode_rows(texts, pad_to)
         return ids, mask
+
+    def _encode_rows(self, texts: Sequence[str], pad_to: int | None
+                     ) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
+        """The padded ``(ids, mask)`` and token lists of ``texts``.
+
+        One pass for the whole batch: every row's tokens map to ids in a
+        single :meth:`Vocab.encode` call, and one boolean row-length mask
+        places them in the padded matrix.  The two public batch methods
+        share it rather than call each other, so each call is one
+        ``encode_batch*`` call to anything that wraps them.
+        """
+        keep = self.max_length - 2
+        rows = [[CLS, *self.tokenize(text)[:keep], SEP] for text in texts]
+        length = pad_to or max(len(row) for row in rows)
+        lengths = np.array([min(len(row), length) for row in rows],
+                           dtype=np.int64)
+        filled = np.arange(length) < lengths[:, None]
+        ids = np.full((len(rows), length), self.vocab.pad_id,
+                      dtype=np.int64)
+        ids[filled] = self.vocab.encode(
+            [token for row in rows for token in row[:length]])
+        return ids, filled.astype(np.int64), rows
 
     def decode(self, ids: Iterable[int], skip_special: bool = True) -> str:
         """Best-effort detokenization (space-joined)."""

@@ -91,7 +91,10 @@ class Vocab:
         return self._id_to_token[index]
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
-        return [self.token_to_id(t) for t in tokens]
+        """Ids of ``tokens`` (unknown ones map to ``[UNK]``'s id)."""
+        lookup = self._token_to_id.get
+        unk = self._token_to_id[UNK]
+        return [lookup(token, unk) for token in tokens]
 
     def decode(self, ids: Sequence[int]) -> list[str]:
         return [self.id_to_token(i) for i in ids]

@@ -34,6 +34,7 @@ from repro.index import (
     synthetic_world,
 )
 from repro.index import ivf
+from repro.index.shards import read_shard, shard_stem, write_shard
 from repro.serving import (
     EmbeddingStore,
     FaultAnalysisService,
@@ -78,10 +79,36 @@ class TestPrimitives:
 # ----------------------------------------------------------------------
 # The vectorised Lloyd update against the per-cell loop it replaced
 # ----------------------------------------------------------------------
+def _choice_seed_centroids(vectors, nlist, rng, uniform_picks=None):
+    """k-means++ seeding drawn with ``rng.choice``: the reference.
+
+    ``uniform_picks`` (a list) collects one entry per pick made with
+    every distance zero (the ``total <= 0`` branch).
+    """
+    count = vectors.shape[0]
+    first = int(rng.integers(count))
+    chosen = [first]
+    distances = 1.0 - vectors @ vectors[first]
+    for _ in range(1, nlist):
+        distances = np.maximum(distances, 0.0)
+        total = float(distances.sum())
+        if total <= 0.0:
+            pick = int(rng.integers(count))
+            if uniform_picks is not None:
+                uniform_picks.append(pick)
+        else:
+            pick = int(rng.choice(count, p=distances / total))
+        chosen.append(pick)
+        distances = np.minimum(distances, 1.0 - vectors @ vectors[pick])
+    return vectors[chosen].copy()
+
+
 def _per_cell_coarse_cluster(vectors, nlist, seed=0, reseeds=None):
     """``coarse_cluster`` as a Python loop over cells: the reference.
 
     ``reseeds`` (a list) collects one entry per empty-cell re-seed.
+    Seeds with :func:`_choice_seed_centroids`, so it shares no code with
+    the clustering it checks.
     """
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
     count = vectors.shape[0]
@@ -93,7 +120,7 @@ def _per_cell_coarse_cluster(vectors, nlist, seed=0, reseeds=None):
         train = vectors[sample]
     else:
         train = vectors
-    centroids = ivf._seed_centroids(train, nlist, rng)
+    centroids = _choice_seed_centroids(train, nlist, rng)
     for _ in range(ivf.DEFAULT_ITERATIONS):
         assignments = np.argmax(train @ centroids.T, axis=1)
         for cell in range(nlist):
@@ -165,6 +192,41 @@ class TestCoarseClusterMatchesPerCellLoop:
         count = ivf.TRAIN_SAMPLE_CAP + 500
         _, vectors, _ = _world(count, 4, seed=5)
         _assert_same_clustering(vectors, 24, seed=5)
+
+
+class TestSeedingMatchesChoice:
+    """``_seed_centroids`` draws the picks ``rng.choice`` draws."""
+
+    @staticmethod
+    def _assert_same_seeds(vectors, nlist, seed, uniform_picks=None):
+        want_rng = np.random.default_rng(seed)
+        want = _choice_seed_centroids(vectors, nlist, want_rng,
+                                      uniform_picks)
+        got_rng = np.random.default_rng(seed)
+        got = ivf._seed_centroids(vectors, nlist, got_rng)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        # Both consumed the same draws from the generator.
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("count,dim,nlist", [
+        (2, 4, 2), (50, 3, 7), (300, 8, 16), (2048, 32, 181),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 29])
+    def test_clustered_worlds(self, count, dim, nlist, seed):
+        _, vectors, _ = _world(count, dim, seed=seed)
+        self._assert_same_seeds(vectors.astype(np.float32), nlist, seed)
+
+    @pytest.mark.parametrize("count,dim,nlist,seed", [
+        (40, 2, 8, 0), (40, 3, 8, 2), (50, 4, 12, 3),
+    ])
+    def test_all_distances_zero_branch(self, count, dim, nlist, seed):
+        """Every row repeats one of two points: once both are chosen,
+        the remaining picks are uniform."""
+        uniform_picks = []
+        vectors = _duplicated_world(count, dim, count, seed)
+        self._assert_same_seeds(vectors, nlist, seed, uniform_picks)
+        assert uniform_picks
 
 
 # ----------------------------------------------------------------------
@@ -291,6 +353,166 @@ class TestAddFlush:
         index.add({"doomed": vectors[0]})
         index.build(mapping)
         assert "doomed" not in index
+
+    def test_write_shard_returns_what_read_shard_loads(self, tmp_path):
+        names, vectors, _ = _world(500, 8)
+        written = write_shard(tmp_path, "shard-000001-0000", names,
+                              vectors.astype(np.float32), 24, seed=3)
+        loaded = read_shard(tmp_path, "shard-000001-0000")
+        assert written.names == loaded.names
+        assert written.name_rows == loaded.name_rows
+        assert written.stem == loaded.stem
+        for field in ("vectors", "centroids", "offsets"):
+            got, want = getattr(written, field), getattr(loaded, field)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_fold_writes_the_files_of_a_reference_merge(self, tmp_path):
+        """Re-added names keep their row, new ones append in order."""
+        names, vectors, mapping = _world(600, 8)
+        index = VectorIndex(tmp_path / "idx", fingerprint="fp")
+        index.build(mapping)
+        before = list(index._shards)
+        rng = np.random.default_rng(4)
+        added = {names[i]: rng.normal(size=8) for i in range(0, 600, 5)}
+        added.update({f"new-{i}": rng.normal(size=8) for i in range(40)})
+        index.add(added)
+        buffered = dict(index._pending)
+        assert index.flush() == len(added)
+        generation = index._generation
+        per_shard = {}
+        for name, vector in buffered.items():
+            shard_id = shard_for_name(name, index.num_shards)
+            per_shard.setdefault(shard_id, {})[name] = vector
+        reference = tmp_path / "reference"
+        reference.mkdir()
+        assert len(per_shard) == index.num_shards
+        for shard_id, fresh in per_shard.items():
+            existing = before[shard_id]
+            merged = {name: np.asarray(existing.vectors[row])
+                      for row, name in enumerate(existing.names)}
+            merged.update(fresh)
+            stem = shard_stem(generation, shard_id)
+            write_shard(reference, stem, list(merged),
+                        np.stack(list(merged.values())),
+                        default_nlist(len(merged)), seed=index.seed + shard_id)
+            for suffix in (".npy", ".meta.json"):
+                assert (reference / f"{stem}{suffix}").read_bytes() == \
+                    (tmp_path / "idx" / f"{stem}{suffix}").read_bytes()
+
+
+class TestFoldKeepsRowsVisible:
+    """A fold's rows answer from the buffer until its commit."""
+
+    @staticmethod
+    def _pause_fold(monkeypatch):
+        """Make the next fold stop in its first shard write.
+
+        Returns ``(entered, release)``: ``entered`` is set once the fold
+        is inside ``write_shard``; setting ``release`` lets it go on.
+        """
+        import repro.index.index as index_mod
+
+        entered, release = threading.Event(), threading.Event()
+        real_write = index_mod.write_shard
+
+        def paused_write(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(30.0)
+            return real_write(*args, **kwargs)
+
+        monkeypatch.setattr(index_mod, "write_shard", paused_write)
+        return entered, release
+
+    @staticmethod
+    def _start(target):
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        return thread
+
+    @pytest.mark.timeout(60)
+    def test_folded_rows_answer_during_the_fold(self, tmp_path,
+                                               monkeypatch):
+        names, vectors, mapping = _world(400, 8)
+        index = VectorIndex(tmp_path, fingerprint="fp")
+        index.build(dict(list(mapping.items())[:200]))
+        index.add(dict(list(mapping.items())[200:]))
+        entered, release = self._pause_fold(monkeypatch)
+        folded = self._start(index.flush)
+        try:
+            assert entered.wait(10.0)
+            name, vector = names[300], vectors[300]
+            [hits] = index.query(vector, k=1)
+            member, stored = name in index, index.get(name)
+            assert hits[0][0] == name
+            assert member
+            unit = vector / np.linalg.norm(vector)
+            np.testing.assert_allclose(stored, unit, atol=1e-6)
+            assert index.stats()["pending"] == 200
+            assert index.stats()["folding"] == 200
+        finally:
+            release.set()
+            folded.join(timeout=30.0)
+        assert not folded.is_alive()
+        stats = index.stats()
+        assert (stats["pending"], stats["folding"]) == (0, 0)
+        assert stats["count"] == 400
+        [hits] = index.query(vectors[300], k=1)
+        assert hits[0][0] == names[300]
+
+    @pytest.mark.timeout(60)
+    def test_a_name_readded_during_the_fold_still_wins(self, tmp_path,
+                                                      monkeypatch):
+        names, vectors, mapping = _world(300, 8)
+        index = VectorIndex(tmp_path, fingerprint="fp")
+        index.add(mapping)
+        entered, release = self._pause_fold(monkeypatch)
+        folded = self._start(index.flush)
+        try:
+            assert entered.wait(10.0)
+            index.add({names[7]: -vectors[7]})
+        finally:
+            release.set()
+            folded.join(timeout=30.0)
+        assert not folded.is_alive()
+        assert index.stats()["pending"] == 1
+        [hits] = index.query(-vectors[7], k=1)
+        assert hits[0] == (names[7], pytest.approx(1.0, abs=1e-5))
+        [hits] = index.query(vectors[7], k=10)
+        assert names[7] not in {name for name, _ in hits}
+        index.flush()
+        [hits] = index.query(-vectors[7], k=1)
+        assert hits[0] == (names[7], pytest.approx(1.0, abs=1e-5))
+
+    @pytest.mark.timeout(60)
+    def test_serving_during_a_fold_starts_no_second_fold(self, tmp_path,
+                                                         monkeypatch):
+        import repro.serving.store as store_mod
+
+        monkeypatch.setattr(store_mod, "INDEX_FLUSH_ROWS", 8)
+        index = VectorIndex(tmp_path / "idx", fingerprint="fp")
+        provider = PersistentProvider(RandomProvider(dim=8, seed=0),
+                                      EmbeddingStore(None, fingerprint="fp"),
+                                      index)
+        entered, release = self._pause_fold(monkeypatch)
+        first = self._start(lambda: provider.encode_names(
+            [f"first-{i}" for i in range(8)]))
+        try:
+            assert entered.wait(10.0)
+            second = self._start(lambda: provider.encode_names(
+                ["second-0", "second-1"]))
+            # With the trigger guarded this returns at once; unguarded it
+            # would block on the fold in flight and then fold again.
+            second.join(timeout=5.0)
+        finally:
+            release.set()
+            first.join(timeout=30.0)
+            second.join(timeout=30.0)
+        assert not first.is_alive() and not second.is_alive()
+        stats = index.stats()
+        assert stats["counters"]["flushes"] == 1
+        assert stats["pending"] == 2 and "second-0" in index
 
 
 class TestPendingView:

@@ -380,6 +380,38 @@ class TestStoreRecordLayout:
             "b": base64.b64encode(_SPECIAL_FLOATS.astype("<f8").tobytes()
                                   ).decode("ascii")}
 
+    def test_every_line_equals_the_json_dumps_record(self, tmp_path):
+        """The namespace is encoded once per store; each line must still
+        be exactly ``json.dumps`` of the five-key record."""
+        rng = np.random.default_rng(1)
+        vectors = {
+            'quote " inside': rng.standard_normal(6),
+            "back\\slash\\": rng.standard_normal(3).astype(np.float32),
+            "control \x00\x01\t\n\x1f\x7f": _SPECIAL_FLOATS,
+            "non-ASCII 告警 Ünïcode \u2028 ✓": rng.standard_normal(1),
+            "": rng.standard_normal(9).astype(np.float32),
+            "plain": np.arange(4, dtype=np.float64),
+        }
+        store = EmbeddingStore(tmp_path, fingerprint="fp-Ünï \"告\"",
+                               label="Prov✓\\", mode="name")
+        store.put_many(vectors)
+        lines = (tmp_path / "embeddings.jsonl").read_bytes().splitlines(
+            keepends=True)
+        assert len(lines) == len(vectors)
+        for line, (name, vector) in zip(lines, vectors.items()):
+            packed = np.asarray(vector, dtype="<f8").tobytes()
+            record = {"v": store.fingerprint, "p": store.label,
+                      "m": store.mode, "n": name,
+                      "b": base64.b64encode(packed).decode("ascii")}
+            assert line == json.dumps(record,
+                                      ensure_ascii=False).encode() + b"\n"
+        reopened = EmbeddingStore(tmp_path, fingerprint=store.fingerprint,
+                                  label=store.label)
+        found = reopened.get_many(list(vectors))
+        for name, vector in vectors.items():
+            assert found[name].tobytes() == \
+                np.asarray(vector, dtype=np.float64).tobytes()
+
     def test_old_layout_record_is_reencoded_and_compacted(self, tmp_path):
         inner = CountingProvider(dim=4)
         legacy = {"v": "f1", "p": inner.label, "m": "name", "n": "old",

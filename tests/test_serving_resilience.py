@@ -11,6 +11,7 @@ deadlock fails CI instead of hanging it.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import threading
@@ -366,6 +367,86 @@ class TestBatcherDeadlines:
         finally:
             provider.release()
             batcher.close(timeout=5.0)
+
+
+class TestBatcherCompletionStress:
+    """Each flush completes its whole batch at once, under the lock."""
+
+    @pytest.mark.timeout(60)
+    def test_overlapping_callers_under_fast_switching(self):
+        """More callers than cores, switching every 10 µs, over shared
+        names: each call returns its names' vectors in order or, past a
+        deadline shorter than a flush, raises DeadlineExceeded."""
+        pool = [f"name-{i}" for i in range(24)]
+        fixed = {name: np.arange(4.0) + 10.0 * i
+                 for i, name in enumerate(pool)}
+
+        class SleepyProvider(RandomProvider):
+            label = "Sleepy"
+
+            def encode_names(self, names):
+                time.sleep(0.002)
+                return np.stack([fixed[name] for name in names])
+
+        batcher = MicroBatcher(SleepyProvider(dim=4), max_batch_size=8,
+                               max_wait_ms=1000, flush_timeout_s=10.0)
+        workers = (os.cpu_count() or 1) + 4
+        stop_at = time.monotonic() + 1.0
+        served, expired, failures = [], [], []
+
+        def caller(seed):
+            rng = np.random.default_rng(seed)
+            impatient = seed % 3 == 0
+            ok = late = 0
+            try:
+                while time.monotonic() < stop_at:
+                    names = [pool[i] for i in
+                             rng.integers(len(pool), size=rng.integers(1, 7))]
+                    deadline = Deadline.after(0.0005) if impatient else None
+                    try:
+                        with batcher.caller():
+                            got = batcher.encode(names, deadline=deadline)
+                    except DeadlineExceeded:
+                        if not impatient:
+                            failures.append(("no deadline", names))
+                        late += 1
+                        continue
+                    want = np.stack([fixed[name] for name in names])
+                    if not np.array_equal(got, want):
+                        failures.append(("wrong vectors", names))
+                    ok += 1
+            except Exception as error:  # noqa: BLE001 — reported
+                failures.append(error)
+            served.append(ok)
+            expired.append(late)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(seed,),
+                                        daemon=True)
+                       for seed in range(workers)]
+            for thread in threads:
+                thread.start()
+            joined_by = time.monotonic() + 20.0
+            for thread in threads:
+                thread.join(timeout=max(0.0, joined_by - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            assert sum(served) > workers and sum(expired) > 0
+            assert batcher.stats()["pending"] == 0
+            # No caller or waiting count leaked: a lone counted caller
+            # is every counted caller, so it flushes without the timer.
+            start = time.monotonic()
+            with batcher.caller():
+                got = batcher.encode([pool[0]])
+            assert time.monotonic() - start < 0.5
+            np.testing.assert_array_equal(got, fixed[pool[0]][None, :])
+        finally:
+            assert batcher.close(timeout=5.0)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for vocabulary, BPE, tokenizer, and whole-word segmentation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,3 +233,51 @@ def test_bpe_segment_reconstructs_word(chars):
     merges = learn_bpe([word] * 5 + ["abc"] * 3, num_merges=20)
     codec = BpeCodec(merges)
     assert "".join(codec.segment(word)) == word
+
+
+def _reference_batch(tok, texts, pad_to):
+    """Per-row ``encode`` plus the row-by-row pad: the batch reference."""
+    encodings = [tok.encode(t) for t in texts]
+    length = pad_to or max(len(e.ids) for e in encodings)
+    ids = np.full((len(encodings), length), tok.vocab.pad_id, dtype=np.int64)
+    mask = np.zeros((len(encodings), length), dtype=np.int64)
+    for row, enc in enumerate(encodings):
+        n = min(len(enc.ids), length)
+        ids[row, :n] = enc.ids[:n]
+        mask[row, :n] = enc.attention_mask[:n]
+    return ids, mask, [e.tokens for e in encodings]
+
+
+_WORDS = st.one_of(
+    st.sampled_from(["alarm", "Alarm", "KPI", "kpi", "link", "failure",
+                     "[ALM]", "[KPI]", "[ENT]", "[NOPE]", "|", "0.95", "42",
+                     "unseenword", "Ünïcode", "告警", "ALM-1001", ",", ""]),
+    st.text(max_size=12))
+_TEXTS = st.lists(st.lists(_WORDS, max_size=24).map(" ".join),
+                  min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=_TEXTS,
+       pad_to=st.one_of(st.none(), st.integers(1, 30)),
+       max_length=st.integers(3, 16),
+       lowercase=st.booleans())
+def test_batch_encoding_matches_per_row_encode_and_pad(texts, pad_to,
+                                                        max_length,
+                                                        lowercase):
+    """Values, int64 dtypes and token lists equal the reference, with
+    rows cut at ``max_length`` and ``pad_to`` below or above them."""
+    corpus = ["alarm link failure KPI 0.95 | ALM-1001", "告警 Ünïcode , 42"]
+    vocab = WordTokenizer.from_corpus(corpus, lowercase=lowercase).vocab
+    vocab.add_special_tokens(["[ALM]", "[KPI]", "[ENT]"])
+    tok = WordTokenizer(vocab, max_length=max_length, lowercase=lowercase)
+    want_ids, want_mask, want_tokens = _reference_batch(tok, texts, pad_to)
+    ids, mask, tokens = tok.encode_batch_with_tokens(texts, pad_to=pad_to)
+    assert ids.dtype == mask.dtype == np.int64
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(mask, want_mask)
+    assert tokens == want_tokens
+    plain_ids, plain_mask = tok.encode_batch(texts, pad_to=pad_to)
+    assert plain_ids.dtype == plain_mask.dtype == np.int64
+    np.testing.assert_array_equal(plain_ids, want_ids)
+    np.testing.assert_array_equal(plain_mask, want_mask)
