@@ -8,7 +8,7 @@ machine logs + Tele-KG triples with the PMTL strategy, then all three tasks
     python examples/fault_analysis_pipeline.py       (~2-3 minutes on CPU)
 """
 
-from repro import ExperimentPipeline, PipelineConfig
+from repro.experiments import ExperimentPipeline, PipelineConfig
 from repro.service import KTeleBertProvider, RandomProvider
 from repro.tasks.eap import EapExperiment, build_eap_dataset
 from repro.tasks.fct import FctExperiment, build_fct_dataset

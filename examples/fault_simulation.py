@@ -7,8 +7,8 @@ templates), and verifies the episode against the causal ground truth.
     python examples/fault_simulation.py
 """
 
-from repro import TelecomWorld
 from repro.prompts import wrap_log_record
+from repro.world import TelecomWorld
 
 
 def main() -> None:

@@ -7,9 +7,9 @@ triples into prompt sentences for implicit knowledge injection.
     python examples/kg_queries.py
 """
 
-from repro import TelecomWorld, build_tele_kg
-from repro.kg import Pattern, Variable, query, serialize_kg
+from repro.kg import Pattern, Variable, build_tele_kg, query, serialize_kg
 from repro.kg.query import ask
+from repro.world import TelecomWorld
 
 
 def main() -> None:

@@ -9,9 +9,13 @@ detection, and an ASCII view of the series.
 
 import numpy as np
 
-from repro import TelecomWorld
 from repro.analysis import ascii_histogram, ascii_scatter
-from repro.world import KpiSeriesGenerator, detect_anomalies, rolling_zscore
+from repro.world import (
+    KpiSeriesGenerator,
+    TelecomWorld,
+    detect_anomalies,
+    rolling_zscore,
+)
 
 
 def main() -> None:

@@ -10,8 +10,8 @@ permutation test on the reciprocal ranks.
 
 import numpy as np
 
-from repro import ExperimentPipeline, PipelineConfig
 from repro.evaluation import compare_rank_lists, rank_metric_cis
+from repro.experiments import ExperimentPipeline, PipelineConfig
 from repro.kge import GTransE, KgeTrainer, link_prediction_ranks
 from repro.service import KTeleBertProvider, RandomProvider
 from repro.tasks.fct import build_fct_dataset

@@ -7,7 +7,9 @@ Runs in under a minute on a laptop CPU::
 
 import numpy as np
 
-from repro import TelecomWorld, build_tele_corpus, pretrain_telebert
+from repro.corpus import build_tele_corpus
+from repro.models import pretrain_telebert
+from repro.world import TelecomWorld
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,13 +10,13 @@ w/ Attr." — and inspects the embedding space with the analysis toolkit
 
 import numpy as np
 
-from repro import ExperimentPipeline, PipelineConfig
 from repro.analysis import (
     anisotropy,
     ascii_scatter,
     nearest_neighbors,
     theme_separation,
 )
+from repro.experiments import ExperimentPipeline, PipelineConfig
 from repro.service import KTeleBertProvider
 
 

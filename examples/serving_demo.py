@@ -18,7 +18,7 @@ Builds a small KTeleBERT, wraps it in the online serving façade
 import os
 import tempfile
 
-from repro import ExperimentPipeline, PipelineConfig
+from repro.experiments import ExperimentPipeline, PipelineConfig
 from repro.models import model_fingerprint
 from repro.service import KTeleBertProvider, WordEmbeddingProvider
 from repro.serving import FaultAnalysisService, ServiceConfig

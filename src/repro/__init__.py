@@ -11,7 +11,9 @@ from scratch in this package (see DESIGN.md for the substitution map).
 
 Quick start::
 
-    from repro import TelecomWorld, build_tele_corpus, pretrain_telebert
+    from repro.corpus import build_tele_corpus
+    from repro.models import pretrain_telebert
+    from repro.world import TelecomWorld
 
     world = TelecomWorld.generate(seed=0)
     corpus = build_tele_corpus(world)
@@ -25,45 +27,10 @@ Subpackages: ``tensor`` (autograd), ``nn`` (layers/optim/losses),
 KTeleBERT), ``training``, ``kge``, ``service``, ``tasks`` (rca/eap/fct),
 ``evaluation``, ``experiments`` (table/figure harnesses), ``serving``
 (online inference: micro-batching, persistent embedding store, metrics).
+Each is imported from where it is defined; importing ``repro`` itself
+loads none of them.
 """
 
 __version__ = "1.0.0"
 
-from repro.world import TelecomWorld
-from repro.corpus import build_tele_corpus, generate_generic_corpus
-from repro.kg import TeleKG, build_tele_kg
-from repro.models import (
-    KTeleBert,
-    KTeleBertConfig,
-    TeleBertTrainer,
-    pretrain_telebert,
-)
-from repro.service import (
-    KTeleBertProvider,
-    PlmProvider,
-    RandomProvider,
-    WordEmbeddingProvider,
-)
-from repro.serving import FaultAnalysisService, ServiceConfig
-from repro.experiments import ExperimentPipeline, PipelineConfig
-
-__all__ = [
-    "ExperimentPipeline",
-    "FaultAnalysisService",
-    "KTeleBert",
-    "KTeleBertConfig",
-    "KTeleBertProvider",
-    "PipelineConfig",
-    "PlmProvider",
-    "RandomProvider",
-    "ServiceConfig",
-    "TeleBertTrainer",
-    "TeleKG",
-    "TelecomWorld",
-    "WordEmbeddingProvider",
-    "__version__",
-    "build_tele_corpus",
-    "build_tele_kg",
-    "generate_generic_corpus",
-    "pretrain_telebert",
-]
+__all__ = ["__version__"]

@@ -754,18 +754,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] in (["lint"], ["bench"], ["index"]):
-        # Forwarded verbatim, before argparse: REMAINDER refuses
-        # option-like leading arguments, and each sub-driver owns its own
-        # subcommands and --help.  The subparsers in build_parser() only
-        # list these commands in --help.
-        from repro.bench import bench_main
-        from repro.index import index_main
+    # Forwarded verbatim, before argparse: REMAINDER refuses option-like
+    # leading arguments, and each sub-driver owns its own subcommands and
+    # --help.  The subparsers in build_parser() only list these commands
+    # in --help.  Only the driver that runs is imported: the stdlib-only
+    # linter must not pull in the index's numpy.
+    if argv[:1] == ["lint"]:
         from repro.lint import lint_main
 
-        drivers = {"lint": lint_main, "bench": bench_main,
-                   "index": index_main}
-        return drivers[argv[0]](argv[1:])
+        return lint_main(argv[1:])
+    if argv[:1] == ["bench"]:
+        from repro.bench import bench_main
+
+        return bench_main(argv[1:])
+    if argv[:1] == ["index"]:
+        from repro.index import index_main
+
+        return index_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

@@ -61,7 +61,7 @@ def build_tele_kg(world: TelecomWorld) -> TeleKG:
     seen_vendors: set[str] = set()
     topo = world.topology
     for node in topo.nodes:
-        attrs = topo.graph.nodes[node]
+        attrs = topo.attributes[node]
         node_uid = f"NEI-{node}"
         kg.add_entity(node_uid, node, "NetworkElementInstance")
         kg.add_triple(node_uid, "instanceOf", f"NET-{attrs['ne_type']}")
@@ -77,7 +77,7 @@ def build_tele_kg(world: TelecomWorld) -> TeleKG:
             kg.add_entity(vendor_uid, vendor, "Vendor")
             seen_vendors.add(vendor)
         kg.add_triple(node_uid, "providedBy", vendor_uid)
-    for u, v in topo.graph.edges:
+    for u, v in topo.edges:
         kg.add_triple(f"NEI-{u}", "connectedTo", f"NEI-{v}")
 
     return kg

@@ -12,8 +12,10 @@ whose embedding the adaptive numeric encoder replaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.world.episodes import LogRecord
+if TYPE_CHECKING:
+    from repro.world.episodes import LogRecord
 
 ALM = "[ALM]"
 KPI = "[KPI]"

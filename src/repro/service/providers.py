@@ -12,14 +12,17 @@ Data-type modes for PLM providers follow Sec. V-A3:
 from __future__ import annotations
 
 import threading
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.kg.graph import TeleKG
 from repro.models.ktelebert import KTeleBert, NumericRow, TextRow
 from repro.models.telebert import TeleBertTrainer
 from repro.prompts.templates import wrap_entity
 from repro.tokenization.tokenizer import basic_tokenize
+
+if TYPE_CHECKING:
+    from repro.kg.graph import TeleKG
 
 VALID_MODES = ("name", "entity", "entity_attr")
 

@@ -55,6 +55,12 @@ Two mechanisms keep a hung or slow provider from wedging the batcher:
   ``max_hung_flushes`` threads written off and still stuck, a circuit
   breaker fails each batch at once instead of submitting it, which is
   the one bound on stuck threads.
+
+A provider result that is not ``(len(names), dim)`` fails the whole
+batch with :class:`~repro.serving.store.ProviderShapeError`, counted in
+``serving.batcher.errors`` like any provider error: zipping it would
+leave the unmatched entries unfinished, their callers waiting out their
+deadlines.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ from repro.serving import metric_names as mn
 from repro.serving.deadline import Deadline, DeadlineExceeded, FlushTimeout
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.pool import CancellableWorkerPool
+from repro.serving.store import ProviderShapeError
 from repro.service.providers import EmbeddingProvider
 
 #: Idle-worker wake interval.  The worker parks on the condition variable
@@ -327,11 +334,18 @@ class MicroBatcher:
                 self.metrics.emit("hung_flush", names=len(names),
                                   timeout_s=self.flush_timeout_s)
                 return
-        if job.error is not None:
-            self._fail_batch(batch, job.error)
+        error = job.error
+        if error is None and (np.shape(job.result_value)
+                              != (len(names), self.dim)):
+            # Zipped, a short result would leave entries unfinished.
+            error = ProviderShapeError(
+                f"provider returned shape {np.shape(job.result_value)} "
+                f"for {len(names)} names of dim {self.dim}")
+        if error is not None:
+            self._fail_batch(batch, error)
             self.metrics.counter(mn.BATCHER_ERRORS).inc()
             self.metrics.emit("batch_error", names=len(names),
-                              error=repr(job.error))
+                              error=repr(error))
             return
         with self._done:
             for entry, vector in zip(batch.values(), job.result_value):

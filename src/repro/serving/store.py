@@ -59,7 +59,9 @@ class ProviderShapeError(ValueError):
     encoder yields a different number of rows than names requested.
     Persisting such a batch would zip names onto the wrong vectors and
     poison the store for every later process sharing the fingerprint, so
-    the batch is rejected before anything is written.
+    the batch is rejected before anything is written.  A
+    :class:`~repro.serving.batcher.MicroBatcher` flush whose provider
+    result is not ``(len(names), dim)`` fails its batch with it too.
     """
 
 

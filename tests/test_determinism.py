@@ -7,11 +7,12 @@ stage with the same seed must produce bit-identical artifacts.
 
 import numpy as np
 
-from repro import ExperimentPipeline, PipelineConfig, TelecomWorld
 from repro.corpus import build_tele_corpus
+from repro.experiments import ExperimentPipeline, PipelineConfig
 from repro.kg import build_tele_kg, serialize_kg
 from repro.models import TeleBertTrainer
 from repro.training.stage2 import build_stage2_data
+from repro.world import TelecomWorld
 
 
 def _micro_config(seed=0):

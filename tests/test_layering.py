@@ -1,13 +1,18 @@
-"""Import layering between :mod:`repro.serving` and :mod:`repro.index`.
+"""Import layering of the serving stack.
 
-The edge runs one way: serving imports index at module level (the
-store's ``PersistentProvider`` adds served names to a ``VectorIndex``,
-and the service builds one with ``build_from_store``), and index names
-serving types only as annotations, under ``TYPE_CHECKING``.  The
-index CLI driver is the one index module allowed to import serving at
-run time, lazily.  A call-time import of index inside serving would mean
-the cycle is back and merely hidden; these tests read the ASTs so they
-catch it without importing anything.
+Between :mod:`repro.serving` and :mod:`repro.index` the edge runs one
+way: serving imports index at module level (the store's
+``PersistentProvider`` adds served names to a ``VectorIndex``, and the
+service builds one with ``build_from_store``), and index names serving
+types only as annotations, under ``TYPE_CHECKING``.  The index CLI
+driver is the one index module allowed to import serving at run time,
+lazily.  A call-time import of index inside serving would mean the cycle
+is back and merely hidden.
+
+The packages a server loads name the synthetic world and the Tele-KG
+only as annotations, under ``TYPE_CHECKING``, so a serving process never
+loads them for a type, and no module imports networkx.  These tests read
+the ASTs so they catch a violation without importing anything.
 """
 
 from __future__ import annotations
@@ -15,7 +20,14 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: Packages a serving process loads: they may name ``repro.world`` and
+#: ``repro.kg`` types only under ``TYPE_CHECKING``.
+SERVING_SIDE = ("serving", "netserve", "index", "service", "prompts",
+                "models", "tokenization")
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -76,6 +88,18 @@ def test_index_imports_serving_only_for_annotations():
     assert [f"{file}:{line}" for file, line, _, guarded
             in _imports_of("index", "repro.serving")
             if not guarded and file != "index/cli.py"] == []
+
+
+@pytest.mark.parametrize("directory", SERVING_SIDE)
+def test_serving_side_names_world_and_kg_only_for_annotations(directory):
+    assert [f"{file}:{line}" for package in ("repro.world", "repro.kg")
+            for file, line, _, guarded in _imports_of(directory, package)
+            if not guarded] == []
+
+
+def test_no_module_imports_networkx():
+    assert [f"{file}:{line}" for file, line, *_
+            in _imports_of(".", "networkx")] == []
 
 
 def test_walker_sees_nested_and_guarded_imports():

@@ -1248,8 +1248,8 @@ class TestSummaryCache:
                         ignore=shutil.ignore_patterns("__pycache__"))
         rules = older / "lint" / "rules.py"
         rules.write_text(rules.read_text() + OLDER_RL005)
-        # Run the copy as ``repro.lint`` the way tools/run_lint.py does:
-        # a bare ``repro`` stub whose __path__ is the copy's parent.
+        # Run the copy as ``repro.lint``: a bare ``repro`` stub whose
+        # __path__ is the copy's parent, so the package resolves there.
         subprocess.run(
             [sys.executable, "-c",
              "import sys, types; stub = types.ModuleType('repro'); "

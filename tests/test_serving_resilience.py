@@ -30,6 +30,7 @@ from repro.serving import (
     MetricsRegistry,
     MicroBatcher,
     PersistentProvider,
+    ProviderShapeError,
     ServiceConfig,
     ServingError,
 )
@@ -91,6 +92,22 @@ class FlakyProvider(RandomProvider):
         if call <= self.hangs:
             self._release.wait()
         return super().encode_names(names)
+
+
+class MisshapenProvider(RandomProvider):
+    """Answers ``extra`` rows more than names asked (fewer if negative)."""
+
+    label = "Misshapen"
+
+    def __init__(self, dim=4, extra=-1):
+        super().__init__(dim=dim, seed=0)
+        self.extra = extra
+
+    def encode_names(self, names):
+        rows = super().encode_names(names)
+        if self.extra < 0:
+            return rows[:self.extra]
+        return np.concatenate([rows, np.zeros((self.extra, self.dim))])
 
 
 def _tight_config(**overrides):
@@ -367,6 +384,52 @@ class TestBatcherDeadlines:
         finally:
             provider.release()
             batcher.close(timeout=5.0)
+
+
+class TestBatcherProviderShape:
+    @pytest.mark.timeout(30)
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_misshapen_result_fails_every_caller(self, extra):
+        provider = MisshapenProvider(dim=4, extra=extra)
+        metrics = MetricsRegistry()
+        batcher = MicroBatcher(provider, max_batch_size=8, max_wait_ms=20,
+                               flush_timeout_s=5.0, metrics=metrics)
+        outcomes = {}
+        start = threading.Barrier(3)
+
+        def call(names):
+            start.wait()
+            try:
+                batcher.encode(names, deadline=Deadline.after(10.0))
+                outcomes[tuple(names)] = "answered"
+            except Exception as exc:
+                outcomes[tuple(names)] = exc
+
+        requests = [["a", "b"], ["b", "c"], ["c"]]
+        threads = [threading.Thread(target=call, args=(names,), daemon=True)
+                   for names in requests]
+        try:
+            began = time.monotonic()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=15.0)
+            # Every caller is failed by the flush, long before its 10 s
+            # deadline, instead of waiting it out.
+            assert time.monotonic() - began < 5.0
+            assert len(outcomes) == 3
+            assert all(isinstance(outcome, ProviderShapeError)
+                       for outcome in outcomes.values())
+            stats = batcher.stats()
+            assert stats["batches_flushed"] == 0
+            assert stats["names_encoded"] == 0
+            assert metrics.counter("serving.batcher.errors").value >= 1
+            # The worker survives: the next well-shaped batch flushes.
+            provider.extra = 0
+            assert batcher.encode(["d"]).shape == (1, 4)
+            assert batcher.stats()["batches_flushed"] == 1
+        finally:
+            assert batcher.close(timeout=5.0)
 
 
 class TestBatcherCompletionStress:

@@ -1,5 +1,8 @@
 """Tests for the synthetic telecom world (ontology, causality, topology, episodes)."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,11 +109,37 @@ class TestCausalGraph:
         assert intra / world.causal_graph.num_edges > 0.7
 
 
+#: sha256 (first 32 hex digits) of ``_layout`` for ``(seed, num_nodes)``,
+#: recorded from the networkx-based generator: episodes, KGs and task
+#: datasets follow node, link and neighbour order, so none may change.
+LAYOUT_DIGESTS = {
+    (0, 6): "cad5714fbf9b240cc044db3bfb201090",
+    (0, 14): "7a1dcffc4b22e60706845dc3d881aa7d",
+    (0, 20): "758040cfa24e45a2e08cd5b8c3a04027",
+    (1, 6): "ae857db8c7f0043ce529f5f10ab1745a",
+    (1, 14): "4852920265065cfaf9b35264c0d5ed79",
+    (1, 20): "8f27b6d407724d5a6a4b8d4366845be3",
+    (2, 6): "4c03a49c181ec164d802ecd6440663dd",
+    (2, 14): "78ce9541ba0eaa1654d0dc7e7578266b",
+    (2, 20): "ac17be966b8e0889fe5c4870a1623327",
+}
+
+
+def _layout(topo) -> str:
+    return json.dumps([topo.nodes, [list(edge) for edge in topo.edges],
+                       [topo.neighbors(node) for node in topo.nodes]])
+
+
 class TestTopology:
     def test_connected(self):
-        import networkx as nx
         topo = generate_topology(np.random.default_rng(0), num_nodes=15)
-        assert nx.is_connected(topo.graph)
+        start = topo.nodes[0]
+        reached, frontier = {start}, [start]
+        while frontier:
+            frontier = [nbr for node in frontier
+                        for nbr in topo.neighbors(node) if nbr not in reached]
+            reached.update(frontier)
+        assert reached == set(topo.nodes)
 
     def test_node_count(self):
         topo = generate_topology(np.random.default_rng(1), num_nodes=8)
@@ -119,9 +148,26 @@ class TestTopology:
     def test_node_attributes(self):
         topo = generate_topology(np.random.default_rng(2), num_nodes=6)
         for node in topo.nodes:
-            assert topo.graph.nodes[node]["ne_type"] in NE_TYPES
-            assert "vendor" in topo.graph.nodes[node]
-            assert "location" in topo.graph.nodes[node]
+            assert topo.attributes[node]["ne_type"] in NE_TYPES
+            assert "vendor" in topo.attributes[node]
+            assert "location" in topo.attributes[node]
+
+    def test_layout_matches_recorded_order(self):
+        topo = generate_topology(np.random.default_rng(0), num_nodes=6)
+        assert topo.nodes == ["eNodeB-01", "PCF-01", "SMF-01", "eNodeB-02",
+                              "MME-01", "HSS-01"]
+        assert topo.edges == [
+            ("eNodeB-01", "eNodeB-02"), ("eNodeB-01", "PCF-01"),
+            ("eNodeB-01", "MME-01"), ("SMF-01", "eNodeB-02"),
+            ("SMF-01", "MME-01"), ("eNodeB-02", "HSS-01")]
+        assert topo.neighbors("eNodeB-02") == ["SMF-01", "eNodeB-01",
+                                               "HSS-01"]
+        for (seed, num_nodes), digest in LAYOUT_DIGESTS.items():
+            topo = generate_topology(np.random.default_rng(seed),
+                                     num_nodes=num_nodes)
+            assert hashlib.sha256(
+                _layout(topo).encode()).hexdigest()[:32] == digest, (
+                seed, num_nodes)
 
     def test_adjacency_matrix_symmetric(self):
         topo = generate_topology(np.random.default_rng(3), num_nodes=10)

@@ -11,24 +11,15 @@ Any finding exits 1; the one way to accept a finding is a reasoned
 inline ``# repro-lint: allow[RL00x] reason`` on its line or the line
 above.
 
-The linter is stdlib-only (``ast`` + ``tokenize``).  ``repro/__init__.py``
-imports the numeric stack, so instead of importing the package normally we
-register a bare namespace stub for ``repro`` first; ``repro.lint`` then
-resolves through the stub's ``__path__`` and the lint tier never needs
-numpy installed.
+The linter is stdlib-only (``ast`` + ``tokenize``), and the ``repro``
+package ``__init__`` imports nothing, so putting ``src`` on ``sys.path``
+is all it takes: the lint tier never needs numpy installed.
 """
 
 import sys
-import types
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-if "repro" not in sys.modules:
-    _stub = types.ModuleType("repro")
-    _stub.__path__ = [str(REPO_ROOT / "src" / "repro")]
-    sys.modules["repro"] = _stub
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.lint.cli import main  # noqa: E402
 
