@@ -35,7 +35,7 @@ from repro.bench.history import HISTORY_DIRNAME
 from repro.bench.promote import promote
 from repro.bench.registry import NAMESPACE, REGISTRY, get_spec
 from repro.bench.report import render_report
-from repro.lint.cli import find_repo_root
+from repro.ioutil import find_repo_root
 
 
 def _default_dirs(root: Path) -> tuple[Path, Path]:

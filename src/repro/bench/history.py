@@ -9,9 +9,9 @@ capped at :data:`MAX_ENTRIES` — when rotation trims old entries, a
 marker line records how many were dropped so a truncated trend is never
 mistaken for the complete one.
 
-JSONL is the sanctioned append-friendly format here (a torn tail loses
-one record, not the file); rewrites for upsert/rotation go through the
-atomic writer.
+Each file is one of the repo's JSON-lines logs, read back with
+:func:`repro.ioutil.read_records` (a torn or corrupt line is skipped,
+not fatal); rewrites for upsert/rotation go through the atomic writer.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 
 from repro.bench.registry import short_name
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, read_records
 
 #: Subdirectory of the results dir holding the per-benchmark trend files.
 HISTORY_DIRNAME = "history"
@@ -41,36 +41,9 @@ def _to_payload(run) -> dict:
 def load_history(history_dir: str | Path, bench_id: str) -> list[dict]:
     """All decodable history entries, oldest first (rotation markers
     excluded).  A torn/corrupt trailing line is skipped, not fatal."""
-    path = history_path(history_dir, bench_id)
-    if not path.exists():
-        return []
-    entries: list[dict] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue                # torn tail from a crashed writer
-        if isinstance(entry, dict) and "rotated" not in entry:
-            entries.append(entry)
-    return entries
-
-
-def _rotation_dropped(path: Path) -> int:
-    """Total entries rotation has dropped so far (from marker lines)."""
-    if not path.exists():
-        return 0
-    dropped = 0
-    for line in path.read_text(encoding="utf-8").splitlines():
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(entry, dict) and "rotated" in entry:
-            dropped += int(entry["rotated"])
-    return dropped
+    return [entry
+            for entry in read_records(history_path(history_dir, bench_id))
+            if "rotated" not in entry]
 
 
 def append_run(history_dir: str | Path, run,
@@ -83,8 +56,10 @@ def append_run(history_dir: str | Path, run,
     """
     payload = _to_payload(run)
     path = history_path(history_dir, payload["bench_id"])
-    entries = load_history(history_dir, payload["bench_id"])
-    dropped = _rotation_dropped(path)
+    records = read_records(path)
+    entries = [entry for entry in records if "rotated" not in entry]
+    dropped = sum(int(entry["rotated"]) for entry in records
+                  if "rotated" in entry)
     sha = payload.get("git_sha", "unknown")
     if entries and entries[-1].get("git_sha") == sha and sha != "unknown":
         entries[-1] = payload

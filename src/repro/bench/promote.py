@@ -7,18 +7,22 @@ moved which metric from what to what.  A regression can therefore never
 be silently absorbed into the baseline: the journal line carries every
 per-metric delta (including the regressed ones being accepted) plus the
 operator's ``--note``.
+
+Each record is appended durably (:func:`repro.ioutil.append_record`,
+flushed and fsynced, a torn last line ended first) *before* the
+baseline moves, so a crash between the two steps leaves a record with
+no move, never a move with no record.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.bench.registry import REGISTRY, get_spec
 from repro.bench.schema import BenchRun, load_run, result_path
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import append_record, atomic_write_bytes, read_records
 
 #: The append-only promote journal inside the baselines directory.
 JOURNAL_NAME = "promotions.jsonl"
@@ -94,33 +98,17 @@ def promote(results_dir: str | Path, baselines_dir: str | Path,
             bench_id=bench_id, date=stamp, git_sha=current.git_sha,
             previous_sha=previous.git_sha if previous else None,
             note=note, changes=_metric_changes(previous, current))
-        baselines_dir.mkdir(parents=True, exist_ok=True)
+        append_record(baselines_dir / JOURNAL_NAME, record.to_payload())
         # Byte-for-byte copy of the result file: the baseline is the
         # promoted run, not a re-serialisation of it.
         atomic_write_bytes(baseline_path, current_path.read_bytes())
-        with open(baselines_dir / JOURNAL_NAME, "a",
-                  encoding="utf-8") as journal:
-            journal.write(json.dumps(record.to_payload(),
-                                     sort_keys=True) + "\n")
         promotions.append(record)
     return promotions
 
 
 def load_journal(baselines_dir: str | Path) -> list[dict]:
     """All promote-journal records, oldest first."""
-    path = Path(baselines_dir) / JOURNAL_NAME
-    if not path.exists():
-        return []
-    records: list[dict] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue                # torn tail
-    return records
+    return read_records(Path(baselines_dir) / JOURNAL_NAME)
 
 
 __all__ = ["JOURNAL_NAME", "Promotion", "load_journal", "promote"]

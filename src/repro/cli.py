@@ -190,18 +190,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _build_task_adapters(world_seed: int) -> dict:
     """Tiny-world rca/eap/fct adapters for checkpoint-free serving.
 
-    The load generator rebuilds the same seeded world to sample request
-    payloads, so generator and server agree on node/alarm names by
-    construction.
+    The load generator samples request payloads from the same
+    :func:`repro.world.serving_world`, so generator and server agree on
+    node/alarm names by construction.
     """
     from repro.tasks.eap import EapAdapter, build_eap_dataset
     from repro.tasks.fct import FctAdapter, build_fct_dataset
     from repro.tasks.rca import RcaAdapter, build_rca_dataset
-    from repro.world import TelecomWorld
+    from repro.world import serving_world
 
-    world = TelecomWorld.generate(seed=world_seed, alarms_per_theme=2,
-                                  kpis_per_theme=2, topology_nodes=6)
-    episodes = world.simulate_episodes(30)
+    world, episodes = serving_world(world_seed)
     return {"rca": RcaAdapter(build_rca_dataset(world, episodes), epochs=2),
             "eap": EapAdapter(build_eap_dataset(world, episodes), epochs=2),
             "fct": FctAdapter(build_fct_dataset(world, episodes), epochs=3)}

@@ -54,7 +54,9 @@ def find_repo_root(start: Path | None = None) -> Path:
     """Walk up from ``start`` to the directory containing ``pyproject.toml``.
 
     Falls back to the current working directory so the linter still runs
-    on a bare source tree.
+    on a bare source tree.  The lint package imports nothing outside
+    itself, so a copy of it runs on its own; the rest of the repo uses
+    :func:`repro.ioutil.find_repo_root`.
     """
     cursor = (start or Path.cwd()).resolve()
     for candidate in (cursor, *cursor.parents):

@@ -14,9 +14,10 @@ Two shapes of load:
 Request mixes are configurable (``embed=8,fct=2`` …) over the four
 service ops.  The task ops (``rca``/``eap``/``fct``) need payloads the
 server's adapters recognise, so :class:`RequestFactory` rebuilds the
-same seeded tiny world the ``serve-net --adapters`` flag uses and
-samples states/pairs/alarms from it — generator and server agree by
-construction when their ``world_seed`` matches.
+same seeded tiny world the ``serve-net --adapters`` flag uses
+(:func:`repro.world.serving_world`) and samples states/pairs/alarms
+from it — generator and server agree by construction when their
+``world_seed`` matches.
 
 Every request is recorded as ``(tenant, op, latency, outcome, code)``;
 :class:`LoadReport` aggregates them into latency percentiles split by
@@ -102,11 +103,9 @@ class RequestFactory:
         from repro.tasks.eap import build_eap_dataset
         from repro.tasks.fct import build_fct_dataset
         from repro.tasks.rca import build_rca_dataset
-        from repro.world import TelecomWorld
+        from repro.world import serving_world
 
-        world = TelecomWorld.generate(seed=world_seed, alarms_per_theme=2,
-                                      kpis_per_theme=2, topology_nodes=6)
-        episodes = world.simulate_episodes(30)
+        world, episodes = serving_world(world_seed)
         if "rca" in self.mix:
             states = build_rca_dataset(world, episodes).states
             self._pools["rca"] = [

@@ -29,15 +29,14 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, IO
+from typing import IO
 
 import numpy as np
 
 from repro.serving import metric_names as mn
-
-if TYPE_CHECKING:  # import only for annotations; avoids a package cycle
-    from repro.serving.deadline import Deadline
-    from repro.serving.service import FaultAnalysisService
+from repro.serving.deadline import Deadline, DeadlineExceeded, FlushTimeout
+from repro.serving.metrics import MetricsRegistry
+from repro.serving.service import FaultAnalysisService, ServingError
 
 # -- error codes ------------------------------------------------------
 #: Request could not be parsed or failed op/payload validation.
@@ -154,8 +153,8 @@ def round_rows(matrix) -> list[list[float]]:
     return rows
 
 
-def handle_request(service: "FaultAnalysisService", request: dict,
-                   deadline: "Deadline | None" = None) -> dict:
+def handle_request(service: FaultAnalysisService, request: dict,
+                   deadline: Deadline | None = None) -> dict:
     """Dispatch one request dict to the service; returns the response.
 
     ``deadline`` (when given) is propagated into every service call, so
@@ -242,14 +241,34 @@ def error_envelope(error: BaseException | str, *, code: str | None = None,
     return response
 
 
-def dispatch_line(service: "FaultAnalysisService", line: str) -> dict:
+def failure_code(metrics: MetricsRegistry, error: Exception) -> str:
+    """The error code of a request that raised ``error``; records it.
+
+    A ``ValueError`` is the request's fault: ``bad_request``, counted in
+    ``serving.bad_requests`` with a ``bad_request`` event.  An exhausted
+    budget, or a degraded service with no fallback (``DeadlineExceeded``,
+    ``FlushTimeout``, ``ServingError``), is ``unavailable``.  Anything
+    else is ``internal``, with an ``internal_error`` event.  Both
+    frontends classify through here and build their own envelopes.
+    """
+    if isinstance(error, ValueError):
+        metrics.counter(mn.SERVING_BAD_REQUESTS).inc()
+        metrics.emit("bad_request", error=repr(error))
+        return CODE_BAD_REQUEST
+    if isinstance(error, (DeadlineExceeded, FlushTimeout, ServingError)):
+        return CODE_UNAVAILABLE
+    metrics.emit("internal_error", error=repr(error))
+    return CODE_INTERNAL
+
+
+def dispatch_line(service: FaultAnalysisService, line: str) -> dict:
     """Parse and dispatch one JSON request line; never raises.
 
     This is the stdin loop's whole per-line pipeline: JSON parse, object
-    check, :func:`handle_request`, and the legacy error envelope with
-    bad-request metrics.  The socket server shares the same parsing and
-    dispatch but builds richer envelopes (auth/admission), so it calls
-    the pieces directly instead of this convenience wrapper.
+    check, :func:`handle_request`, :func:`failure_code` and the legacy
+    error envelope.  The socket server shares the same parsing, dispatch
+    and classification but builds richer envelopes (auth/admission), so
+    it calls the pieces directly instead of this convenience wrapper.
     """
     try:
         request = json.loads(line)
@@ -257,12 +276,11 @@ def dispatch_line(service: "FaultAnalysisService", line: str) -> dict:
             raise ValueError("request must be a JSON object")
         return handle_request(service, request)
     except Exception as error:  # noqa: BLE001 — reported, loop survives
-        service.metrics.counter(mn.SERVING_BAD_REQUESTS).inc()
-        service.metrics.emit("bad_request", error=repr(error))
+        failure_code(service.metrics, error)
         return error_envelope(error)
 
 
-def serve_loop(service: "FaultAnalysisService", input_stream: IO[str],
+def serve_loop(service: FaultAnalysisService, input_stream: IO[str],
                output_stream: IO[str]) -> int:
     """Run requests from ``input_stream`` until EOF; returns served count."""
     served = 0

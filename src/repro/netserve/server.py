@@ -45,9 +45,9 @@ from repro.netserve import protocol
 from repro.netserve.admission import AdmissionController, AdmissionRejected
 from repro.netserve.tenants import TenantRegistry
 from repro.serving import metric_names as mn
-from repro.serving.deadline import Deadline, DeadlineExceeded, FlushTimeout
+from repro.serving.deadline import Deadline
 from repro.serving.metrics import MetricsRegistry
-from repro.serving.service import FaultAnalysisService, ServingError
+from repro.serving.service import FaultAnalysisService
 
 #: How often a blocked socket read wakes to re-check the draining flag.
 _READ_POLL_S = 0.25
@@ -345,21 +345,14 @@ class TeleServer:
             try:
                 return protocol.handle_request(self.service, request,
                                                deadline=deadline)
-            except ValueError as error:
-                self.metrics.counter(mn.SERVING_BAD_REQUESTS).inc()
-                self.metrics.emit("bad_request", error=repr(error))
-                return protocol.error_envelope(
-                    error, code=protocol.CODE_BAD_REQUEST)
-            except (DeadlineExceeded, FlushTimeout, ServingError) as error:
-                # Budget exhausted (ServingError: with no fallback): the
-                # service is degraded, not the request malformed.
-                return protocol.error_envelope(
-                    error, code=protocol.CODE_UNAVAILABLE,
-                    retry_after_s=self.admission.config.retry_after_s)
             except Exception as error:  # noqa: BLE001 — reported, survives
-                self.metrics.emit("internal_error", error=repr(error))
+                code = protocol.failure_code(self.metrics, error)
+                # A degraded service, not a malformed request: retry.
+                retry_after_s = (self.admission.config.retry_after_s
+                                 if code == protocol.CODE_UNAVAILABLE
+                                 else None)
                 return protocol.error_envelope(
-                    error, code=protocol.CODE_INTERNAL)
+                    error, code=code, retry_after_s=retry_after_s)
 
     def _request_deadline(self, request: dict) -> Deadline:
         raw = request.get("deadline_ms")

@@ -34,13 +34,7 @@ The request language and the stdin/stdout loop behind
 
 from repro.serving.batcher import MicroBatcher
 from repro.serving.deadline import Deadline, DeadlineExceeded, FlushTimeout
-from repro.serving.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    replay_journal,
-)
+from repro.serving.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serving.pool import CancellableWorkerPool
 from repro.serving.service import (
     FaultAnalysisService,
@@ -69,5 +63,4 @@ __all__ = [
     "ProviderShapeError",
     "ServiceConfig",
     "ServingError",
-    "replay_journal",
 ]

@@ -5,13 +5,15 @@ is named here — dashboards, alerts, and tests key on these strings, so a
 drifted copy (a typo'd literal in an emitting module) silently charts a
 metric nobody emits.  The ``RL007`` lint rule rejects metric-shaped
 literals anywhere else in ``src/repro``; import the constant, or use the
-``*_for``/``train_event`` helpers for per-operation families.
+``*_for`` helpers for per-operation families.
 
 Naming convention: ``serving.*`` for the online stack (service facade,
 micro-batcher, worker pool, stdin loop), ``netserve.*`` for the TCP
-socket frontend (connections, tenancy, admission control), ``index.*``
-for the ANN retrieval tier (:mod:`repro.index`), and ``train.*`` for
-metrics replayed from the training runtime's journal.
+socket frontend (connections, tenancy, admission control) and
+``index.*`` for the ANN retrieval tier (:mod:`repro.index`).  Training
+records no metrics here: its run journal holds events of the same
+schema as :meth:`~repro.serving.metrics.MetricsRegistry.emit`
+(:func:`repro.ioutil.make_event`).
 """
 
 from __future__ import annotations
@@ -81,15 +83,6 @@ INDEX_QUERY_LATENCY = "index.query_latency"
 #: rows folded into shards by flushes through the service
 INDEX_FLUSHED_ROWS = "index.flushed_rows"
 
-# -- training-journal replay (repro.serving.metrics.replay_journal) ---
-TRAIN_STEPS = "train.steps"
-TRAIN_TOKENS = "train.tokens"
-TRAIN_LOSS = "train.loss"
-TRAIN_TOKENS_PER_SEC = "train.tokens_per_sec"
-TRAIN_STEP_WALL_S = "train.step_wall_s"
-TRAIN_STEP = "train.step"
-TRAIN_EVENTS = "train.events"
-
 
 # -- per-operation families -------------------------------------------
 def requests_for(op: str) -> str:
@@ -105,11 +98,6 @@ def latency_for(op: str) -> str:
 def fit_for(op: str) -> str:
     """Lazy-fit event name, e.g. ``serving.fit.rca``."""
     return f"{SERVING_FIT}.{op}"
-
-
-def train_event(kind: str) -> str:
-    """Journal-event counter, e.g. ``train.events.snapshot``."""
-    return f"{TRAIN_EVENTS}.{kind}"
 
 
 def rejections_for(code: str) -> str:
@@ -158,16 +146,8 @@ __all__ = [
     "SERVING_REQUESTS",
     "SERVING_RETRIES",
     "SERVING_TIMEOUTS",
-    "TRAIN_EVENTS",
-    "TRAIN_LOSS",
-    "TRAIN_STEP",
-    "TRAIN_STEPS",
-    "TRAIN_STEP_WALL_S",
-    "TRAIN_TOKENS",
-    "TRAIN_TOKENS_PER_SEC",
     "fit_for",
     "latency_for",
     "rejections_for",
     "requests_for",
-    "train_event",
 ]

@@ -18,10 +18,9 @@ from __future__ import annotations
 import json
 import threading
 import time
-from pathlib import Path
 from typing import Callable
 
-from repro.serving import metric_names as mn
+from repro.ioutil import make_event
 
 
 class Counter:
@@ -157,7 +156,6 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
         self._events: list[dict] = []
         self._event_capacity = event_capacity
-        self._event_seq = 0
         self._sink = sink
 
     # ------------------------------------------------------------------
@@ -192,10 +190,14 @@ class MetricsRegistry:
     # Structured events
     # ------------------------------------------------------------------
     def emit(self, kind: str, **fields) -> dict:
-        """Append a structured event; returns the event dict."""
+        """Record a structured event; returns the event dict.
+
+        The event is built by :func:`repro.ioutil.make_event`, the schema
+        the training run journal writes too.  It joins the bounded ring
+        and goes to the sink, if any, as one JSON line.
+        """
         with self._lock:
-            self._event_seq += 1
-            event = {"seq": self._event_seq, "kind": kind, **fields}
+            event = make_event(kind, **fields)
             self._events.append(event)
             if len(self._events) > self._event_capacity:
                 del self._events[: len(self._events) - self._event_capacity]
@@ -255,44 +257,3 @@ class _Timer:
 
     def __exit__(self, *exc_info) -> None:
         self._histogram.observe(time.perf_counter() - self._start)
-
-
-def replay_journal(path: str | Path,
-                   registry: MetricsRegistry | None = None) -> MetricsRegistry:
-    """Replay a training-run journal into a metrics registry.
-
-    The training runtime (:mod:`repro.training.runtime`) appends one JSON
-    event per step plus lifecycle events to ``journal.jsonl``.  This folds
-    that log into the same instruments the serving stack exposes: step
-    counters, loss / throughput / wall-time histograms, and one structured
-    event per lifecycle transition — so ops tooling observes training and
-    serving through a single registry.  Malformed (torn) lines are skipped.
-    """
-    registry = registry or MetricsRegistry()
-    path = Path(path)
-    if not path.exists():
-        return registry
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        kind = event.get("kind")
-        if kind == "step":
-            registry.counter(mn.TRAIN_STEPS).inc()
-            registry.counter(mn.TRAIN_TOKENS).inc(int(event.get("tokens", 0)))
-            registry.histogram(mn.TRAIN_LOSS).observe(
-                float(event.get("loss", 0.0)))
-            registry.histogram(mn.TRAIN_TOKENS_PER_SEC).observe(
-                float(event.get("tokens_per_sec", 0.0)))
-            registry.histogram(mn.TRAIN_STEP_WALL_S).observe(
-                float(event.get("wall_s", 0.0)))
-            registry.gauge(mn.TRAIN_STEP).set(int(event.get("step", 0)))
-        elif kind:
-            registry.counter(mn.train_event(kind)).inc()
-            registry.emit(kind,
-                          **{k: v for k, v in event.items() if k != "kind"})
-    return registry

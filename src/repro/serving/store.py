@@ -22,8 +22,11 @@ carried the vector as a JSON float list under ``"e"``, match no namespace:
 their names are encoded once more on first use, and ``compact()`` drops
 them, as after a fingerprint change.
 
-The append-only format is crash-tolerant by construction: a torn final
-line (killed process) is detected and skipped on the next open.
+The log is one of the repo's append-only JSON-lines files
+(:mod:`repro.ioutil`): a torn final line (killed process) is skipped by
+the next open's scan and ended by the next append, which goes through
+:func:`repro.ioutil.open_append` in the same open as its write.  Appends
+are not fsynced: a record lost to a crash is encoded again on first use.
 
 :class:`PersistentProvider` puts the store in front of an encoder and,
 given a :class:`~repro.index.VectorIndex`, keeps that index in step with
@@ -41,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.index.index import VectorIndex
-from repro.ioutil import atomic_writer
+from repro.ioutil import atomic_writer, open_append
 from repro.service.providers import EmbeddingProvider
 
 _LOG_NAME = "embeddings.jsonl"
@@ -225,17 +228,6 @@ class EmbeddingStore:
                         handle.close()
         return found
 
-    def _ensure_newline_terminated(self) -> None:
-        """Repair a torn trailing write so appends start on a fresh line."""
-        if not self.path.exists() or not self.path.stat().st_size:
-            return
-        with open(self.path, "rb") as handle:
-            handle.seek(-1, 2)
-            torn = handle.read(1) != b"\n"
-        if torn:
-            with open(self.path, "ab") as handle:
-                handle.write(b"\n")
-
     def put_many(self, vectors: dict[str, np.ndarray]) -> None:
         """Append vectors to the log (if any) and refresh both tiers.
 
@@ -247,10 +239,9 @@ class EmbeddingStore:
             return
         with self._lock:
             if self.path is not None:
-                self._ensure_newline_terminated()
                 lines = [self._record_line(name, vector)
                          for name, vector in vectors.items()]
-                with open(self.path, "ab") as handle:
+                with open_append(self.path) as handle:
                     offset = handle.tell()
                     handle.write(b"".join(lines))
                 for name, line in zip(vectors, lines):

@@ -31,9 +31,9 @@ capabilities the paper's longest loop needs to survive outside a notebook:
 * **Run journal** — every step appends a structured JSONL event (step,
   loss breakdown, tokens/sec, wall time) to ``journal.jsonl``; lifecycle
   events (start, checkpoint, interrupt, resume, complete) make an
-  interrupted run detectable on restart.  The journal replays into a
-  :class:`~repro.serving.metrics.MetricsRegistry` via
-  :func:`repro.serving.metrics.replay_journal`.
+  interrupted run detectable on restart.  Events follow the repo's one
+  schema (:func:`repro.ioutil.make_event`), the one the serving metrics
+  registry emits too.
 
 SIGINT/SIGTERM are trapped into a final checkpoint plus an ``interrupted``
 journal event, so a preempted run loses at most the in-flight step.
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import signal
 import time
 import traceback
@@ -53,9 +52,14 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.ioutil import (
+    append_record,
+    atomic_write_bytes,
+    make_event,
+    read_records,
+)
 from repro.models.checkpoint import (
     TrainState,
-    atomic_write_bytes,
     load_train_state,
     save_train_state,
 )
@@ -86,10 +90,13 @@ class WorkerPoolError(RuntimeError):
 class RunJournal:
     """Append-only JSONL event log describing one training run.
 
-    Each line is a self-contained JSON object with at least ``kind`` and
-    ``time``.  Appends are flushed and fsynced so the journal reflects
-    every completed step even after a hard crash; a torn final line (the
-    crash window) is tolerated by :meth:`events`.
+    Each line is one event of the repo's schema,
+    :func:`repro.ioutil.make_event`: ``kind``, wall-clock ``time`` and
+    the event's fields.  Appends go through
+    :func:`repro.ioutil.append_record`, flushed and fsynced, so the
+    journal reflects every completed step even after a hard crash; a torn
+    final line (the crash window) is ended before the next append and
+    skipped by :meth:`events`.
     """
 
     def __init__(self, path: str | Path):
@@ -97,28 +104,13 @@ class RunJournal:
 
     def append(self, kind: str, **fields) -> dict:
         """Write one event; returns the event dict."""
-        event = {"kind": kind, "time": time.time(), **fields}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(event, ensure_ascii=False) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        event = make_event(kind, **fields)
+        append_record(self.path, event)
         return event
 
     def events(self) -> list[dict]:
-        """All well-formed events, oldest first (torn tail lines skipped)."""
-        if not self.path.exists():
-            return []
-        events = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # torn write at crash time
-        return events
+        """All well-formed events, oldest first (torn lines skipped)."""
+        return read_records(self.path)
 
     def last_event(self) -> dict | None:
         events = self.events()

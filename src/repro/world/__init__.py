@@ -50,7 +50,7 @@ from repro.world.timeseries import (
     detection_f1,
     rolling_zscore,
 )
-from repro.world.world import TelecomWorld
+from repro.world.world import TelecomWorld, serving_world
 
 __all__ = [
     "Alarm",
@@ -82,4 +82,5 @@ __all__ = [
     "generate_topology",
     "import_episodes",
     "rolling_zscore",
+    "serving_world",
 ]

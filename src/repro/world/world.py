@@ -53,3 +53,16 @@ class TelecomWorld:
         return self.simulator(seed_offset).simulate_many(
             count, background_kpi_count=background_kpi_count,
             noise_alarm_count=noise_alarm_count)
+
+
+def serving_world(seed: int) -> tuple[TelecomWorld, list[FaultEpisode]]:
+    """The tiny seeded world and 30 episodes behind checkpoint-free serving.
+
+    ``serve``/``serve-net --adapters`` fit their rca/eap/fct heads on it,
+    and :mod:`repro.loadgen` samples its task payloads from it, so a load
+    generator and a server given the same ``seed`` agree on node and alarm
+    names by construction.
+    """
+    world = TelecomWorld.generate(seed=seed, alarms_per_theme=2,
+                                  kpis_per_theme=2, topology_nodes=6)
+    return world, world.simulate_episodes(30)

@@ -403,6 +403,30 @@ class TestPromote:
         assert change["from"] == 2.0 and change["to"] == 1.0
         assert change["delta_pct"] == pytest.approx(-50.0)
 
+    def test_second_promote_after_torn_journal_keeps_both(self, tmp_path):
+        results, baselines = tmp_path / "r", tmp_path / "b"
+        emit(results)
+        promote(results, baselines, note="first", now=NOW)
+        with open(baselines / "promotions.jsonl", "a",
+                  encoding="utf-8") as journal:
+            journal.write('{"bench_id": "bench.tr')   # killed mid-write
+        promote(results, baselines, note="second", now=NOW)
+        assert [r["note"] for r in load_journal(baselines)] == \
+            ["first", "second"]
+
+    def test_failed_journal_append_leaves_baseline_unmoved(self, tmp_path):
+        results, baselines = tmp_path / "r", tmp_path / "b"
+        emit(results)
+        promote(results, baselines, now=NOW)
+        before = result_path(baselines, BENCH_TRAIN_STEP).read_bytes()
+        emit(results, {"mask_batch_speedup_x": 1.0})
+        (baselines / "promotions.jsonl").unlink()
+        (baselines / "promotions.jsonl").mkdir()   # every append fails
+        with pytest.raises(OSError):
+            promote(results, baselines, now=NOW)
+        assert result_path(baselines, BENCH_TRAIN_STEP).read_bytes() == \
+            before
+
     def test_named_benchmark_without_result_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nothing to promote"):
             promote(tmp_path / "r", tmp_path / "b", [BENCH_TRAIN_STEP])

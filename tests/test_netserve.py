@@ -38,9 +38,12 @@ from repro.netserve import (
 from repro.netserve import protocol
 from repro.serving import (
     Deadline,
+    DeadlineExceeded,
     FaultAnalysisService,
+    FlushTimeout,
     MetricsRegistry,
     ServiceConfig,
+    ServingError,
 )
 from repro.service import RandomProvider
 
@@ -684,6 +687,37 @@ class TestSharedDispatchCore:
             assert response["ok"] is False
             assert set(response) == {"ok", "error"}, \
                 "stdin envelope must stay byte-compatible"
+
+    def test_outage_is_not_a_bad_request(self):
+        class DownProvider(RandomProvider):
+            def encode_names(self, names):
+                raise RuntimeError("encoder down")
+
+        with FaultAnalysisService(DownProvider(dim=4, seed=0),
+                                  config=_tight_config()) as service:
+            outage = protocol.dispatch_line(
+                service, '{"op": "embed", "names": ["x"]}')
+            unknown = protocol.dispatch_line(service, '{"op": "nope"}')
+            assert set(outage) == set(unknown) == {"ok", "error"}
+            assert "ServingError" in outage["error"]
+            assert service.metrics.counter(
+                "serving.bad_requests").value == 1
+            bad = [e for e in service.metrics.events
+                   if e["kind"] == "bad_request"]
+            assert len(bad) == 1 and "unknown op" in bad[0]["error"]
+
+    def test_failure_codes(self):
+        metrics = MetricsRegistry()
+        assert protocol.failure_code(metrics, ValueError("x")) == \
+            protocol.CODE_BAD_REQUEST
+        for error in (DeadlineExceeded("x"), FlushTimeout("x"),
+                      ServingError("x")):
+            assert protocol.failure_code(metrics, error) == \
+                protocol.CODE_UNAVAILABLE
+        assert protocol.failure_code(metrics, KeyError("x")) == \
+            protocol.CODE_INTERNAL
+        assert [e["kind"] for e in metrics.events] == \
+            ["bad_request", "internal_error"]
 
     def test_error_envelope_shapes(self):
         legacy = protocol.error_envelope(ValueError("x"))

@@ -61,6 +61,18 @@ def test_lint_command_runs_without_numpy():
     assert result.returncode == 0, result.stderr
 
 
+def test_bench_list_loads_no_linter():
+    loaded = _loaded_after("from repro.cli import main\n"
+                           "assert main(['bench', 'list']) == 0")
+    assert _under(loaded, "repro.bench")
+    assert _under(loaded, "repro.lint") == []
+
+
+def test_training_runtime_loads_no_serving_module():
+    loaded = _loaded_after("import repro.training.runtime")
+    assert _under(loaded, "repro.serving") == []
+
+
 def test_serving_stack_loads_no_world_kg_or_experiments():
     loaded = _loaded_after("import repro.serving, repro.netserve")
     for package in ("repro.world", "repro.kg", "repro.corpus",

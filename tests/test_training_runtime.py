@@ -2,8 +2,8 @@
 
 Covers the three runtime pillars end to end: atomic snapshots with
 retention, bit-exact kill-and-resume (serial and data-parallel), and the
-JSONL run journal (including its replay into serving metrics), plus the
-optimizer state round-trips the snapshots depend on.
+JSONL run journal (torn-tail safe, with the serving event schema), plus
+the optimizer state round-trips the snapshots depend on.
 """
 
 import json
@@ -24,7 +24,7 @@ from repro.models import (
 )
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD, Adam, AdamW, LinearWarmupSchedule
-from repro.serving import replay_journal
+from repro.serving import MetricsRegistry
 from repro.training import build_strategy
 from repro.training.retrainer import KTeleBertRetrainer
 from repro.training.runtime import (
@@ -227,6 +227,15 @@ class TestRunJournal:
             handle.write('{"kind": "step", "ste')  # crash mid-write
         assert [e["kind"] for e in journal.events()] == ["step"]
 
+    def test_event_after_torn_tail_is_read_back(self, tmp_path):
+        journal = RunJournal(tmp_path / "journal.jsonl")
+        journal.append("run_paused", step=2)
+        with open(journal.path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "step", "ste')  # killed mid-write
+        journal.append("resume", step=2)
+        assert [e["kind"] for e in journal.events()] == \
+            ["run_paused", "resume"]
+
     def test_interrupted_detection(self, tmp_path):
         journal = RunJournal(tmp_path / "journal.jsonl")
         assert not journal.is_interrupted()  # no journal at all
@@ -235,6 +244,14 @@ class TestRunJournal:
         assert journal.is_interrupted()
         journal.append("run_complete", step=1)
         assert not journal.is_interrupted()
+
+    def test_same_event_schema_as_serving_metrics(self, tmp_path):
+        journal = RunJournal(tmp_path / "journal.jsonl")
+        trained = journal.append("resume", step=2, loss=1.5)
+        served = MetricsRegistry().emit("resume", step=2, loss=1.5)
+        assert list(trained) == list(served) == \
+            ["kind", "time", "step", "loss"]
+        assert journal.events() == [trained]
 
 
 # ----------------------------------------------------------------------
@@ -829,44 +846,15 @@ class TestMaxStepsCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# Journal replay into serving metrics
+# The journal of a real run
 # ----------------------------------------------------------------------
-class TestReplayJournal:
-    def test_replay_folds_steps_into_instruments(self, tmp_path):
-        journal = RunJournal(tmp_path / "journal.jsonl")
-        journal.append("run_start", step=0, workers=1)
-        journal.append("step", step=1, loss=4.0, tokens=100,
-                       tokens_per_sec=50.0, wall_s=2.0)
-        journal.append("step", step=2, loss=2.0, tokens=60,
-                       tokens_per_sec=30.0, wall_s=2.0)
-        journal.append("run_complete", step=2)
-        registry = replay_journal(journal.path)
-        snap = registry.snapshot()
-        assert snap["counters"]["train.steps"] == 2
-        assert snap["counters"]["train.tokens"] == 160
-        assert snap["counters"]["train.events.run_start"] == 1
-        assert snap["counters"]["train.events.run_complete"] == 1
-        assert snap["gauges"]["train.step"] == 2
-        assert snap["histograms"]["train.loss"]["mean"] == 3.0
-        assert [e["kind"] for e in registry.events] == \
-            ["run_start", "run_complete"]
-
-    def test_replay_skips_torn_lines(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        path.write_text('{"kind": "step", "step": 1, "loss": 1.0}\n'
-                        '{"kind": "st\n')
-        registry = replay_journal(path)
-        assert registry.snapshot()["counters"]["train.steps"] == 1
-
-    def test_replay_missing_file_is_empty(self, tmp_path):
-        registry = replay_journal(tmp_path / "absent.jsonl")
-        assert registry.snapshot()["counters"] == {}
-
-    def test_replay_end_to_end_from_real_run(self, stack, tmp_path):
+class TestRunJournalOfARealRun:
+    def test_every_step_is_journaled(self, stack, tmp_path):
         _, runtime = _run_to_completion(stack, tmp_path / "run",
                                         total_steps=2)
-        registry = replay_journal(runtime.journal.path)
-        snap = registry.snapshot()
-        assert snap["counters"]["train.steps"] == 2
-        assert snap["counters"]["train.tokens"] > 0
-        assert snap["histograms"]["train.tokens_per_sec"]["mean"] > 0
+        events = runtime.journal.events()
+        steps = [e for e in events if e["kind"] == "step"]
+        assert [e["step"] for e in steps] == [1, 2]
+        assert all(e["tokens"] > 0 and e["tokens_per_sec"] > 0
+                   for e in steps)
+        assert events[-1]["kind"] == "run_complete"

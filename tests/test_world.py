@@ -13,6 +13,7 @@ from repro.world import (
     TeleOntology,
     TelecomWorld,
     generate_topology,
+    serving_world,
 )
 
 
@@ -266,6 +267,16 @@ class TestWorld:
     def test_simulate_episodes_wrapper(self, world):
         episodes = world.simulate_episodes(2)
         assert len(episodes) == 2
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_serving_world_is_the_tiny_world(self, seed):
+        # serve-net --adapters fits on it and loadgen samples payloads
+        # from it; perfbench/bench_serve.py keeps its own literal copy.
+        world, episodes = serving_world(seed)
+        literal = TelecomWorld.generate(seed=seed, alarms_per_theme=2,
+                                        kpis_per_theme=2, topology_nodes=6)
+        assert world == literal
+        assert episodes == literal.simulate_episodes(30)
 
 
 @settings(max_examples=10, deadline=None)
