@@ -101,35 +101,23 @@ class BenchRun:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "BenchRun":
-        """Parse a payload, accepting the pre-schema legacy shape.
-
-        Legacy files (``schema_version`` absent) carried ``name`` but no
-        ``bench_id`` or ``host``; both are derived/filled so old results
-        merge cleanly into the new schema on the next emit.
-        """
-        problems = validate_payload(payload, strict=False)
+        """Parse a payload; raises ``ValueError`` naming its problems."""
+        problems = validate_payload(payload)
         if problems:
             raise ValueError(
                 f"invalid benchmark payload: {'; '.join(problems)}")
-        bench_id = payload.get("bench_id") or NAMESPACE + payload["name"]
         metrics = {m["metric"]: float(m["value"])
-                   for m in payload.get("metrics", [])}
-        return cls(bench_id=bench_id, metrics=metrics,
+                   for m in payload["metrics"]}
+        return cls(bench_id=payload["bench_id"], metrics=metrics,
                    config=dict(payload.get("config") or {}),
                    git_sha=payload.get("git_sha", "unknown"),
                    date=payload.get("date", ""),
-                   host=dict(payload.get("host") or {}),
-                   schema_version=int(payload.get("schema_version", 0)))
+                   host=dict(payload["host"]),
+                   schema_version=payload["schema_version"])
 
 
-def validate_payload(payload: object, strict: bool = True) -> list[str]:
-    """Return schema problems for a result payload ([] = valid).
-
-    ``strict=False`` tolerates the legacy pre-``repro.bench`` shape
-    (missing ``schema_version``/``bench_id``/``host``) so old committed
-    results stay loadable; structural problems (bad metric entries,
-    non-finite values, mismatched ids) are reported either way.
-    """
+def validate_payload(payload: object) -> list[str]:
+    """Return schema problems for a result payload ([] = valid)."""
     problems: list[str] = []
     if not isinstance(payload, dict):
         return [f"payload must be an object, got {type(payload).__name__}"]
@@ -137,18 +125,16 @@ def validate_payload(payload: object, strict: bool = True) -> list[str]:
     if not isinstance(name, str) or not name:
         problems.append("missing or empty 'name'")
     bench_id = payload.get("bench_id")
-    if bench_id is not None:
-        if not isinstance(bench_id, str) or \
-                not bench_id.startswith(NAMESPACE):
-            problems.append(f"'bench_id' must start with {NAMESPACE!r}")
-        elif isinstance(name, str) and bench_id != NAMESPACE + name:
-            problems.append(f"'bench_id' {bench_id!r} does not match "
-                            f"'name' {name!r}")
-    elif strict:
+    if bench_id is None:
         problems.append("missing 'bench_id'")
-    if strict and not isinstance(payload.get("schema_version"), int):
+    elif not isinstance(bench_id, str) or not bench_id.startswith(NAMESPACE):
+        problems.append(f"'bench_id' must start with {NAMESPACE!r}")
+    elif isinstance(name, str) and bench_id != NAMESPACE + name:
+        problems.append(f"'bench_id' {bench_id!r} does not match "
+                        f"'name' {name!r}")
+    if not isinstance(payload.get("schema_version"), int):
         problems.append("missing integer 'schema_version'")
-    if strict and not isinstance(payload.get("host"), dict):
+    if not isinstance(payload.get("host"), dict):
         problems.append("missing 'host' object")
     metrics = payload.get("metrics")
     if not isinstance(metrics, list):

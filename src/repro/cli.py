@@ -128,7 +128,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         print(text)
         print()
         if out_dir:
-            (out_dir / f"table_{target}.txt").write_text(text + "\n")
+            (out_dir / f"table_{target}.txt").write_text(
+                text + "\n", encoding="utf-8")
     return 0
 
 
@@ -439,7 +440,7 @@ def _build_train_retrainer(config: dict):
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.models import atomic_write_bytes
+    from repro.ioutil import atomic_write_bytes
     from repro.training.runtime import RuntimeConfig, TrainingRuntime
 
     run_dir = Path(args.run_dir)
@@ -450,7 +451,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
               "learning_rate": args.learning_rate}
     config_path = run_dir / "config.json"
     if config_path.exists():
-        stored = json.loads(config_path.read_text())
+        stored = json.loads(config_path.read_text(encoding="utf-8"))
         changed = [k for k in _TRAIN_IDENTITY if stored.get(k) != config[k]]
         if changed:
             print(f"note: reusing stored run config for {changed} "

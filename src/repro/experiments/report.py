@@ -82,7 +82,8 @@ def generate_report(results_dir: str | Path, output_path: str | Path,
         parts.append(f"## {title}\n")
         parts.append(commentary + "\n")
         if path.exists():
-            parts.append("```\n" + path.read_text().strip() + "\n```\n")
+            parts.append("```\n" + path.read_text(encoding="utf-8").strip()
+                         + "\n```\n")
             if filename.startswith("fig10"):
                 parts.extend(_fig10_projections(results_dir))
         else:
@@ -96,10 +97,11 @@ def generate_report(results_dir: str | Path, output_path: str | Path,
         parts.append("Design-choice ablations beyond the paper's own "
                      "w/o-ANEnc rows:\n")
         for path in ablations:
-            parts.append("```\n" + path.read_text().strip() + "\n```\n")
+            parts.append("```\n" + path.read_text(encoding="utf-8").strip()
+                         + "\n```\n")
 
     parts.append(_OBSERVATIONS)
-    output_path.write_text("\n".join(parts))
+    output_path.write_text("\n".join(parts), encoding="utf-8")
     return output_path
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.ioutil import atomic_write_text
 from repro.kg.graph import TeleKG
 from repro.kg.schema import TeleSchema
 
@@ -33,9 +34,9 @@ def export_ntriples(kg: TeleKG, path: str | Path) -> Path:
     """Write relation triples as N-Triples-style lines.
 
     Entity classes are emitted as ``rdf:type`` facts and surfaces as
-    ``rdfs:label`` literal facts, so the export is self-describing.
+    ``rdfs:label`` literal facts, so the export is self-describing.  The
+    file is UTF-8 and replaced atomically.
     """
-    path = Path(path)
     lines: list[str] = []
     for entity in kg.entities():
         lines.append(f"{_encode_uri(entity.uid)} rdf:type "
@@ -51,12 +52,11 @@ def export_ntriples(kg: TeleKG, path: str | Path) -> Path:
                     else f'"{fact.value}"^^xsd:double')
         lines.append(f"{_encode_uri(fact.entity)} "
                      f"{_encode_uri('attr ' + fact.attribute)} {rendered} .")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def export_json(kg: TeleKG, path: str | Path) -> Path:
-    """Lossless JSON export."""
+    """Lossless JSON export, UTF-8, replaced atomically."""
     payload = {
         "entities": [{"uid": e.uid, "surface": e.surface, "cls": e.cls}
                      for e in kg.entities()],
@@ -69,14 +69,12 @@ def export_json(kg: TeleKG, path: str | Path) -> Path:
         "schema": {child: parent for child, parent
                    in kg.schema.parents.items()},
     }
-    path = Path(path)
-    path.write_text(json.dumps(payload, ensure_ascii=False))
-    return path
+    return atomic_write_text(path, json.dumps(payload, ensure_ascii=False))
 
 
 def import_json(path: str | Path) -> TeleKG:
     """Rebuild a :class:`TeleKG` from :func:`export_json` output."""
-    payload = json.loads(Path(path).read_text())
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     schema = TeleSchema(parents=dict(payload["schema"]))
     kg = TeleKG(schema)
     for entity in payload["entities"]:

@@ -61,13 +61,16 @@ from repro.lint.core import (
     Finding,
     LintConfig,
     Rule,
-    analyze_paths,
-    analyze_source,
-    analyze_sources,
     iter_python_files,
     rule,
 )
-from repro.lint.project import ProjectContext, SummaryCache
+from repro.lint.project import (
+    ProjectContext,
+    SummaryCache,
+    analyze_paths,
+    analyze_source,
+    analyze_sources,
+)
 from repro.lint import rules as _rules  # registers the module rules
 from repro.lint import flowrules as _flowrules  # registers RL008-RL011
 

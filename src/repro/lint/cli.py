@@ -33,11 +33,11 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.lint.core import (
-    RULES,
-    Finding,
-    LintConfig,
+from repro.lint.core import RULES, Finding, LintConfig
+from repro.lint.project import (
+    SummaryCache,
     analyze_paths,
+    cache_key,
     graph_paths,
 )
 
@@ -217,8 +217,6 @@ def main(argv: Sequence[str] | None = None,
 
     cache = None
     if not args.no_cache:
-        from repro.lint.project import SummaryCache, cache_key
-
         cache_path = Path(args.cache) if args.cache \
             else root / DEFAULT_CACHE
         if not cache_path.is_absolute():

@@ -1,4 +1,7 @@
-"""Framework core: findings, rule registry, suppressions, file driver.
+"""Framework core: findings, rule registry, suppressions, file walking.
+
+The run driver that turns source text into findings lives with the
+whole-program layer it builds, in :mod:`repro.lint.project`.
 
 Everything here is dependency-free (stdlib ``ast`` + ``tokenize``), so the
 linter runs in any environment that can parse the sources — including CI
@@ -388,138 +391,8 @@ def _apply_suppressions(findings: list[Finding],
 
 
 # ---------------------------------------------------------------------
-# Drivers
+# Files
 # ---------------------------------------------------------------------
-def _validate_select(select: Iterable[str] | None) -> set[str] | None:
-    """Resolve ``select`` to a code set; unknown codes are a usage error."""
-    if select is None:
-        return None
-    selected = set(select)
-    unknown = selected - set(RULES) - {FRAMEWORK_CODE}
-    if unknown:
-        raise ValueError(f"unknown rule code(s): {sorted(unknown)}")
-    return selected
-
-
-def _module_findings(context: ModuleContext,
-                     selected: set[str] | None) -> list[Finding]:
-    """Run the selected module-scope rules over one parsed module."""
-    findings: list[Finding] = []
-    for meta in RULES.values():
-        if meta.scope != "module":
-            continue
-        if selected is not None and meta.code not in selected:
-            continue
-        findings.extend(meta.check(context))
-    return findings
-
-
-def _framework_findings(problems: list[tuple[int, str]], rel: str,
-                        line_text, selected: set[str] | None
-                        ) -> list[Finding]:
-    if selected is not None and FRAMEWORK_CODE not in selected:
-        return []
-    return [Finding(rule=FRAMEWORK_CODE, path=rel, line=line, col=0,
-                    message=message, line_text=line_text(line),
-                    qualname="<module>")
-            for line, message in problems]
-
-
-def _apply_exemptions(findings: list[Finding],
-                      config: LintConfig) -> list[Finding]:
-    return [f for f in findings if not config.exempt(f.path, f.rule)]
-
-
-def _load(sources: dict[str, str], config: LintConfig,
-          selected: set[str] | None, cache):
-    """The per-file step of every run, ``--graph`` included: replay a
-    file's cache entry, or parse, walk, check and summarise it once.
-    Returns the project built from every summary, the module findings
-    and each file's suppressions."""
-    from repro.lint import project
-
-    summaries = {}
-    findings: list[Finding] = []
-    suppressions: dict[str, list[_Suppression]] = {}
-    for rel in sorted(sources):
-        source = sources[rel]
-        sha = project.source_sha(source)
-        entry = cache.lookup(rel, sha) if cache is not None else None
-        if entry is None:
-            try:
-                tree = ast.parse(source)
-            except SyntaxError as error:
-                findings.append(Finding(
-                    rule=FRAMEWORK_CODE, path=rel, line=error.lineno or 1,
-                    col=error.offset or 0,
-                    message=f"syntax error: {error.msg}"))
-                continue
-            context = ModuleContext(rel=rel, source=source, tree=tree,
-                                    config=config)
-            module_findings = _module_findings(context, selected)
-            file_suppressions, problems = _parse_suppressions(source)
-            module_findings = _apply_suppressions(module_findings,
-                                                  file_suppressions)
-            module_findings.extend(_framework_findings(
-                problems, rel, context.line_text, selected))
-            entry = project.CacheEntry(
-                sha=sha, summary=project.summarise_module(context),
-                findings=module_findings, suppressions=file_suppressions)
-            if cache is not None:
-                cache.store(rel, entry)
-        summaries[rel] = entry.summary
-        findings.extend(entry.findings)
-        suppressions[rel] = entry.suppressions
-    if cache is not None:
-        cache.prune(set(sources))
-    return (project.ProjectContext(summaries, sources, config), findings,
-            suppressions)
-
-
-def analyze_sources(sources: dict[str, str],
-                    config: LintConfig | None = None,
-                    select: Iterable[str] | None = None,
-                    cache=None) -> list[Finding]:
-    """Lint a set of in-memory modules as one program.
-
-    ``sources`` maps repo-relative posix paths to source text.  The
-    module-scope rules run per file; the project-scope rules (RL008+) run
-    once over the :class:`~repro.lint.project.ProjectContext` built from
-    every parseable file.  ``cache`` is an optional
-    :class:`~repro.lint.project.SummaryCache`: files whose SHA it knows
-    replay their summary and module findings without re-parsing.
-    """
-    config = config or LintConfig()
-    selected = _validate_select(select)
-    project, findings, suppressions = _load(sources, config, selected,
-                                            cache)
-    project_findings: list[Finding] = []
-    for meta in RULES.values():
-        if meta.scope == "project" and (selected is None
-                                        or meta.code in selected):
-            project_findings.extend(meta.check(project))
-    by_rel: dict[str, list[Finding]] = {}
-    for finding in project_findings:
-        by_rel.setdefault(finding.path, []).append(finding)
-    for rel, batch in by_rel.items():
-        findings.extend(_apply_suppressions(batch,
-                                            suppressions.get(rel, [])))
-    return sorted(_apply_exemptions(findings, config), key=Finding.sort_key)
-
-
-def analyze_source(source: str, rel: str,
-                   config: LintConfig | None = None,
-                   select: Iterable[str] | None = None) -> list[Finding]:
-    """Run the (selected) rules over one module's source text.
-
-    ``rel`` is the repo-relative posix path used for scoping and
-    fingerprints; it does not need to exist on disk, which is what makes
-    fixture-based rule tests cheap.  Project-scope rules run too, over a
-    one-module program — intra-module call chains still resolve.
-    """
-    return analyze_sources({rel: source}, config=config, select=select)
-
-
 def iter_python_files(paths: Iterable[str | Path],
                       root: Path) -> Iterator[Path]:
     """Yield ``.py`` files under ``paths`` (files or directories), sorted,
@@ -540,59 +413,6 @@ def iter_python_files(paths: Iterable[str | Path],
                 yield resolved
 
 
-def _read_sources(paths: Iterable[str | Path], root: str | Path
-                  ) -> tuple[dict[str, str], list[Finding]]:
-    """Source text of every Python file under ``paths``, keyed by its
-    path relative to ``root``, plus an RL000 finding per unreadable file."""
-    root = Path(root).resolve()
-    sources: dict[str, str] = {}
-    findings: list[Finding] = []
-    for path in iter_python_files(paths, root):
-        try:
-            rel = path.relative_to(root).as_posix()
-        except ValueError:
-            rel = path.as_posix()
-        try:
-            sources[rel] = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as error:
-            findings.append(Finding(
-                rule=FRAMEWORK_CODE, path=rel, line=1, col=0,
-                message=f"unreadable file: {error}"))
-    return sources, findings
-
-
-def analyze_paths(paths: Iterable[str | Path], root: str | Path,
-                  config: LintConfig | None = None,
-                  select: Iterable[str] | None = None,
-                  cache=None) -> list[Finding]:
-    """Lint every Python file under ``paths``; findings sorted by location.
-
-    ``root`` is the repository root: file paths are recorded relative to
-    it so fingerprints are stable across checkouts.  ``cache`` is an
-    optional :class:`~repro.lint.project.SummaryCache` (the caller saves
-    it after the run).
-    """
-    _validate_select(select)  # fail fast even when no file matches
-    sources, findings = _read_sources(paths, root)
-    findings.extend(analyze_sources(sources, config=config, select=select,
-                                    cache=cache))
-    return sorted(findings, key=Finding.sort_key)
-
-
-def graph_paths(paths: Iterable[str | Path], root: str | Path,
-                config: LintConfig | None = None,
-                select: Iterable[str] | None = None,
-                cache=None) -> dict:
-    """The call and lock graphs RL008-RL011 reason over (``repro lint
-    --graph``), for files read and summarised as :func:`analyze_paths`
-    does it."""
-    config = config or LintConfig()
-    selected = _validate_select(select)
-    sources, _ = _read_sources(paths, root)
-    project, _, _ = _load(sources, config, selected, cache)
-    return project.graph_dump()
-
-
 __all__ = [
     "FRAMEWORK_CODE",
     "Finding",
@@ -601,10 +421,6 @@ __all__ = [
     "RULES",
     "Rule",
     "SCOPES",
-    "analyze_paths",
-    "analyze_source",
-    "analyze_sources",
-    "graph_paths",
     "iter_python_files",
     "rule",
 ]

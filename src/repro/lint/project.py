@@ -24,6 +24,9 @@ cache (``tools/.lint_cache.json``, keyed by file SHA) hold.  One codec
 writes and strictly reads each :class:`CacheEntry`, so an entry of the
 wrong shape is a miss: an unchanged file is never re-parsed, only the
 (cheap) graph fixpoints rerun, and an unchanged cache is not rewritten.
+The run driver lives here too (:func:`analyze_sources`,
+:func:`analyze_paths`, :func:`graph_paths`): it replays or builds each
+file's entry, then runs the project rules over the context it built.
 
 Everything here is stdlib-only (``ast`` + ``hashlib``) so the lint tier
 keeps running without the package's numeric dependencies installed.
@@ -50,12 +53,16 @@ from repro.lint.core import (
     _BLOCKING_ATTRS,
     _LOCKY_RE,
     _THREADY_RE,
+    FRAMEWORK_CODE,
     RULES,
     Finding,
     LintConfig,
     ModuleContext,
+    _apply_suppressions,
     _attr_chain,
+    _parse_suppressions,
     _Suppression,
+    iter_python_files,
 )
 
 _DEADLINE_PARAM_RE = re.compile(r"(deadline|timeout)", re.IGNORECASE)
@@ -1214,6 +1221,190 @@ class SummaryCache:
             return  # best-effort: a cache that cannot be written is cold
 
 
+# ---------------------------------------------------------------------
+# Drivers: source text -> findings or graphs
+# ---------------------------------------------------------------------
+def _validate_select(select: Iterable[str] | None) -> set[str] | None:
+    """Resolve ``select`` to a code set; unknown codes are a usage error."""
+    if select is None:
+        return None
+    selected = set(select)
+    unknown = selected - set(RULES) - {FRAMEWORK_CODE}
+    if unknown:
+        raise ValueError(f"unknown rule code(s): {sorted(unknown)}")
+    return selected
+
+
+def _module_findings(context: ModuleContext,
+                     selected: set[str] | None) -> list[Finding]:
+    """Run the selected module-scope rules over one parsed module."""
+    findings: list[Finding] = []
+    for meta in RULES.values():
+        if meta.scope != "module":
+            continue
+        if selected is not None and meta.code not in selected:
+            continue
+        findings.extend(meta.check(context))
+    return findings
+
+
+def _framework_findings(problems: list[tuple[int, str]], rel: str,
+                        line_text, selected: set[str] | None
+                        ) -> list[Finding]:
+    if selected is not None and FRAMEWORK_CODE not in selected:
+        return []
+    return [Finding(rule=FRAMEWORK_CODE, path=rel, line=line, col=0,
+                    message=message, line_text=line_text(line),
+                    qualname="<module>")
+            for line, message in problems]
+
+
+def _apply_exemptions(findings: list[Finding],
+                      config: LintConfig) -> list[Finding]:
+    return [f for f in findings if not config.exempt(f.path, f.rule)]
+
+
+def _load(sources: dict[str, str], config: LintConfig,
+          selected: set[str] | None, cache):
+    """The per-file step of every run, ``--graph`` included: replay a
+    file's cache entry, or parse, walk, check and summarise it once.
+    Returns the project built from every summary, the module findings
+    and each file's suppressions."""
+    summaries = {}
+    findings: list[Finding] = []
+    suppressions: dict[str, list[_Suppression]] = {}
+    for rel in sorted(sources):
+        source = sources[rel]
+        sha = source_sha(source)
+        entry = cache.lookup(rel, sha) if cache is not None else None
+        if entry is None:
+            try:
+                tree = ast.parse(source)
+            except SyntaxError as error:
+                findings.append(Finding(
+                    rule=FRAMEWORK_CODE, path=rel, line=error.lineno or 1,
+                    col=error.offset or 0,
+                    message=f"syntax error: {error.msg}"))
+                continue
+            context = ModuleContext(rel=rel, source=source, tree=tree,
+                                    config=config)
+            module_findings = _module_findings(context, selected)
+            file_suppressions, problems = _parse_suppressions(source)
+            module_findings = _apply_suppressions(module_findings,
+                                                  file_suppressions)
+            module_findings.extend(_framework_findings(
+                problems, rel, context.line_text, selected))
+            entry = CacheEntry(
+                sha=sha, summary=summarise_module(context),
+                findings=module_findings, suppressions=file_suppressions)
+            if cache is not None:
+                cache.store(rel, entry)
+        summaries[rel] = entry.summary
+        findings.extend(entry.findings)
+        suppressions[rel] = entry.suppressions
+    if cache is not None:
+        cache.prune(set(sources))
+    return (ProjectContext(summaries, sources, config), findings,
+            suppressions)
+
+
+def analyze_sources(sources: dict[str, str],
+                    config: LintConfig | None = None,
+                    select: Iterable[str] | None = None,
+                    cache=None) -> list[Finding]:
+    """Lint a set of in-memory modules as one program.
+
+    ``sources`` maps repo-relative posix paths to source text.  The
+    module-scope rules run per file; the project-scope rules (RL008+) run
+    once over the :class:`~repro.lint.project.ProjectContext` built from
+    every parseable file.  ``cache`` is an optional
+    :class:`~repro.lint.project.SummaryCache`: files whose SHA it knows
+    replay their summary and module findings without re-parsing.
+    """
+    config = config or LintConfig()
+    selected = _validate_select(select)
+    project, findings, suppressions = _load(sources, config, selected,
+                                            cache)
+    project_findings: list[Finding] = []
+    for meta in RULES.values():
+        if meta.scope == "project" and (selected is None
+                                        or meta.code in selected):
+            project_findings.extend(meta.check(project))
+    by_rel: dict[str, list[Finding]] = {}
+    for finding in project_findings:
+        by_rel.setdefault(finding.path, []).append(finding)
+    for rel, batch in by_rel.items():
+        findings.extend(_apply_suppressions(batch,
+                                            suppressions.get(rel, [])))
+    return sorted(_apply_exemptions(findings, config), key=Finding.sort_key)
+
+
+def analyze_source(source: str, rel: str,
+                   config: LintConfig | None = None,
+                   select: Iterable[str] | None = None) -> list[Finding]:
+    """Run the (selected) rules over one module's source text.
+
+    ``rel`` is the repo-relative posix path used for scoping and
+    fingerprints; it does not need to exist on disk, which is what makes
+    fixture-based rule tests cheap.  Project-scope rules run too, over a
+    one-module program — intra-module call chains still resolve.
+    """
+    return analyze_sources({rel: source}, config=config, select=select)
+
+
+def _read_sources(paths: Iterable[str | Path], root: str | Path
+                  ) -> tuple[dict[str, str], list[Finding]]:
+    """Source text of every Python file under ``paths``, keyed by its
+    path relative to ``root``, plus an RL000 finding per unreadable file."""
+    root = Path(root).resolve()
+    sources: dict[str, str] = {}
+    findings: list[Finding] = []
+    for path in iter_python_files(paths, root):
+        try:
+            rel = path.relative_to(root).as_posix()
+        except ValueError:
+            rel = path.as_posix()
+        try:
+            sources[rel] = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as error:
+            findings.append(Finding(
+                rule=FRAMEWORK_CODE, path=rel, line=1, col=0,
+                message=f"unreadable file: {error}"))
+    return sources, findings
+
+
+def analyze_paths(paths: Iterable[str | Path], root: str | Path,
+                  config: LintConfig | None = None,
+                  select: Iterable[str] | None = None,
+                  cache=None) -> list[Finding]:
+    """Lint every Python file under ``paths``; findings sorted by location.
+
+    ``root`` is the repository root: file paths are recorded relative to
+    it so fingerprints are stable across checkouts.  ``cache`` is an
+    optional :class:`~repro.lint.project.SummaryCache` (the caller saves
+    it after the run).
+    """
+    _validate_select(select)  # fail fast even when no file matches
+    sources, findings = _read_sources(paths, root)
+    findings.extend(analyze_sources(sources, config=config, select=select,
+                                    cache=cache))
+    return sorted(findings, key=Finding.sort_key)
+
+
+def graph_paths(paths: Iterable[str | Path], root: str | Path,
+                config: LintConfig | None = None,
+                select: Iterable[str] | None = None,
+                cache=None) -> dict:
+    """The call and lock graphs RL008-RL011 reason over (``repro lint
+    --graph``), for files read and summarised as :func:`analyze_paths`
+    does it."""
+    config = config or LintConfig()
+    selected = _validate_select(select)
+    sources, _ = _read_sources(paths, root)
+    project, _, _ = _load(sources, config, selected, cache)
+    return project.graph_dump()
+
+
 __all__ = [
     "CacheEntry",
     "CallSummary",
@@ -1225,7 +1416,11 @@ __all__ = [
     "ProjectContext",
     "ResourceSummary",
     "SummaryCache",
+    "analyze_paths",
+    "analyze_source",
+    "analyze_sources",
     "cache_key",
+    "graph_paths",
     "rel_to_module",
     "source_sha",
     "summarise_module",

@@ -19,7 +19,6 @@ from repro.models.ke import KnowledgeEmbeddingObjective
 from repro.models.telebert import TeleBertTrainer, pretrain_telebert
 from repro.models.checkpoint import (
     TrainState,
-    atomic_write_bytes,
     checkpoint_fingerprint,
     load_ktelebert,
     load_train_state,
@@ -50,7 +49,6 @@ __all__ = [
     "TextRow",
     "TrainState",
     "TripleRow",
-    "atomic_write_bytes",
     "checkpoint_fingerprint",
     "load_ktelebert",
     "load_train_state",

@@ -145,7 +145,7 @@ def model_fingerprint(model: KTeleBert) -> str:
 def load_ktelebert(path: str | Path, seed: int = 0) -> KTeleBert:
     """Restore a KTeleBERT from :func:`save_ktelebert` output."""
     path = Path(path)
-    meta = json.loads((path / "meta.json").read_text())
+    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
     if meta.get("format_version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format: "
                          f"{meta.get('format_version')!r}")

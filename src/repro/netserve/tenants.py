@@ -218,7 +218,8 @@ class TenantRegistry:
     @classmethod
     def from_file(cls, path: str | Path, **kwargs) -> "TenantRegistry":
         """Load the JSON tenant config at ``path``."""
-        return cls.from_json(json.loads(Path(path).read_text()), **kwargs)
+        return cls.from_json(
+            json.loads(Path(path).read_text(encoding="utf-8")), **kwargs)
 
     @classmethod
     def single(cls, api_key: str, *, name: str = "default",

@@ -139,7 +139,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
         vocab = cls.__new__(cls)
         vocab._token_to_id = {t: i for i, t in enumerate(payload["tokens"])}
         vocab._id_to_token = list(payload["tokens"])

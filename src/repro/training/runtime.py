@@ -15,18 +15,19 @@ capabilities the paper's longest loop needs to survive outside a notebook:
 
 * **Multi-process data parallelism** — each step's batch is sharded across
   N persistent forked retrainer replicas.  Copies of the optimizer's
-  ``flat`` and ``grad`` buffers and the step's batch indices live in
-  ``multiprocessing.shared_memory`` blocks (:mod:`repro.training.shm`);
-  pipes carry only control tuples and scalar replies, never arrays.
-  Workers run forward/backward on their shard with a deterministic
-  per-``(seed, worker, step)`` RNG; the parent folds the gradient blocks
-  into ``optimizer.grad`` as a shard-size-weighted mean in fixed worker
-  order — as soon as each worker reports, overlapping the stragglers'
-  compute — before the usual clip + Adam update.  A straggler timeout
-  bounds the wait for any worker; on timeout or worker failure the
-  runtime degrades to the serial path and keeps training, retrying the
-  pool after ``pool_retry_steps`` serial steps until
-  ``pool_max_failures`` consecutive failures disable it for the run.
+  ``flat`` and ``grad`` buffers and the step's batch indices live in one
+  anonymous shared mapping (:mod:`repro.training.shm`) that the parent
+  creates before it forks; pipes carry only control tuples and scalar
+  replies, never arrays.  Workers run forward/backward on their shard
+  with a deterministic per-``(seed, worker, step)`` RNG; the parent reads
+  the replies in fixed worker order and folds each gradient block into
+  ``optimizer.grad`` (a shard-size-weighted mean) as soon as it is in,
+  overlapping the later workers' compute, before the usual clip + Adam
+  update.  A straggler timeout bounds the wait for the whole step; on
+  timeout or worker failure the runtime degrades to the serial path and
+  keeps training, retrying the pool after ``pool_retry_steps`` serial
+  steps until ``pool_max_failures`` consecutive failures disable it for
+  the run.
 
 * **Run journal** — every step appends a structured JSONL event (step,
   loss breakdown, tokens/sec, wall time) to ``journal.jsonl``; lifecycle
@@ -47,7 +48,6 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing import connection
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +160,8 @@ class SnapshotStore:
                     continue
                 entries[path.name] = {"step": step, "loss": float("inf")}
             return entries
-        return json.loads(self._index_path.read_text())["snapshots"]
+        return json.loads(
+            self._index_path.read_text(encoding="utf-8"))["snapshots"]
 
     def _write_index(self, entries: dict[str, dict]) -> None:
         payload = json.dumps({"snapshots": entries}, sort_keys=True)
@@ -236,50 +237,46 @@ def _worker_main(conn, retrainer: KTeleBertRetrainer,
     model.train()
     masker = DynamicMasker(model.tokenizer.vocab, np.random.default_rng(0),
                            masking_rate=model.config.masking_rate)
-    param_block = shared.params.array
-    grad_block = shared.grads[worker_id].array
-    index_block = shared.indices.array
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError, KeyboardInterrupt):
-                break
-            if message[0] == "stop":
-                break
-            _, step, row_lo, row_hi, triple_lo, triple_hi = message
-            try:
-                optimizer.flat[...] = param_block
-                rows = [mask_rows[i] for i in index_block[row_lo:row_hi]]
-                triples = [triple_rows[i]
-                           for i in index_block[triple_lo:triple_hi]]
-                optimizer.zero_grad()
-                # Step-keyed streams make each worker's computation
-                # independent of which steps it served before — required
-                # for bit-exact resume of parallel runs.  Masking and
-                # dropout get distinct SeedSequence branches so their
-                # draws are uncorrelated.
-                masker.rng = np.random.default_rng(
-                    [retrainer.seed, worker_id, step])
-                model.rng.bit_generator.state = np.random.default_rng(
-                    [retrainer.seed, worker_id, step, 1]).bit_generator.state
-                losses = compute_stage2_losses(model, masker,
-                                               rows or None, triples or None)
-                losses.total.backward()
-                grad_block[...] = optimizer.grad
-                untouched = [i for i, param
-                             in enumerate(optimizer.parameters)
-                             if param.grad is None]
-                conn.send(("ok", step,
-                           {"total": losses.value, "mask": losses.mask,
-                            "ke": losses.ke,
-                            "numeric_regression":
-                                losses.numeric_regression},
-                           losses.tokens, untouched))
-            except Exception:  # surfaced to the parent as WorkerPoolError
-                conn.send(("err", step, traceback.format_exc()))
-    finally:
-        shared.release()
+    param_block = shared.params
+    grad_block = shared.grads[worker_id]
+    index_block = shared.indices
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            break
+        if message[0] == "stop":
+            break
+        _, step, row_lo, row_hi, triple_lo, triple_hi = message
+        try:
+            optimizer.flat[...] = param_block
+            rows = [mask_rows[i] for i in index_block[row_lo:row_hi]]
+            triples = [triple_rows[i]
+                       for i in index_block[triple_lo:triple_hi]]
+            optimizer.zero_grad()
+            # Step-keyed streams make each worker's computation
+            # independent of which steps it served before — required
+            # for bit-exact resume of parallel runs.  Masking and
+            # dropout get distinct SeedSequence branches so their
+            # draws are uncorrelated.
+            masker.rng = np.random.default_rng(
+                [retrainer.seed, worker_id, step])
+            model.rng.bit_generator.state = np.random.default_rng(
+                [retrainer.seed, worker_id, step, 1]).bit_generator.state
+            losses = compute_stage2_losses(model, masker,
+                                           rows or None, triples or None)
+            losses.total.backward()
+            grad_block[...] = optimizer.grad
+            untouched = [i for i, param
+                         in enumerate(optimizer.parameters)
+                         if param.grad is None]
+            conn.send(("ok", step,
+                       {"total": losses.value, "mask": losses.mask,
+                        "ke": losses.ke,
+                        "numeric_regression": losses.numeric_regression},
+                       losses.tokens, untouched))
+        except Exception:  # surfaced to the parent as WorkerPoolError
+            conn.send(("err", step, traceback.format_exc()))
 
 
 @dataclass
@@ -292,22 +289,23 @@ class _WorkerHandle:
 class GradientWorkerPool:
     """N persistent forked replicas sharing parameters and gradients.
 
-    The parent copies ``optimizer.flat`` into one shared-memory block once
-    per step and the step's batch indices into a small shared index block;
-    each worker computes forward/backward over its shard and copies its
-    replica's ``optimizer.grad`` into its own shared block.  Pipes carry
-    only tiny control tuples — step index and shard bounds out, scalar
-    losses back — never arrays, so per-step cost is the compute itself
-    rather than pickling a model-sized payload per worker.
+    The parent copies ``optimizer.flat`` into the shared parameter block
+    once per step and the step's batch indices into the shared index
+    block; each worker computes forward/backward over its shard and copies
+    its replica's ``optimizer.grad`` into its own shared block.  Pipes
+    carry only tiny control tuples — step index and shard bounds out,
+    scalar losses back — never arrays, so per-step cost is the compute
+    itself rather than pickling a model-sized payload per worker.
 
     The parent reduces worker gradients into ``optimizer.grad`` as a
     shard-size-weighted mean — equivalent in expectation to the serial
-    gradient of the full batch.  Reduction overlaps compute: worker *i*'s
-    block is folded into the sum as soon as it reports in (in fixed worker
-    order, so the float sum is deterministic) while later workers are
-    still computing.  ``fork`` start method only (replicas inherit the
-    retrainer without pickling); callers fall back to the serial path
-    when fork is unavailable or startup fails.
+    gradient of the full batch.  Reduction overlaps compute: the parent
+    reads the replies in fixed worker order (so the float sum is
+    deterministic) and folds worker *i*'s block as soon as it is in,
+    while later workers are still computing.  ``fork`` start method only
+    (replicas inherit the retrainer and the mapping without pickling);
+    callers fall back to the serial path when fork is unavailable or
+    startup fails.
     """
 
     def __init__(self, retrainer: KTeleBertRetrainer, num_workers: int,
@@ -346,11 +344,6 @@ class GradientWorkerPool:
             self.close()
             raise WorkerPoolError(f"worker startup failed: {error}") from error
 
-    @property
-    def segment_names(self) -> list[str]:
-        """Live shared-memory segment names (for leak checks)."""
-        return self._shared.segment_names if self._shared is not None else []
-
     @staticmethod
     def _shard_bounds(count: int, workers: int) -> np.ndarray:
         return np.linspace(0, count, workers + 1).astype(int)
@@ -381,8 +374,8 @@ class GradientWorkerPool:
         # Publish this step's parameters and batch indices; workers read
         # both straight out of shared memory.
         optimizer = self._optimizer
-        self._shared.params.array[...] = optimizer.flat
-        index_block = self._shared.indices.array
+        self._shared.params[...] = optimizer.flat
+        index_block = self._shared.indices
         index_block[:n_rows] = rows
         index_block[n_rows:n_rows + n_triples] = triples
 
@@ -415,58 +408,36 @@ class GradientWorkerPool:
         untouched = set(range(len(optimizer.parameters)))
         optimizer.zero_grad()
         reduced = optimizer.grad
-        pending = {handle.conn: (handle, weight)
-                   for handle, weight in active}
-        replies: dict[int, tuple] = {}
-        folded = 0
-        # Fold gradients in fixed worker order (deterministic float sum)
-        # but start folding as soon as the next-in-order worker reports —
-        # worker i's block is reduced while worker j still computes.
-        while folded < len(active):
-            while (folded < len(active)
-                   and active[folded][0].worker_id in replies):
-                handle, weight = active[folded]
-                share = weight / total_weight
-                np.multiply(self._shared.grads[handle.worker_id].array,
-                            share, out=self._scratch)
-                reduced += self._scratch
-                parts, shard_tokens, shard_untouched = replies.pop(
-                    handle.worker_id)
-                for key in losses:
-                    losses[key] += parts[key] * share
-                tokens += shard_tokens
-                untouched.intersection_update(shard_untouched)
-                folded += 1
-            if folded >= len(active):
-                break
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+        # Fold gradients in fixed worker order (deterministic float sum),
+        # each as soon as it is in: worker i's block is reduced while
+        # worker j > i still computes.
+        for handle, weight in active:
+            worker = handle.worker_id
+            try:
+                if not handle.conn.poll(max(deadline - time.monotonic(), 0)):
+                    raise WorkerPoolError(
+                        f"straggler: worker {worker} exceeded "
+                        f"{self.straggler_timeout_s:.1f}s")
+                reply = handle.conn.recv()
+            except (EOFError, OSError) as error:
                 raise WorkerPoolError(
-                    f"straggler: worker {active[folded][0].worker_id} "
-                    f"exceeded {self.straggler_timeout_s:.1f}s")
-            ready = connection.wait(list(pending), timeout=remaining)
-            if not ready:
+                    f"worker {worker} died mid-step: {error!r}") from error
+            if reply[0] != "ok":
                 raise WorkerPoolError(
-                    f"straggler: worker {active[folded][0].worker_id} "
-                    f"exceeded {self.straggler_timeout_s:.1f}s")
-            for conn in ready:
-                handle, _weight = pending.pop(conn)
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError) as error:
-                    raise WorkerPoolError(
-                        f"worker {handle.worker_id} died mid-step: "
-                        f"{error!r}") from error
-                if reply[0] != "ok":
-                    raise WorkerPoolError(
-                        f"worker {handle.worker_id} failed at step "
-                        f"{step_index}:\n{reply[2]}")
-                _, reply_step, *payload = reply
-                if reply_step != step_index:
-                    raise WorkerPoolError(
-                        f"worker {handle.worker_id} answered step "
-                        f"{reply_step}, expected {step_index}")
-                replies[handle.worker_id] = payload
+                    f"worker {worker} failed at step {step_index}:\n"
+                    f"{reply[2]}")
+            _, reply_step, parts, shard_tokens, shard_untouched = reply
+            if reply_step != step_index:
+                raise WorkerPoolError(
+                    f"worker {worker} answered step {reply_step}, "
+                    f"expected {step_index}")
+            share = weight / total_weight
+            np.multiply(self._shared.grads[worker], share, out=self._scratch)
+            reduced += self._scratch
+            for key in losses:
+                losses[key] += parts[key] * share
+            tokens += shard_tokens
+            untouched.intersection_update(shard_untouched)
         step_losses = StepLosses(total=Tensor(losses["total"]),
                                  mask=losses["mask"], ke=losses["ke"],
                                  numeric_regression=losses[
@@ -480,10 +451,10 @@ class GradientWorkerPool:
         return step_losses
 
     def close(self) -> None:
-        """Stop and join every worker, then unlink the shared segments.
+        """Stop and join every worker, then drop the shared mapping.
 
-        Idempotent, and safe after worker crashes: the parent owns the
-        segments, so they are removed even when children died hard.
+        Idempotent, and safe after worker crashes: the mapping has no
+        name, so nothing outlives the processes that map it.
         """
         for handle in self._workers:
             try:

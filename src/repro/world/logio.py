@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
+from repro.ioutil import atomic_write_text
 from repro.world.episodes import FaultEpisode, LogRecord
 
 _FORMAT = "repro-fault-episodes-v1"
@@ -32,8 +33,8 @@ def _record_to_dict(record: LogRecord) -> dict:
 
 def export_episodes(episodes: Iterable[FaultEpisode],
                     path: str | Path) -> Path:
-    """Write episodes as JSONL: a header line, then one line per episode."""
-    path = Path(path)
+    """Write episodes as UTF-8 JSONL: a header line, then one line per
+    episode.  The file is replaced atomically."""
     lines = [json.dumps({"format": _FORMAT})]
     for episode in episodes:
         lines.append(json.dumps({
@@ -44,13 +45,18 @@ def export_episodes(episodes: Iterable[FaultEpisode],
             "chain": episode.chain,
             "records": [_record_to_dict(r) for r in episode.records],
         }, ensure_ascii=False))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def import_episodes(path: str | Path) -> list[FaultEpisode]:
-    """Read a file produced by :func:`export_episodes`."""
-    lines = Path(path).read_text().strip().splitlines()
+    """Read a file produced by :func:`export_episodes`.
+
+    Lines split on ``"\\n"`` only: the JSON text may hold U+2028, U+2029
+    or U+0085 raw.  A line that does not parse raises; blank lines are
+    skipped.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [line for line in text.split("\n") if line.strip()]
     if not lines:
         raise ValueError("empty episode file")
     header = json.loads(lines[0])

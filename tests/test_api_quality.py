@@ -11,6 +11,7 @@ import repro
 MODULES = [name for _, name, _ in pkgutil.walk_packages(
     repro.__path__, prefix="repro.")
     if "__main__" not in name]  # importing __main__ runs the CLI
+SUBPACKAGES = [name for name in MODULES if name.count(".") == 1]
 
 
 def _public_members(module):
@@ -40,8 +41,7 @@ def test_public_items_have_docstrings(module_name):
                               f"{undocumented}")
 
 
-@pytest.mark.parametrize("module_name",
-                         [m for m in MODULES if m.count(".") == 1])
+@pytest.mark.parametrize("module_name", SUBPACKAGES)
 def test_all_exports_resolve(module_name):
     module = importlib.import_module(module_name)
     exported = getattr(module, "__all__", None)
@@ -49,6 +49,21 @@ def test_all_exports_resolve(module_name):
         return
     for name in exported:
         assert hasattr(module, name), f"{module_name}.__all__ lists {name}"
+
+
+@pytest.mark.parametrize("module_name", SUBPACKAGES)
+def test_all_exports_only_what_the_subpackage_defines(module_name):
+    """No re-export shims: a name in ``__all__`` lives in the package."""
+    module = importlib.import_module(module_name)
+    borrowed = []
+    for name in getattr(module, "__all__", []):
+        member = getattr(module, name)
+        if not (inspect.isclass(member) or inspect.isfunction(member)):
+            continue
+        owner = getattr(member, "__module__", "")
+        if owner != module_name and not owner.startswith(module_name + "."):
+            borrowed.append(f"{name} (from {owner})")
+    assert not borrowed, f"{module_name} re-exports {borrowed}"
 
 
 def test_top_level_all_resolves():

@@ -143,14 +143,16 @@ class TestSchema:
         problems = validate_payload(payload)
         assert len([p for p in problems if "finite" in p]) == 2
 
-    def test_legacy_payload_loads_non_strict(self):
+    def test_legacy_payload_is_refused(self, tmp_path):
         legacy = {"name": "train_step",
                   "metrics": [{"metric": "stage2_step_ms", "value": 14.0}],
                   "git_sha": "abc1234"}
-        assert validate_payload(legacy) != []          # strict: rejected
-        run = BenchRun.from_payload(legacy)
-        assert run.bench_id == BENCH_TRAIN_STEP
-        assert run.metrics == {"stage2_step_ms": 14.0}
+        path = tmp_path / "BENCH_train_step.json"
+        path.write_text(json.dumps(legacy), encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            load_run(path)
+        for field in ("bench_id", "schema_version", "host"):
+            assert field in str(caught.value)
 
     def test_record_metrics_merges_across_calls(self, tmp_path):
         record_metrics(tmp_path, BENCH_TRAIN_STEP,

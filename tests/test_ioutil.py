@@ -9,6 +9,10 @@ behind, and :func:`repro.ioutil.make_event` builds the one event schema.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.ioutil import (
     append_record,
@@ -92,3 +96,48 @@ def test_find_repo_root_walks_up_to_pyproject(tmp_path):
     nested = tmp_path / "a" / "b"
     nested.mkdir(parents=True)
     assert find_repo_root(nested) == tmp_path.resolve()
+
+
+#: Round trips of the text files the program writes for itself, each with
+#: a non-ASCII string and the three separators ``str.splitlines`` breaks
+#: on but JSON leaves raw.
+_ROUND_TRIPS = r"""
+import dataclasses, sys
+from pathlib import Path
+from repro.kg import build_tele_kg, export_json, export_ntriples, import_json
+from repro.tokenization import Vocab
+from repro.world import TelecomWorld, export_episodes, import_episodes
+
+odd = "\u00e9\u2028\u2029\u0085"
+out = Path(sys.argv[1])
+world = TelecomWorld.generate(seed=0, alarms_per_theme=2, kpis_per_theme=2,
+                              topology_nodes=6)
+episodes = world.simulate_episodes(2)
+first = episodes[0].records[0]
+episodes[0].records[0] = dataclasses.replace(first, tag=first.tag + odd)
+restored = import_episodes(export_episodes(episodes, out / "episodes.jsonl"))
+assert [e.records for e in restored] == [e.records for e in episodes]
+
+kg = build_tele_kg(world)
+kg.add_entity("odd", "label" + odd, kg.entities()[0].cls)
+restored = import_json(export_json(kg, out / "kg.json"))
+assert restored.entity("odd").surface == "label" + odd
+lines = export_ntriples(kg, out / "kg.nt").read_bytes().decode().split("\n")
+assert f'tele:odd rdfs:label "label{odd}" .' in lines
+
+vocab = Vocab(["alarm", "t" + odd])
+vocab.save(out / "vocab.json")
+restored = Vocab.load(out / "vocab.json")
+assert restored.token_to_id("t" + odd) == vocab.token_to_id("t" + odd)
+"""
+
+
+def test_owned_text_files_are_utf8_whatever_the_locale(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", "-c", _ROUND_TRIPS, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -11,8 +11,10 @@ is back and merely hidden.
 
 The packages a server loads name the synthetic world and the Tele-KG
 only as annotations, under ``TYPE_CHECKING``, so a serving process never
-loads them for a type, and no module imports networkx.  These tests read
-the ASTs so they catch a violation without importing anything.
+loads them for a type, and no module imports networkx.  No two modules
+import each other, directly or round a longer loop, not even from inside
+a function.  These tests read the ASTs so they catch a violation without
+importing anything.
 """
 
 from __future__ import annotations
@@ -65,6 +67,61 @@ def _targets(node: ast.Import | ast.ImportFrom, path: Path) -> list[str]:
     return [module] + [f"{module}.{alias.name}" for alias in node.names]
 
 
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _import_graph() -> dict[str, set[str]]:
+    """Each ``src/repro`` module -> the ``src/repro`` modules its import
+    statements name, call-time imports included and ``TYPE_CHECKING``
+    blocks not.  ``from a import b`` names ``a.b`` when that is a module
+    and ``a`` otherwise; the parent packages an import loads implicitly
+    are not edges."""
+    paths = {_module_name(path): path for path in SRC.rglob("*.py")}
+    graph = {}
+    for name, path in paths.items():
+        edges = set()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node, _, guarded in _imports(tree):
+            if guarded:
+                continue
+            targets = _targets(node, path)
+            if isinstance(node, ast.ImportFrom):
+                base = targets[0]
+                targets = [target if target in paths else base
+                           for target in targets[1:]]
+            edges.update(target for target in targets if target in paths)
+        graph[name] = edges - {name}
+    return graph
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One import loop in ``graph`` as ``[a, b, ..., a]``, or ``[]``."""
+    done: set[str] = set()
+    stack: list[str] = []
+
+    def visit(module: str) -> list[str]:
+        if module in stack:
+            return stack[stack.index(module):] + [module]
+        if module in done:
+            return []
+        stack.append(module)
+        for target in sorted(graph[module]):
+            loop = visit(target)
+            if loop:
+                return loop
+        stack.pop()
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        loop = visit(module)
+        if loop:
+            return loop
+    return []
+
+
 def _imports_of(directory: str, package: str) -> list[tuple]:
     """``(file, line, in_function, in_type_checking)`` for each import of
     ``package`` in the modules under ``src/repro/<directory>``."""
@@ -100,6 +157,16 @@ def test_serving_side_names_world_and_kg_only_for_annotations(directory):
 def test_no_module_imports_networkx():
     assert [f"{file}:{line}" for file, line, *_
             in _imports_of(".", "networkx")] == []
+
+
+def test_no_import_cycle_among_modules():
+    assert _cycle(_import_graph()) == []
+
+
+def test_cycle_finder_sees_a_loop_and_no_false_one():
+    assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == [
+        "a", "b", "c", "a"]
+    assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
 
 
 def test_walker_sees_nested_and_guarded_imports():

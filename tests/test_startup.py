@@ -73,6 +73,12 @@ def test_training_runtime_loads_no_serving_module():
     assert _under(loaded, "repro.serving") == []
 
 
+def test_training_runtime_loads_no_named_shared_memory():
+    loaded = _loaded_after("import repro.training.runtime")
+    assert "multiprocessing.shared_memory" not in loaded
+    assert "secrets" not in loaded
+
+
 def test_serving_stack_loads_no_world_kg_or_experiments():
     loaded = _loaded_after("import repro.serving, repro.netserve")
     for package in ("repro.world", "repro.kg", "repro.corpus",

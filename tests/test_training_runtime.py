@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from repro.corpus import build_tele_corpus
+from repro.ioutil import atomic_write_bytes
 from repro.kg import build_tele_kg
 from repro.models import (
     KTeleBert,
     KTeleBertConfig,
     TeleBertTrainer,
-    atomic_write_bytes,
     model_fingerprint,
 )
 from repro.nn.module import Parameter
@@ -35,24 +35,12 @@ from repro.training.runtime import (
     TrainingRuntime,
     WorkerPoolError,
 )
-from repro.training.shm import PoolSharedState, SharedArray
+from repro.training.shm import PoolSharedState
 from repro.training.stage2 import build_stage2_data
 from repro.world import TelecomWorld
 from tests.test_flat_optimizer import assert_bound
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
-def segment_gone(name: str) -> bool:
-    """True when the named shared-memory segment no longer exists."""
-    from multiprocessing import shared_memory
-
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return True
-    segment.close()
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +470,6 @@ class TestWorkerPool:
         """A killed worker must surface as WorkerPoolError, not EOFError."""
         retrainer = make_retrainer(stack)
         pool = GradientWorkerPool(retrainer, 2, 120.0)
-        names = pool.segment_names
         try:
             tasks = retrainer.advance()
             _, row_idx, _, triple_idx = (
@@ -500,8 +487,6 @@ class TestWorkerPool:
                 pool.step(1, row_idx, triple_idx)
         finally:
             pool.close()
-        # The parent owns the segments: a crashed worker leaks nothing.
-        assert all(segment_gone(name) for name in names)
 
     @pytest.mark.slow
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
@@ -511,7 +496,6 @@ class TestWorkerPool:
         runtime = TrainingRuntime(retrainer, RuntimeConfig(
             run_dir=tmp_path / "run", workers=2, handle_signals=False))
         runtime.train_step()
-        names = runtime._pool.segment_names
         victim = runtime._pool._workers[0].process
         victim.kill()
         victim.join(timeout=10)
@@ -522,7 +506,6 @@ class TestWorkerPool:
         kinds = [e["kind"] for e in runtime.journal.events()]
         assert "fallback_serial" in kinds
         assert kinds[-1] == "run_complete"
-        assert all(segment_gone(name) for name in names)
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_pipes_carry_only_small_control_messages(self, stack):
@@ -714,33 +697,50 @@ def _pool_step_and_emulation(stack, num_workers):
 # Shared-memory lifecycle
 # ----------------------------------------------------------------------
 class TestSharedMemory:
-    def test_shared_array_close_unlinks(self):
-        array = SharedArray((8,))
-        array.array[:] = np.arange(8)
-        name = array.name
-        assert not segment_gone(name)
-        array.close()
-        assert segment_gone(name)
-        array.close()  # idempotent
-
-    def test_pool_state_close_unlinks_every_block(self):
+    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+    def test_views_are_disjoint_zeroed_and_shared_with_a_child(self):
         state = PoolSharedState(param_size=16, num_workers=3,
                                 index_capacity=8)
-        names = state.segment_names
-        assert len(names) == 5  # params + 3 grads + indices
-        state.close()
-        assert all(segment_gone(name) for name in names)
+        views = [state.params, *state.grads, state.indices]
+        assert [view.size for view in views] == [16, 16, 16, 16, 8]
+        assert state.indices.dtype == np.int64
+        assert not any(view.any() for view in views)  # anonymous: zeroed
+        for i, view in enumerate(views):
+            assert not any(np.shares_memory(view, other)
+                           for other in views[i + 1:])
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
-    def test_pool_close_removes_segments(self, stack):
+        def fill():
+            for value, view in enumerate(views, start=1):
+                view[...] = value
+
+        child = multiprocessing.get_context("fork").Process(target=fill)
+        child.start()
+        child.join(timeout=30)
+        assert child.exitcode == 0
+        assert [np.unique(view).tolist() for view in views] == [
+            [1], [2], [3], [4], [5]]
+        views.clear()  # no view left, so close() unmaps
+        state.close()
+        state.close()  # idempotent
+        assert state.params is None and state.grads == []
+
+    @pytest.mark.skipif(not HAS_FORK or not os.path.isdir("/dev/shm"),
+                        reason="needs fork and /dev/shm")
+    def test_live_pool_adds_no_dev_shm_entry(self, stack):
+        before = set(os.listdir("/dev/shm"))
         retrainer = make_retrainer(stack)
         pool = GradientWorkerPool(retrainer, 2, 120.0)
-        names = pool.segment_names
-        assert names and not any(segment_gone(name) for name in names)
-        pool.close()
-        assert all(segment_gone(name) for name in names)
+        try:
+            tasks = retrainer.advance()
+            _, row_idx, _, triple_idx = (
+                retrainer.draw_batches_with_indices(tasks))
+            assert np.isfinite(pool.step(0, row_idx, triple_idx).value)
+            assert set(os.listdir("/dev/shm")) - before == set()
+        finally:
+            pool.close()
+        pool.close()  # idempotent
         with pytest.raises(WorkerPoolError):
-            pool.step(0, [0], None)
+            pool.step(1, [0], None)
 
 
 # ----------------------------------------------------------------------

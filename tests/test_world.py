@@ -301,6 +301,27 @@ class TestLogIo:
             assert len(a.records) == len(b.records)
             assert a.records[0] == b.records[0]
 
+    def test_line_separators_in_a_record_round_trip(self, world, tmp_path):
+        import dataclasses
+
+        from repro.world import export_episodes, import_episodes
+        episodes = world.simulate_episodes(2)
+        first = episodes[0].records[0]
+        episodes[0].records[0] = dataclasses.replace(
+            first, tag=first.tag + "\u2028\u2029\u0085")
+        path = export_episodes(episodes, tmp_path / "episodes.jsonl")
+        restored = import_episodes(path)
+        assert [e.records for e in restored] == [e.records for e in episodes]
+
+    def test_unparsable_episode_line_raises(self, world, tmp_path):
+        from repro.world import export_episodes, import_episodes
+        path = export_episodes(world.simulate_episodes(2),
+                               tmp_path / "episodes.jsonl")
+        with open(path, "ab") as handle:
+            handle.write(b'{"episode_id": \n')
+        with pytest.raises(json.JSONDecodeError):
+            import_episodes(path)
+
     def test_bad_format_rejected(self, tmp_path):
         from repro.world import import_episodes
         path = tmp_path / "bad.jsonl"
