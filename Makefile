@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-fast test-slow lint lint-repro lint-graph bench \
-	bench-quick bench-check bench-report bench-promote gradcheck \
+	bench-quick bench-check bench-promote gradcheck \
 	reproduce report api serve-smoke serve-net-smoke index-smoke \
 	perfbench-smoke train-smoke clean
 
@@ -60,10 +60,6 @@ bench-quick:
 # baselines; exits non-zero on any out-of-tolerance regression.
 bench-check:
 	$(PYTHON) -m repro bench check
-
-# Markdown trend report (sparklines per metric) from the history store.
-bench-report:
-	$(PYTHON) -m repro bench report
 
 # Intentionally move the baselines to the current results (journaled in
 # benchmarks/baselines/promotions.jsonl).  Pass NOTE="why".

@@ -9,8 +9,8 @@ Every benchmark writes its rendered table to ``benchmarks/results/`` so the
 paper-vs-measured comparison is inspectable after the run.  Suites with
 registered metrics additionally emit structured ``BENCH_<name>.json``
 through the shared :mod:`repro.bench` emitter (the ``record_bench``
-fixture), which also appends the run to ``results/history/<name>.jsonl``
-for the trend report and CI regression gate.
+fixture), which the CI regression gate compares with the committed
+baselines.
 """
 
 from __future__ import annotations

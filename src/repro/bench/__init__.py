@@ -1,4 +1,4 @@
-"""Benchmark platform: structured results, trend history, CI gate.
+"""Benchmark platform: structured results, committed baselines, CI gate.
 
 The subsystem that makes the repo's performance claims *provable* across
 PRs (ROADMAP item 4), modelled on tiered eval registries
@@ -10,14 +10,10 @@ PRs (ROADMAP item 4), modelled on tiered eval registries
 * :mod:`repro.bench.registry` — the single source of truth for known
   benchmarks, their metrics, improvement directions, and per-metric
   regression tolerances;
-* :mod:`repro.bench.history`  — per-benchmark JSONL trend files keyed by
-  git sha (``results/history/<name>.jsonl``), so trajectories survive
-  across PRs;
-* :mod:`repro.bench.check`    — the regression gate: direction-aware
-  tolerance math, non-binding skips, per-metric tables
+* :mod:`repro.bench.check`    — the regression gate, the one comparison
+  of a run with its baseline: direction-aware tolerance math,
+  non-binding skips, per-metric tables
   (``python -m repro bench check`` exits nonzero on regression);
-* :mod:`repro.bench.report`   — markdown trend tables with sparkline
-  text charts;
 * :mod:`repro.bench.promote`  — journaled, intentional baseline moves
   (a regression can never be silently absorbed);
 * :mod:`repro.bench.cli`      — the ``python -m repro bench`` driver.
@@ -45,7 +41,6 @@ from repro.bench.check import (
     render_text,
 )
 from repro.bench.cli import bench_main
-from repro.bench.history import append_run, history_path, load_history
 from repro.bench.promote import Promotion, load_journal, promote
 from repro.bench.registry import (
     BENCH_INDEX_RETRIEVAL,
@@ -61,7 +56,6 @@ from repro.bench.registry import (
     get_spec,
     short_name,
 )
-from repro.bench.report import render_benchmark, render_report, sparkline
 from repro.bench.schema import (
     BenchRun,
     git_sha,
@@ -95,25 +89,19 @@ __all__ = [
     "REGRESSED",
     "TRACKED",
     "UNSPECCED",
-    "append_run",
     "bench_main",
     "check_benchmarks",
     "compare_metric",
     "compare_runs",
     "get_spec",
     "git_sha",
-    "history_path",
-    "load_history",
     "load_journal",
     "load_run",
     "promote",
     "record_metrics",
-    "render_benchmark",
     "render_markdown",
-    "render_report",
     "render_text",
     "result_path",
     "short_name",
-    "sparkline",
     "validate_payload",
 ]

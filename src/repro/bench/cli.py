@@ -6,8 +6,6 @@ Subcommands (``python -m repro bench <cmd>``):
   committed baselines; exit ``1`` on any out-of-tolerance regression
   (per-metric table on stdout; markdown appended to
   ``$GITHUB_STEP_SUMMARY`` when CI sets it).
-* ``report``  — render the trend history as markdown tables plus
-  sparkline text charts.
 * ``promote`` — intentionally move the baselines to the current results,
   journaling every per-metric delta to ``baselines/promotions.jsonl``.
 * ``list``    — show the registry: benchmarks, metrics, directions,
@@ -31,10 +29,8 @@ from repro.bench.check import (
     render_markdown,
     render_text,
 )
-from repro.bench.history import HISTORY_DIRNAME
 from repro.bench.promote import promote
 from repro.bench.registry import NAMESPACE, REGISTRY, get_spec
-from repro.bench.report import render_report
 from repro.ioutil import find_repo_root
 
 
@@ -61,11 +57,11 @@ def _resolve_names(raw: list[str] | None) -> list[str] | None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-bench`` argument parser (check/report/promote/list)."""
+    """The ``repro-bench`` argument parser (check/promote/list)."""
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Benchmark platform: structured results, trend "
-                    "history, and the CI regression gate.")
+        description="Benchmark platform: structured results, committed "
+                    "baselines, and the CI regression gate.")
     parser.add_argument(
         "--root", default=None,
         help="repository root (default: auto-detected via pyproject.toml)")
@@ -90,15 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the markdown table here")
     check.add_argument("--no-summary", action="store_true",
                        help="do not append to $GITHUB_STEP_SUMMARY")
-
-    report = sub.add_parser(
-        "report", help="render trend tables + sparkline charts")
-    report.add_argument("--names", action="append", default=None)
-    report.add_argument("--last", type=int, default=20,
-                        help="history entries per benchmark (default 20)")
-    report.add_argument("--output", default=None,
-                        help="write the markdown report here instead of "
-                             "stdout")
 
     promote_cmd = sub.add_parser(
         "promote", help="move baselines to current results (journaled)")
@@ -133,21 +120,6 @@ def _cmd_check(args, results_dir: Path, baselines_dir: Path) -> int:
         return 1
     print(f"bench check: ok ({len(comparisons)} benchmark(s) within "
           f"tolerance)", file=sys.stderr)
-    return 0
-
-
-def _cmd_report(args, results_dir: Path) -> int:
-    names = _resolve_names(args.names)
-    if args.last <= 0:
-        print("bench report: --last must be positive", file=sys.stderr)
-        return 2
-    text = render_report(results_dir / HISTORY_DIRNAME, names,
-                         last=args.last)
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-        print(f"bench report: wrote {args.output}", file=sys.stderr)
-    else:
-        print(text)
     return 0
 
 
@@ -208,8 +180,6 @@ def bench_main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "check":
             return _cmd_check(args, results_dir, baselines_dir)
-        if args.command == "report":
-            return _cmd_report(args, results_dir)
         if args.command == "promote":
             return _cmd_promote(args, results_dir, baselines_dir)
         if args.command == "list":

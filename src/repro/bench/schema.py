@@ -17,9 +17,7 @@ slightly-different dicts the benchmark suites used to build::
 
 The emitter (:func:`record_metrics`) *merges* by metric name: benchmark
 modules contribute metrics test-by-test, so the file stays complete even
-when only a subset of a module runs.  Every write also upserts the merged
-run into the history store (``results/history/<name>.jsonl``) keyed by
-git sha, so trends survive across PRs.
+when only a subset of a module runs.
 """
 
 from __future__ import annotations
@@ -29,12 +27,10 @@ import math
 import os
 import platform
 import subprocess
-import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.bench.history import HISTORY_DIRNAME, append_run
 from repro.bench.registry import NAMESPACE, get_spec, short_name
 from repro.ioutil import atomic_write_text
 
@@ -183,9 +179,8 @@ def load_run(path: str | Path) -> BenchRun:
 def record_metrics(results_dir: str | Path, bench_id: str,
                    metrics: dict[str, float],
                    config: dict | None = None,
-                   update_history: bool = True,
                    now: datetime | None = None) -> BenchRun:
-    """Merge metric/value pairs into ``BENCH_<name>.json`` and the history.
+    """Merge metric/value pairs into ``BENCH_<name>.json``.
 
     The benchmark must be registered (typo'd ids fail loudly instead of
     creating an ungated orphan file).  Values are rounded to 3 decimals;
@@ -213,8 +208,6 @@ def record_metrics(results_dir: str | Path, bench_id: str,
     run.host = host_info()
     run.schema_version = SCHEMA_VERSION
     atomic_write_text(path, json.dumps(run.to_payload(), indent=2) + "\n")
-    if update_history:
-        append_run(results_dir / HISTORY_DIRNAME, run)
     return run
 
 

@@ -30,9 +30,8 @@ Commands
                unless a reasoned inline suppression accepts it.
 ``bench``      benchmark platform (:mod:`repro.bench`): ``check`` gates
                CI on out-of-tolerance regressions vs committed baselines,
-               ``report`` renders trend tables + sparklines from the
-               per-benchmark history, ``promote`` moves baselines
-               intentionally (journaled), ``list`` shows the registry.
+               ``promote`` moves baselines intentionally (journaled),
+               ``list`` shows the registry.
 ``index``      sharded mmap ANN retrieval tier (:mod:`repro.index`):
                ``build`` an index from an embedding store or a synthetic
                world, ``query`` top-k neighbours, ``stats`` geometry.
@@ -470,7 +469,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     runtime = TrainingRuntime(retrainer, RuntimeConfig(
         run_dir=run_dir, workers=args.workers,
         checkpoint_every_steps=args.checkpoint_every,
-        checkpoint_every_s=args.checkpoint_every_s,
         keep_last=args.keep_last,
         straggler_timeout_s=args.straggler_timeout,
         pool_retry_steps=args.pool_retry_steps,
@@ -703,8 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="gradient worker processes (1 = serial)")
     train.add_argument("--checkpoint-every", type=int, default=25,
                        help="snapshot cadence in steps")
-    train.add_argument("--checkpoint-every-s", type=float, default=None,
-                       help="additional snapshot cadence in seconds")
     train.add_argument("--keep-last", type=int, default=3,
                        help="snapshots retained besides the best-loss one")
     train.add_argument("--straggler-timeout", type=float, default=120.0,
@@ -732,11 +728,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="benchmark platform: regression gate, trend reports, "
-             "baseline promotion (repro.bench)")
+        help="benchmark platform: regression gate, baseline "
+             "promotion (repro.bench)")
     bench.add_argument("bench_args", nargs=argparse.REMAINDER,
                        help="forwarded to the bench driver — "
-                            "check | report | promote | list, e.g. "
+                            "check | promote | list, e.g. "
                             "'check --names train_step'")
 
     index = sub.add_parser(

@@ -54,10 +54,6 @@ class PipelineConfig:
     kpis_per_theme: int = 3
     topology_nodes: int = 14
     num_episodes: int = 160
-    # False-alarm observation noise is supported by the simulator but off by
-    # default: at this scale even 1–2 noise alarms per episode (vs ~4 real
-    # events) drown the signal for every method (measured in calibration).
-    noise_alarms_per_episode: int = 0
     # model geometry
     d_model: int = 32
     num_layers: int = 2
@@ -109,9 +105,7 @@ class ExperimentPipeline:
 
     @cached_property
     def episodes(self) -> list[FaultEpisode]:
-        return self.world.simulate_episodes(
-            self.config.num_episodes,
-            noise_alarm_count=self.config.noise_alarms_per_episode)
+        return self.world.simulate_episodes(self.config.num_episodes)
 
     @cached_property
     def stage2_data(self) -> Stage2Data:

@@ -303,30 +303,20 @@ class VectorIndex:
         the new shards, so until then the old generation and the buffer
         keep answering.
         """
-        names = list(vectors)
         with self._rebuild_lock:
-            if names:
+            rows: dict[str, np.ndarray] = {}
+            if vectors:
                 matrix = _normalise_rows(
-                    np.stack([np.asarray(vectors[n], dtype=np.float32)
-                              for n in names]))
+                    np.stack([np.asarray(v, dtype=np.float32)
+                              for v in vectors.values()]))
                 self._check_dim(matrix, "build vectors")
+                rows = dict(zip(vectors, matrix))
             generation = self._generation + 1
-            per_shard: list[list[int]] = [[] for _ in range(self.num_shards)]
-            for row, name in enumerate(names):
-                per_shard[shard_for_name(name, self.num_shards)].append(row)
-            shards: list[ShardData | None] = []
-            for shard_id, rows in enumerate(per_shard):
-                if not rows:
-                    shards.append(None)
-                    continue
-                shards.append(write_shard(
-                    self.directory, shard_stem(generation, shard_id),
-                    [names[r] for r in rows], matrix[rows],
-                    self._nlist_for(len(rows)), seed=self.seed + shard_id))
+            shards = self._fold(rows, [None] * self.num_shards, generation)
             with self._lock:
                 self._counters["builds"] += 1
             self._commit(shards, generation, None)
-        return len(names)
+        return len(rows)
 
     def add(self, vectors: dict[str, np.ndarray]) -> None:
         """Buffer vectors for the next :meth:`flush`.

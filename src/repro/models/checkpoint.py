@@ -236,13 +236,25 @@ def save_train_state(path: str | Path, model: KTeleBert,
     return atomic_write_bytes(path, buffer.getvalue())
 
 
+def _train_state_meta(archive) -> dict:
+    meta = json.loads(bytes(archive["__meta__"]).decode())
+    if meta.get("format_version") != _TRAIN_STATE_VERSION:
+        raise ValueError(f"unsupported train-state format: "
+                         f"{meta.get('format_version')!r}")
+    return meta
+
+
+def read_train_state_meta(path: str | Path) -> dict:
+    """A snapshot's ``__meta__`` header (step, loss, loop state, extra),
+    read without loading its weight or optimizer arrays."""
+    with np.load(Path(path)) as archive:
+        return _train_state_meta(archive)
+
+
 def load_train_state(path: str | Path) -> TrainState:
     """Read a snapshot produced by :func:`save_train_state`."""
     with np.load(Path(path)) as archive:
-        meta = json.loads(bytes(archive["__meta__"]).decode())
-        if meta.get("format_version") != _TRAIN_STATE_VERSION:
-            raise ValueError(f"unsupported train-state format: "
-                             f"{meta.get('format_version')!r}")
+        meta = _train_state_meta(archive)
         model_arrays: dict[str, dict[str, np.ndarray]] = {}
         optimizer_arrays: dict[str, np.ndarray] = {}
         for key in archive.files:

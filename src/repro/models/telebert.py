@@ -77,15 +77,10 @@ class TeleBertTrainer:
         """The pre-trained discriminator encoder (the TeleBERT model)."""
         return self.pretrainer.discriminator
 
-    def _encode_batch(self, sentences: list[str]):
-        ids, mask = self.tokenizer.encode_batch(sentences)
-        tokens = [self.tokenizer.encode(s).tokens for s in sentences]
-        return ids, mask, tokens
-
     def train_step(self) -> float:
         """One optimization step: ELECTRA losses + SimCSE contrastive."""
         sentences = self.batches.next_batch()
-        ids, mask, tokens = self._encode_batch(sentences)
+        ids, mask, tokens = self.tokenizer.encode_batch_with_tokens(sentences)
         self.optimizer.zero_grad()
 
         out = self.pretrainer.step(ids, mask, self.masker, tokens=tokens)

@@ -53,6 +53,10 @@ from repro.serving.service import FaultAnalysisService
 _READ_POLL_S = 0.25
 #: Drain-wait poll interval while waiting for inflight to hit zero.
 _DRAIN_POLL_S = 0.02
+#: Request lines longer than this are refused (framing safety valve).
+MAX_REQUEST_BYTES = 1_000_000
+#: Listen backlog for connection bursts.
+REQUEST_QUEUE_SIZE = 128
 
 
 @dataclass
@@ -67,18 +71,12 @@ class NetServeConfig:
     #: bound on :meth:`TeleServer.drain`: in-flight requests get this
     #: long to finish after the accept loop stops
     close_timeout_s: float = 5.0
-    #: refuse request lines longer than this (framing safety valve)
-    max_request_bytes: int = 1_000_000
-    #: listen backlog for connection bursts
-    request_queue_size: int = 128
 
     def __post_init__(self):
         if self.default_deadline_s <= 0:
             raise ValueError("default_deadline_s must be positive")
         if self.close_timeout_s <= 0:
             raise ValueError("close_timeout_s must be positive")
-        if self.max_request_bytes < 1024:
-            raise ValueError("max_request_bytes must be >= 1024")
 
 
 class _LineReader:
@@ -118,6 +116,7 @@ class _LineReader:
 class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True          # a wedged handler cannot block exit
     allow_reuse_address = True
+    request_queue_size = REQUEST_QUEUE_SIZE
     block_on_close = False         # server_close never joins handlers
 
     owner: "TeleServer"
@@ -159,7 +158,6 @@ class TeleServer:
             (self.config.host, self.config.port), _Handler,
             bind_and_activate=False)
         self._tcp.owner = self
-        self._tcp.request_queue_size = self.config.request_queue_size
         try:
             self._tcp.server_bind()
             self._tcp.server_activate()
@@ -250,7 +248,7 @@ class TeleServer:
         self.metrics.counter(mn.NETSERVE_CONNECTIONS).inc()
         self.metrics.gauge(mn.NETSERVE_ACTIVE_CONNECTIONS).add(1)
         sock.settimeout(_READ_POLL_S)
-        reader = _LineReader(sock, self.config.max_request_bytes)
+        reader = _LineReader(sock, MAX_REQUEST_BYTES)
         try:
             while True:
                 try:

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter
+from repro.tasks.rca.model import RcaModel, root_logistic_loss
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 
@@ -62,8 +63,6 @@ class GatRcaModel(Module):
         self.mlp_out = Linear(mlp_hidden, 1, rng)
 
     def forward(self, state, event_embeddings: np.ndarray) -> Tensor:
-        from repro.tasks.rca.model import RcaModel
-
         h0 = Tensor(RcaModel.node_initialisation(state, event_embeddings))
         h1 = self.gat1(h0, state.adjacency)
         h2 = self.gat2(h1, state.adjacency)
@@ -71,13 +70,5 @@ class GatRcaModel(Module):
         return scores.reshape(state.num_nodes)
 
     def loss(self, state, event_embeddings: np.ndarray) -> Tensor:
-        from repro.tensor.tensor import stack
-
-        scores = self(state, event_embeddings)
-        y = -np.ones(state.num_nodes)
-        y[state.root_index] = 1.0
-        margins = scores * Tensor(-y)
-        zeros = Tensor(np.zeros(state.num_nodes))
-        positive_part = stack([margins, zeros], axis=0).max(axis=0)
-        log_term = ((-(margins.abs())).exp() + 1.0).log()
-        return (positive_part + log_term).sum()
+        """Eq. 16 over this model's scores (:func:`root_logistic_loss`)."""
+        return root_logistic_loss(self(state, event_embeddings), state)

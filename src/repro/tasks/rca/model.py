@@ -7,7 +7,23 @@ import numpy as np
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.tasks.rca.data import RcaState
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, stack
+
+
+def root_logistic_loss(scores: Tensor, state: RcaState) -> Tensor:
+    """Eq. 16: ``Σ_j log(1 + exp(−y_j s_j))`` with y=+1 for the root.
+
+    The one loss of both RCA heads (:class:`RcaModel` and the GAT
+    ablation); ``scores`` is the head's (V,) node scores for ``state``.
+    """
+    y = -np.ones(state.num_nodes)
+    y[state.root_index] = 1.0
+    margins = scores * Tensor(-y)
+    # log(1 + exp(m)) computed stably: max(m,0) + log(1+exp(-|m|))
+    zeros = Tensor(np.zeros(state.num_nodes))
+    positive_part = stack([margins, zeros], axis=0).max(axis=0)
+    log_term = ((-(margins.abs())).exp() + 1.0).log()
+    return (positive_part + log_term).sum()
 
 
 class GcnLayer(Module):
@@ -58,14 +74,5 @@ class RcaModel(Module):
         return scores.reshape(state.num_nodes)
 
     def loss(self, state: RcaState, event_embeddings: np.ndarray) -> Tensor:
-        """Eq. 16: ``Σ_j log(1 + exp(−y_j s_j))`` with y=+1 for the root."""
-        scores = self(state, event_embeddings)
-        y = -np.ones(state.num_nodes)
-        y[state.root_index] = 1.0
-        margins = scores * Tensor(-y)
-        # log(1 + exp(m)) computed stably: max(m,0) + log(1+exp(-|m|))
-        zeros = Tensor(np.zeros(state.num_nodes))
-        from repro.tensor.tensor import stack
-        positive_part = stack([margins, zeros], axis=0).max(axis=0)
-        log_term = ((-(margins.abs())).exp() + 1.0).log()
-        return (positive_part + log_term).sum()
+        """Eq. 16 over this model's scores (:func:`root_logistic_loss`)."""
+        return root_logistic_loss(self(state, event_embeddings), state)

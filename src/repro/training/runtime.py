@@ -5,13 +5,14 @@ Ctrl-C — and single-core loops waste the hardware.  This module wraps
 :class:`~repro.training.retrainer.KTeleBertRetrainer` with the three
 capabilities the paper's longest loop needs to survive outside a notebook:
 
-* **Checkpoint/resume** — on a configurable step/time cadence the runtime
-  writes a full :class:`~repro.models.checkpoint.TrainState` snapshot
-  (model weights, optimizer moments, RNG stream, batch cursors, step and
-  loss history) atomically via temp-file + fsync + rename.  A retention
-  policy keeps the last K snapshots plus the best-loss one.  Restoring the
-  latest snapshot continues the run *bit-exactly*: the resumed loss
-  trajectory is identical to the uninterrupted one.
+* **Checkpoint/resume** — every ``checkpoint_every_steps`` steps the
+  runtime writes a full :class:`~repro.models.checkpoint.TrainState`
+  snapshot (model weights, optimizer moments, RNG stream, batch cursors,
+  step and loss history) atomically via temp-file + fsync + rename; the
+  snapshot directory is its own index.  A retention policy keeps the last
+  K snapshots plus the best-loss one.  Restoring the latest snapshot
+  continues the run *bit-exactly*: the resumed loss trajectory is
+  identical to the uninterrupted one.
 
 * **Multi-process data parallelism** — each step's batch is sharded across
   N persistent forked retrainer replicas.  Copies of the optimizer's
@@ -42,25 +43,20 @@ journal event, so a preempted run loses at most the in-flight step.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.ioutil import (
-    append_record,
-    atomic_write_bytes,
-    make_event,
-    read_records,
-)
+from repro.ioutil import append_record, make_event, read_records
 from repro.models.checkpoint import (
     TrainState,
     load_train_state,
+    read_train_state_meta,
     save_train_state,
 )
 from repro.tensor.tensor import Tensor
@@ -129,9 +125,11 @@ class SnapshotStore:
     """Directory of atomic ``step-XXXXXXXX.npz`` training snapshots.
 
     Retention keeps the newest ``keep_last`` snapshots plus the one with
-    the best (lowest) recorded loss.  An ``index.json`` (also written
-    atomically) maps snapshot files to their step and loss so retention
-    and resume never need to open the ``.npz`` payloads.
+    the best (lowest) recorded loss.  The directory is its own index: a
+    snapshot's name appears only when its atomic write completes, so the
+    rename is a save's one commit point, and each snapshot carries its
+    loss in its ``__meta__`` header, which retention and resume read
+    without loading the arrays.
     """
 
     def __init__(self, directory: str | Path, keep_last: int = 3):
@@ -143,55 +141,40 @@ class SnapshotStore:
     def path_for(self, step: int) -> Path:
         return self.directory / f"step-{step:08d}.npz"
 
-    # -- index ---------------------------------------------------------
-    @property
-    def _index_path(self) -> Path:
-        return self.directory / "index.json"
-
     def index(self) -> dict[str, dict]:
-        """filename → {"step": int, "loss": float} for retained snapshots."""
-        if not self._index_path.exists():
-            # Fall back to a directory scan (pre-index stores, manual edits).
-            entries = {}
-            for path in sorted(self.directory.glob("step-*.npz")):
-                try:
-                    step = int(path.stem.split("-")[1])
-                except (IndexError, ValueError):
-                    continue
-                entries[path.name] = {"step": step, "loss": float("inf")}
-            return entries
-        return json.loads(
-            self._index_path.read_text(encoding="utf-8"))["snapshots"]
+        """filename → {"step": int, "loss": float} for retained snapshots.
 
-    def _write_index(self, entries: dict[str, dict]) -> None:
-        payload = json.dumps({"snapshots": entries}, sort_keys=True)
-        atomic_write_bytes(self._index_path, payload.encode())
+        Lists ``step-*.npz``, skipping names whose step does not parse,
+        and reads each loss from the snapshot's own header.
+        """
+        entries = {}
+        for path in sorted(self.directory.glob("step-*.npz")):
+            try:
+                step = int(path.stem.split("-")[1])
+            except (IndexError, ValueError):
+                continue
+            entries[path.name] = {
+                "step": step, "loss": read_train_state_meta(path)["loss"]}
+        return entries
 
     # -- save / prune / load -------------------------------------------
     def save(self, model, optimizer, trainer_state: dict, *, step: int,
              loss: float, extra: dict | None = None) -> Path:
-        """Write one snapshot, update the index, and apply retention."""
+        """Write one snapshot, then apply retention."""
         path = self.path_for(step)
         save_train_state(path, model, optimizer, trainer_state,
                          step=step, loss=loss, extra=extra)
-        entries = self.index()
-        entries[path.name] = {"step": int(step), "loss": float(loss)}
-        entries = self._prune(entries)
-        self._write_index(entries)
+        self._prune(self.index())
         return path
 
-    def _prune(self, entries: dict[str, dict]) -> dict[str, dict]:
+    def _prune(self, entries: dict[str, dict]) -> None:
         if len(entries) <= self.keep_last:
-            return entries
+            return
         by_step = sorted(entries.items(), key=lambda kv: kv[1]["step"])
         keep = {name for name, _ in by_step[-self.keep_last:]}
-        best = min(entries.items(), key=lambda kv: kv[1]["loss"])[0]
-        keep.add(best)
-        for name in list(entries):
-            if name not in keep:
-                (self.directory / name).unlink(missing_ok=True)
-                del entries[name]
-        return entries
+        keep.add(min(entries.items(), key=lambda kv: kv[1]["loss"])[0])
+        for name in entries.keys() - keep:
+            (self.directory / name).unlink(missing_ok=True)
 
     def latest(self) -> Path | None:
         """Path of the newest retained snapshot, or None."""
@@ -210,6 +193,7 @@ class SnapshotStore:
         return self.directory / name
 
     def load_latest(self) -> TrainState | None:
+        """The newest retained snapshot, loaded; None for an empty store."""
         path = self.latest()
         return load_train_state(path) if path is not None else None
 
@@ -489,7 +473,6 @@ class RuntimeConfig:
     run_dir: str | Path
     workers: int = 1
     checkpoint_every_steps: int = 50
-    checkpoint_every_s: float | None = None
     keep_last: int = 3
     straggler_timeout_s: float = 120.0
     #: After a pool failure, train serially for this many steps then try to
@@ -499,7 +482,6 @@ class RuntimeConfig:
     #: the rest of the run.
     pool_max_failures: int = 3
     handle_signals: bool = True
-    extra: dict = field(default_factory=dict)  # recorded in every snapshot
 
 
 class TrainingRuntime:
@@ -518,7 +500,6 @@ class TrainingRuntime:
         self._pool_failures = 0       # consecutive failures so far
         self._retry_countdown = 0     # serial steps left before a rebuild
         self._stop_signal: int | None = None
-        self._last_checkpoint_time = time.monotonic()
         self._last_checkpoint_step: int | None = None
         self.interrupted = False
 
@@ -545,22 +526,15 @@ class TrainingRuntime:
             retrainer.model, retrainer.optimizer, retrainer.state_dict(),
             step=step, loss=loss,
             extra={"reason": reason, "mtl_phase": tasks,
-                   "workers": self.config.workers, **self.config.extra})
-        self._last_checkpoint_time = time.monotonic()
+                   "workers": self.config.workers})
         self._last_checkpoint_step = step
         self.journal.append("checkpoint", step=step, loss=loss,
                             path=path.name, reason=reason)
         return path
 
     def _checkpoint_due(self) -> bool:
-        step = self.retrainer.step_index
         every = self.config.checkpoint_every_steps
-        if every and step % every == 0:
-            return True
-        cadence_s = self.config.checkpoint_every_s
-        return bool(
-            cadence_s
-            and time.monotonic() - self._last_checkpoint_time >= cadence_s)
+        return bool(every) and self.retrainer.step_index % every == 0
 
     # -- signals -------------------------------------------------------
     def _install_signals(self) -> dict:
@@ -683,7 +657,6 @@ class TrainingRuntime:
         previous_handlers = self._install_signals()
         self.interrupted = False
         steps_done = 0
-        self._last_checkpoint_time = time.monotonic()
         try:
             while retrainer.step_index < total_steps:
                 if max_steps is not None and steps_done >= max_steps:

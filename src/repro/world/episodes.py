@@ -121,16 +121,12 @@ class EpisodeSimulator:
     # ------------------------------------------------------------------
     def simulate(self, episode_id: int, root_uid: str | None = None,
                  start_time: float = 0.0,
-                 background_kpi_count: int = 5,
-                 noise_alarm_count: int = 0) -> FaultEpisode:
+                 background_kpi_count: int = 5) -> FaultEpisode:
         """Run one fault episode.
 
         ``root_uid`` picks the injected root alarm (random root of the causal
         DAG by default).  ``background_kpi_count`` normal KPI readings are
-        interleaved to mimic the dominance of normal indicators in real logs;
-        ``noise_alarm_count`` unrelated false alarms are raised on random
-        nodes (real states contain observation noise — Sec. V-B3 notes that
-        features describe *all* abnormal events in the time slot).
+        interleaved to mimic the dominance of normal indicators in real logs.
         """
         # Any alarm with outgoing trigger edges can be injected as the root
         # cause — real fault episodes do not only start at the global sources
@@ -175,16 +171,6 @@ class EpisodeSimulator:
                     records.append(self._kpi_record(target, target_node,
                                                     t_target, anomalous=True))
 
-        # Unrelated false alarms (observation noise in the state).
-        alarms = self.ontology.alarms
-        for _ in range(noise_alarm_count):
-            alarm = alarms[int(self.rng.integers(len(alarms)))]
-            if alarm.uid in activated:
-                continue
-            node = self._place_event(alarm, None)
-            timestamp = start_time + float(self.rng.uniform(0, 300))
-            records.append(self._alarm_record(alarm, node, timestamp))
-
         # Background normal KPI readings.
         kpis = self.ontology.kpis
         for _ in range(background_kpi_count):
@@ -200,13 +186,12 @@ class EpisodeSimulator:
                             root_node=root_node, records=records,
                             fired_edges=fired, chain=chain)
 
-    def simulate_many(self, count: int, background_kpi_count: int = 5,
-                      noise_alarm_count: int = 0) -> list[FaultEpisode]:
+    def simulate_many(self, count: int,
+                      background_kpi_count: int = 5) -> list[FaultEpisode]:
         """Simulate ``count`` episodes with staggered start times."""
         episodes = []
         for i in range(count):
             episodes.append(self.simulate(
                 episode_id=i, start_time=i * 3600.0,
-                background_kpi_count=background_kpi_count,
-                noise_alarm_count=noise_alarm_count))
+                background_kpi_count=background_kpi_count))
         return episodes

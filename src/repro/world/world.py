@@ -47,12 +47,10 @@ class TelecomWorld:
                                 self.topology, rng)
 
     def simulate_episodes(self, count: int, seed_offset: int = 1,
-                          background_kpi_count: int = 5,
-                          noise_alarm_count: int = 0) -> list[FaultEpisode]:
+                          background_kpi_count: int = 5) -> list[FaultEpisode]:
         """Convenience wrapper: simulate ``count`` fault episodes."""
         return self.simulator(seed_offset).simulate_many(
-            count, background_kpi_count=background_kpi_count,
-            noise_alarm_count=noise_alarm_count)
+            count, background_kpi_count=background_kpi_count)
 
 
 def serving_world(seed: int) -> tuple[TelecomWorld, list[FaultEpisode]]:

@@ -1,5 +1,5 @@
-"""Tests for :mod:`repro.bench` — schema, gate math, history, promote,
-report, and the ``python -m repro bench`` CLI.
+"""Tests for :mod:`repro.bench` — schema, gate math, promote, and the
+``python -m repro bench`` CLI.
 
 Everything runs against temporary results/baselines directories; the
 registry under test is the real one (``bench.train_step`` et al.), so
@@ -30,24 +30,19 @@ from repro.bench import (
     UNSPECCED,
     BenchRun,
     MetricSpec,
-    append_run,
     bench_main,
     check_benchmarks,
     compare_metric,
     compare_runs,
     get_spec,
-    load_history,
     load_journal,
     load_run,
     promote,
     record_metrics,
-    render_benchmark,
     render_markdown,
-    render_report,
     render_text,
     result_path,
     short_name,
-    sparkline,
     validate_payload,
 )
 
@@ -179,11 +174,10 @@ class TestSchema:
             record_metrics(tmp_path, BENCH_TRAIN_STEP,
                            {"stage2_step_ms": float("inf")})
 
-    def test_record_metrics_updates_history(self, tmp_path):
+    def test_record_metrics_writes_only_the_result_file(self, tmp_path):
         emit(tmp_path)
-        entries = load_history(tmp_path / "history", BENCH_TRAIN_STEP)
-        assert len(entries) == 1
-        assert entries[0]["bench_id"] == BENCH_TRAIN_STEP
+        assert [path.name for path in tmp_path.iterdir()] == \
+            ["BENCH_train_step.json"]
 
 
 # ----------------------------------------------------------------------
@@ -334,51 +328,6 @@ class TestCheck:
 
 
 # ----------------------------------------------------------------------
-# History
-# ----------------------------------------------------------------------
-def _run(sha, step_ms):
-    return BenchRun(BENCH_TRAIN_STEP,
-                    metrics={"stage2_step_ms": step_ms},
-                    git_sha=sha, date="2026-08-08T12:00:00+00:00")
-
-
-class TestHistory:
-    def test_new_sha_appends(self, tmp_path):
-        append_run(tmp_path, _run("aaa", 10.0))
-        append_run(tmp_path, _run("bbb", 11.0))
-        entries = load_history(tmp_path, BENCH_TRAIN_STEP)
-        assert [e["git_sha"] for e in entries] == ["aaa", "bbb"]
-
-    def test_same_sha_replaces_trailing_entry(self, tmp_path):
-        append_run(tmp_path, _run("aaa", 10.0))
-        append_run(tmp_path, _run("aaa", 12.0))
-        entries = load_history(tmp_path, BENCH_TRAIN_STEP)
-        assert len(entries) == 1
-        assert entries[0]["metrics"][0]["value"] == 12.0
-
-    def test_unknown_sha_always_appends(self, tmp_path):
-        append_run(tmp_path, _run("unknown", 10.0))
-        append_run(tmp_path, _run("unknown", 11.0))
-        assert len(load_history(tmp_path, BENCH_TRAIN_STEP)) == 2
-
-    def test_rotation_drops_oldest_and_leaves_marker(self, tmp_path):
-        for index in range(5):
-            append_run(tmp_path, _run(f"sha{index}", float(index)),
-                       max_entries=3)
-        entries = load_history(tmp_path, BENCH_TRAIN_STEP)
-        assert [e["git_sha"] for e in entries] == ["sha2", "sha3", "sha4"]
-        lines = [json.loads(line) for line in
-                 (tmp_path / "train_step.jsonl").read_text().splitlines()]
-        assert lines[0] == {"rotated": 2}
-
-    def test_torn_trailing_line_skipped(self, tmp_path):
-        append_run(tmp_path, _run("aaa", 10.0))
-        path = tmp_path / "train_step.jsonl"
-        path.write_text(path.read_text() + '{"torn": ')
-        assert len(load_history(tmp_path, BENCH_TRAIN_STEP)) == 1
-
-
-# ----------------------------------------------------------------------
 # Promote
 # ----------------------------------------------------------------------
 class TestPromote:
@@ -438,35 +387,6 @@ class TestPromote:
 
 
 # ----------------------------------------------------------------------
-# Report
-# ----------------------------------------------------------------------
-class TestReport:
-    def test_sparkline_shape(self):
-        assert sparkline([]) == ""
-        assert sparkline([5.0, 5.0, 5.0]) == "▄▄▄"
-        line = sparkline([1.0, 2.0, 3.0, 2.0, 10.0])
-        assert len(line) == 5
-        assert line[-1] == "█" and line[0] == "▁"
-
-    def test_render_benchmark_table(self, tmp_path):
-        for index, step_ms in enumerate([10.0, 12.0, 11.0]):
-            append_run(tmp_path, _run(f"sha{index}", step_ms))
-        block = render_benchmark(
-            BENCH_TRAIN_STEP,
-            load_history(tmp_path, BENCH_TRAIN_STEP))
-        assert "3 run(s)" in block
-        assert "| `stage2_step_ms` | 11 ms | +10.0% |" in block
-
-    def test_render_benchmark_no_history(self):
-        assert "no history yet" in render_benchmark(BENCH_TRAIN_STEP, [])
-
-    def test_render_report_covers_registry(self, tmp_path):
-        report = render_report(tmp_path)
-        for bench_id in REGISTRY:
-            assert f"`{bench_id}`" in report
-
-
-# ----------------------------------------------------------------------
 # CLI (python -m repro bench ...)
 # ----------------------------------------------------------------------
 def bench(tmp_path, *argv):
@@ -512,17 +432,11 @@ class TestCli:
         assert bench(tmp_path, "check", "--names", "typo") == 2
         assert "unknown benchmark" in capsys.readouterr().err
 
-    def test_report_renders_history(self, tmp_path, capsys):
+    def test_report_is_an_unknown_command(self, tmp_path, capsys):
         emit(tmp_path / "r")
-        assert bench(tmp_path, "report", "--names", "train_step") == 0
-        out = capsys.readouterr().out
-        assert "Benchmark trends" in out and "stage2_step_ms" in out
-
-    def test_report_output_file(self, tmp_path, capsys):
-        emit(tmp_path / "r")
-        target = tmp_path / "report.md"
-        assert bench(tmp_path, "report", "--output", str(target)) == 0
-        assert "Benchmark trends" in target.read_text()
+        assert bench(tmp_path, "report") == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "report" in err
 
     def test_promote_named_without_result_exits_2(self, tmp_path, capsys):
         assert bench(tmp_path, "promote", "--names", "train_step") == 2

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.index import (
-    DEFAULT_NUM_SHARDS,
     FingerprintMismatch,
     VectorIndex,
     build_from_store,
@@ -328,6 +327,23 @@ class TestAddFlush:
         assert hits[0][1] == pytest.approx(1.0, abs=1e-5)
         [hits] = index.query(vectors[5], k=10)
         assert names[5] not in {n for n, _ in hits}
+
+    def test_build_writes_the_bytes_add_then_flush_writes(self, tmp_path):
+        """A build is a fold into an empty index: on two fresh
+        directories the shard files and manifests are byte-identical."""
+        _, _, mapping = _world(500, 8)
+        built, folded = tmp_path / "built", tmp_path / "folded"
+        VectorIndex(built, fingerprint="fp").build(mapping)
+        index = VectorIndex(folded, fingerprint="fp")
+        index.add(mapping)
+        assert index.flush() == len(mapping)
+        files = sorted(path.name for path in built.iterdir())
+        assert files == sorted(path.name for path in folded.iterdir())
+        assert "manifest.json" in files
+        assert any(name.startswith("shard-") for name in files)
+        for name in files:
+            assert (built / name).read_bytes() == \
+                (folded / name).read_bytes(), name
 
     def test_flush_persists_and_only_rewrites_affected_shards(
             self, tmp_path):

@@ -36,6 +36,7 @@ from repro.netserve import (
     TokenBucket,
 )
 from repro.netserve import protocol
+from repro.netserve.server import MAX_REQUEST_BYTES
 from repro.serving import (
     Deadline,
     DeadlineExceeded,
@@ -334,6 +335,21 @@ class TestTeleServer:
             assert unknown["code"] == "bad_request"
             missing = client.request({"op": "embed", "api_key": "k-test"})
             assert missing["code"] == "bad_request"
+        finally:
+            client.close()
+
+    def test_oversized_request_line_is_refused(self, server_factory):
+        _, _, address = server_factory()
+        client = _Client(address)
+        try:
+            # One byte past the bound, no newline: the server reads all of
+            # it, answers once and closes the unframeable connection.
+            client.sock.sendall(b"x" * (MAX_REQUEST_BYTES + 1))
+            refused = client.read()
+            assert not refused["ok"] and refused["code"] == "bad_request"
+            assert f"exceeds {MAX_REQUEST_BYTES} bytes" in refused["error"]
+            with pytest.raises(ConnectionError):
+                client.read()
         finally:
             client.close()
 

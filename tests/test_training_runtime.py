@@ -21,6 +21,7 @@ from repro.models import (
     KTeleBertConfig,
     TeleBertTrainer,
     model_fingerprint,
+    save_train_state,
 )
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD, Adam, AdamW, LinearWarmupSchedule
@@ -283,14 +284,26 @@ class TestSnapshotStore:
         assert store.best() is None
         assert store.load_latest() is None
 
-    def test_index_survives_deletion(self, stack, tmp_path):
-        """A missing index falls back to scanning the snapshot files."""
+    def test_a_complete_snapshot_is_found_without_any_index(self, stack,
+                                                              tmp_path):
+        """A snapshot is its own index entry: one written straight to
+        the directory, as a kill right after a save's rename leaves it,
+        is what resume loads.  A name whose step does not parse is not a
+        snapshot."""
         retrainer = make_retrainer(stack)
-        store = SnapshotStore(tmp_path / "snaps", keep_last=2)
+        store = SnapshotStore(tmp_path / "snaps", keep_last=3)
         store.save(retrainer.model, retrainer.optimizer,
                    retrainer.state_dict(), step=3, loss=2.0)
-        store._index_path.unlink()
-        assert store.latest().name == "step-00000003.npz"
+        save_train_state(store.path_for(5), retrainer.model,
+                         retrainer.optimizer, retrainer.state_dict(),
+                         step=5, loss=1.5)
+        (store.directory / "step-final.npz").write_bytes(b"not a snapshot")
+        assert store.index() == {
+            "step-00000003.npz": {"step": 3, "loss": 2.0},
+            "step-00000005.npz": {"step": 5, "loss": 1.5}}
+        assert store.latest() == store.path_for(5)
+        assert store.load_latest().step == 5
+        assert store.best() == store.path_for(5)
 
 
 # ----------------------------------------------------------------------
