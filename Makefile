@@ -153,15 +153,17 @@ perfbench-smoke:
 # followed the torn line.  The cycle runs serially and then through the
 # CLI's worker pool (--workers 2).  A pool that fails falls back to serial
 # and still finishes the run, so any fallback_serial event fails the target.
+# With --keep-last 1, retention by step leaves only the final snapshot.
 train-smoke:
 	set -e; for workers in 1 2; do \
 	  rm -rf .train-smoke; \
 	  $(PYTHON) -m repro train --run-dir .train-smoke --size smoke \
-	    --steps 4 --checkpoint-every 2 --stop-after 2 --workers $$workers; \
+	    --steps 4 --checkpoint-every 2 --keep-last 1 --stop-after 2 \
+	    --workers $$workers; \
 	  printf '%s' '{"kind": "step", "st' >> .train-smoke/journal.jsonl; \
 	  $(PYTHON) -m repro train --run-dir .train-smoke --size smoke \
-	    --steps 4 --checkpoint-every 2 --workers $$workers; \
-	  $(PYTHON) -c "from collections import Counter; \
+	    --steps 4 --checkpoint-every 2 --keep-last 1 --workers $$workers; \
+	  $(PYTHON) -c "import os; from collections import Counter; \
 	  from repro.ioutil import read_records; \
 	  kinds = Counter(e['kind'] for e in \
 	    read_records('.train-smoke/journal.jsonl')); \
@@ -169,7 +171,9 @@ train-smoke:
 	  assert kinds['run_complete'] == 1, kinds; \
 	  assert kinds['resume'] == 1, kinds; \
 	  assert kinds['fallback_serial'] == 0, kinds; \
-	  print('train-smoke ok (workers=$$workers):', dict(kinds))"; \
+	  kept = sorted(os.listdir('.train-smoke/snapshots')); \
+	  assert kept == ['step-00000004.npz'], kept; \
+	  print('train-smoke ok (workers=$$workers):', dict(kinds), kept)"; \
 	done
 	rm -rf .train-smoke
 

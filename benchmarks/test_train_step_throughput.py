@@ -405,7 +405,7 @@ def test_data_parallel_step_speedup(results_dir, record_bench, tmp_path):
         retrainer = _build_retrainer(total_steps=steps + 2)
         runtime = TrainingRuntime(retrainer, RuntimeConfig(
             run_dir=run_dir, workers=num_workers,
-            checkpoint_every_steps=0, handle_signals=False))
+            checkpoint_every_steps=0))
         runtime.run(max_steps=1)  # warm-up (builds the pool, first-touch)
         start = time.perf_counter()
         runtime.run(max_steps=steps)

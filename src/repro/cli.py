@@ -70,17 +70,45 @@ def _positive_float(raw: str) -> float:
     return value
 
 
-def _positive_int(raw: str) -> int:
-    """Argparse type for strictly-positive integer flags."""
+def _int_at_least(raw: str, low: int) -> int:
     try:
         value = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer, got {raw!r}") from None
-    if value <= 0:
+    if value < low:
         raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {raw!r}")
+            f"must be an integer >= {low}, got {raw!r}")
     return value
+
+
+def _positive_int(raw: str) -> int:
+    """Argparse type for strictly-positive integer flags."""
+    return _int_at_least(raw, 1)
+
+
+def _non_negative_int(raw: str) -> int:
+    """Argparse type for integer flags where 0 means "none" or "off"."""
+    return _int_at_least(raw, 0)
+
+
+def _mix(raw: str) -> dict[str, float]:
+    """Argparse type for ``loadgen --mix`` (see ``parse_mix``)."""
+    from repro.loadgen import parse_mix
+
+    try:
+        return parse_mix(raw)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _rates(raw: str) -> list[float]:
+    """Argparse type for ``loadgen --sweep``: comma-separated positive
+    rates."""
+    rates = [_positive_float(part) for part in raw.split(",") if part.strip()]
+    if not rates:
+        raise argparse.ArgumentTypeError("needs a comma-separated rate list")
+    return rates
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
@@ -332,31 +360,20 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.loadgen import (
-        LoadgenConfig,
-        parse_mix,
-        render_curve,
-        run_load,
-        sweep,
-    )
+    from repro.loadgen import LoadgenConfig, render_curve, run_load, sweep
 
     config = LoadgenConfig(
         host=args.host, port=args.port,
         api_keys=tuple(args.api_key or ["dev-key"]),
         mode=args.mode, duration_s=args.duration,
         rate_per_s=args.rate, workers=args.workers,
-        concurrency=args.concurrency, mix=parse_mix(args.mix),
+        concurrency=args.concurrency, mix=args.mix,
         bursty=args.bursty, burst_factor=args.burst_factor,
         seed=args.seed, world_seed=args.world_seed,
         timeout_s=args.timeout,
         deadline_ms=args.deadline_ms)
     if args.sweep:
-        rates = [float(r) for r in args.sweep.split(",") if r.strip()]
-        if not rates:
-            print("--sweep needs a comma-separated rate list",
-                  file=sys.stderr)
-            return 2
-        reports = sweep(config, rates)
+        reports = sweep(config, args.sweep)
         print(render_curve(reports))
         protocol_errors = sum(r.counts["protocol_error"] for r in reports)
         total = sum(r.total for r in reports)
@@ -449,7 +466,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
               "ke_batch_size": args.ke_batch_size,
               "learning_rate": args.learning_rate}
     config_path = run_dir / "config.json"
-    if config_path.exists():
+    pinned = config_path.exists()
+    if pinned:
         stored = json.loads(config_path.read_text(encoding="utf-8"))
         changed = [k for k in _TRAIN_IDENTITY if stored.get(k) != config[k]]
         if changed:
@@ -457,22 +475,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
                   f"(a run directory pins its build identity)",
                   file=sys.stderr)
         config = {k: stored[k] for k in _TRAIN_IDENTITY}
-    else:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(config_path,
-                           json.dumps(config, sort_keys=True).encode())
 
     print(f"building stage-2 pipeline (size={config['size']}, "
           f"seed={config['seed']}, strategy={config['strategy']}, "
           f"steps={config['steps']})", file=sys.stderr)
     retrainer = _build_train_retrainer(config)
+    # Pinned only once it built: a config that cannot build a run must
+    # not stay behind to be reused by the next invocation.
+    if not pinned:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        atomic_write_bytes(config_path,
+                           json.dumps(config, sort_keys=True).encode())
     runtime = TrainingRuntime(retrainer, RuntimeConfig(
         run_dir=run_dir, workers=args.workers,
         checkpoint_every_steps=args.checkpoint_every,
         keep_last=args.keep_last,
-        straggler_timeout_s=args.straggler_timeout,
-        pool_retry_steps=args.pool_retry_steps,
-        pool_max_failures=args.pool_max_failures))
+        straggler_timeout_s=args.straggler_timeout))
 
     if runtime.journal.is_interrupted():
         print("journal shows an interrupted run; attempting resume",
@@ -659,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="open-loop sender threads")
     loadgen.add_argument("--concurrency", type=_positive_int, default=4,
                          help="closed-loop concurrent workers")
-    loadgen.add_argument("--mix", default="embed=1",
+    loadgen.add_argument("--mix", type=_mix, default="embed=1",
                          help="op mix, e.g. 'embed=8,fct=2' over "
                               "embed/rca/eap/fct")
     loadgen.add_argument("--bursty", action="store_true",
@@ -676,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--deadline-ms", type=_positive_float,
                          default=None,
                          help="per-request deadline_ms sent to the server")
-    loadgen.add_argument("--sweep", default=None,
+    loadgen.add_argument("--sweep", type=_rates, default=None,
                          help="comma-separated offered rates; prints the "
                               "latency-vs-load curve instead of one run")
     loadgen.set_defaults(func=_cmd_loadgen)
@@ -692,26 +710,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="model/data geometry preset")
     train.add_argument("--strategy", choices=("stl", "pmtl", "imtl"),
                        default="pmtl")
-    train.add_argument("--steps", type=int, default=60,
+    train.add_argument("--steps", type=_positive_int, default=60,
                        help="total stage-2 steps in the schedule")
-    train.add_argument("--batch-size", type=int, default=8)
-    train.add_argument("--ke-batch-size", type=int, default=4)
-    train.add_argument("--learning-rate", type=float, default=1e-3)
-    train.add_argument("--workers", type=int, default=1,
+    train.add_argument("--batch-size", type=_positive_int, default=8)
+    train.add_argument("--ke-batch-size", type=_positive_int, default=4)
+    train.add_argument("--learning-rate", type=_positive_float,
+                       default=1e-3)
+    train.add_argument("--workers", type=_positive_int, default=1,
                        help="gradient worker processes (1 = serial)")
-    train.add_argument("--checkpoint-every", type=int, default=25,
-                       help="snapshot cadence in steps")
-    train.add_argument("--keep-last", type=int, default=3,
-                       help="snapshots retained besides the best-loss one")
-    train.add_argument("--straggler-timeout", type=float, default=120.0,
+    train.add_argument("--checkpoint-every", type=_non_negative_int,
+                       default=25,
+                       help="snapshot cadence in steps (0 = none)")
+    train.add_argument("--keep-last", type=_positive_int, default=3,
+                       help="newest snapshots retained, by step")
+    train.add_argument("--straggler-timeout", type=_positive_float,
+                       default=120.0,
                        help="seconds to wait for a gradient worker")
-    train.add_argument("--pool-retry-steps", type=int, default=50,
-                       help="serial steps after a pool failure before "
-                            "rebuilding the worker pool (0 = never retry)")
-    train.add_argument("--pool-max-failures", type=int, default=3,
-                       help="consecutive pool failures before parallelism "
-                            "is disabled for the rest of the run")
-    train.add_argument("--stop-after", type=int, default=None,
+    train.add_argument("--stop-after", type=_non_negative_int, default=None,
                        help="pause (with checkpoint) after N steps; used by "
                             "the train-smoke interrupt/resume cycle")
     train.add_argument("--export", default=None,

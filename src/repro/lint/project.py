@@ -404,8 +404,10 @@ class _Extractor:
         deadline_params = [p for p in params
                            if _DEADLINE_PARAM_RE.search(p)]
 
-        tainted = self._taint_set(node, set(deadline_params))
-        var_types = self._local_types(node)
+        # One walk of the body, shared by every whole-function scan below.
+        nodes = list(ast.walk(node))
+        tainted = self._taint_set(nodes, set(deadline_params))
+        var_types = self._local_types(nodes)
 
         calls: list[CallSummary] = []
         locks: list[str] = []
@@ -469,7 +471,7 @@ class _Extractor:
                                           guarded)
 
         visit(node.body, (), False)
-        resources = self._scan_resources(node, var_types)
+        resources = self._scan_resources(node, nodes)
         return FunctionSummary(
             qualname=qualname, line=node.lineno, params=params,
             deadline_params=deadline_params, calls=calls, locks=locks,
@@ -526,7 +528,7 @@ class _Extractor:
                                  nargs=len(node.args),
                                  const_str_args=const_str_args))
 
-    def _taint_set(self, node, seeds: set[str]) -> set[str]:
+    def _taint_set(self, nodes: list[ast.AST], seeds: set[str]) -> set[str]:
         """Names derived (transitively, via simple assignment) from the
         function's deadline/timeout parameters."""
         if not seeds:
@@ -534,7 +536,7 @@ class _Extractor:
         tainted = set(seeds)
         for _ in range(4):  # fixpoint; chains deeper than 4 are unheard of
             grew = False
-            for stmt in ast.walk(node):
+            for stmt in nodes:
                 if isinstance(stmt, ast.Assign):
                     value_names = _names_in(stmt.value)
                     if value_names & tainted:
@@ -553,10 +555,10 @@ class _Extractor:
                 break
         return tainted
 
-    def _local_types(self, node) -> dict[str, str]:
+    def _local_types(self, nodes: list[ast.AST]) -> dict[str, str]:
         """``var = SomeClass(...)`` constructor types (raw dotted text)."""
         types: dict[str, str] = {}
-        for stmt in ast.walk(node):
+        for stmt in nodes:
             if not isinstance(stmt, ast.Assign) or \
                     not isinstance(stmt.value, ast.Call):
                 continue
@@ -629,12 +631,11 @@ class _Extractor:
         return None
 
     def _scan_resources(self, node,
-                        var_types: dict[str, str]
-                        ) -> list[ResourceSummary]:
+                        nodes: list[ast.AST]) -> list[ResourceSummary]:
         resources: list[ResourceSummary] = []
         opens: dict[str, tuple[str, int, int]] = {}
         with_vars: set[str] = set()
-        for stmt in ast.walk(node):
+        for stmt in nodes:
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
                 for item in stmt.items:
                     if isinstance(item.context_expr, ast.Call) and \
@@ -653,17 +654,17 @@ class _Extractor:
         for var, (kind, line, col) in opens.items():
             if var in with_vars:
                 continue
-            aliases = self._resource_aliases(node, var)
-            escapes = self._escapes(node, aliases)
-            closed = self._close_state(node, aliases)
+            aliases = self._resource_aliases(nodes, var)
+            escapes = self._escapes(nodes, aliases)
+            closed = self._close_state(node, nodes, aliases)
             resources.append(ResourceSummary(
                 var=var, kind=kind, line=line, col=col, closed=closed,
                 escapes=escapes))
         return resources
 
-    def _resource_aliases(self, node, var: str) -> set[str]:
+    def _resource_aliases(self, nodes: list[ast.AST], var: str) -> set[str]:
         aliases = {var}
-        for stmt in ast.walk(node):
+        for stmt in nodes:
             if isinstance(stmt, ast.Assign) and \
                     isinstance(stmt.value, ast.Name) and \
                     stmt.value.id in aliases:
@@ -672,8 +673,8 @@ class _Extractor:
                         aliases.add(target.id)
         return aliases
 
-    def _escapes(self, node, aliases: set[str]) -> bool:
-        for stmt in ast.walk(node):
+    def _escapes(self, nodes: list[ast.AST], aliases: set[str]) -> bool:
+        for stmt in nodes:
             if isinstance(stmt, ast.Return) and stmt.value is not None \
                     and _names_in(stmt.value) & aliases:
                 return True
@@ -700,10 +701,11 @@ class _Extractor:
                         return True  # handed to someone else
         return False
 
-    def _close_state(self, node, aliases: set[str]) -> str:
+    def _close_state(self, node, nodes: list[ast.AST],
+                     aliases: set[str]) -> str:
         """'guaranteed' / 'conditional' / 'none' for the close calls."""
         best = "none"
-        for stmt in ast.walk(node):
+        for stmt in nodes:
             if not isinstance(stmt, ast.Call):
                 continue
             chain = _attr_chain(stmt.func)

@@ -185,8 +185,7 @@ class TrainState:
     """A full mid-run snapshot: weights + optimizer moments + loop state.
 
     ``trainer_state`` is the retrainer's JSON state (RNG stream, batch
-    cursors, step counter, loss history, strategy identity);
-    ``extra`` carries runtime bookkeeping (e.g. MTL phase, run config).
+    cursors, step counter, loss history, strategy identity).
     """
 
     step: int
@@ -196,7 +195,6 @@ class TrainState:
     optimizer_arrays: dict[str, np.ndarray]
     optimizer_kind: str
     trainer_state: dict
-    extra: dict
 
     def apply(self, model: KTeleBert, optimizer: Optimizer) -> None:
         """Restore this snapshot into an identically-built model/optimizer."""
@@ -208,8 +206,7 @@ class TrainState:
 
 def save_train_state(path: str | Path, model: KTeleBert,
                      optimizer: Optimizer, trainer_state: dict, *,
-                     step: int, loss: float,
-                     extra: dict | None = None) -> Path:
+                     step: int, loss: float) -> Path:
     """Atomically write a single-file ``.npz`` training snapshot."""
     optim_state = optimizer.state_dict()
     meta = {
@@ -219,7 +216,6 @@ def save_train_state(path: str | Path, model: KTeleBert,
         "optimizer": {"kind": optim_state["kind"],
                       "scalars": optim_state["scalars"]},
         "trainer_state": trainer_state,
-        "extra": extra or {},
     }
     arrays: dict[str, np.ndarray] = {
         "__meta__": np.frombuffer(
@@ -236,25 +232,17 @@ def save_train_state(path: str | Path, model: KTeleBert,
     return atomic_write_bytes(path, buffer.getvalue())
 
 
-def _train_state_meta(archive) -> dict:
-    meta = json.loads(bytes(archive["__meta__"]).decode())
-    if meta.get("format_version") != _TRAIN_STATE_VERSION:
-        raise ValueError(f"unsupported train-state format: "
-                         f"{meta.get('format_version')!r}")
-    return meta
-
-
-def read_train_state_meta(path: str | Path) -> dict:
-    """A snapshot's ``__meta__`` header (step, loss, loop state, extra),
-    read without loading its weight or optimizer arrays."""
-    with np.load(Path(path)) as archive:
-        return _train_state_meta(archive)
-
-
 def load_train_state(path: str | Path) -> TrainState:
-    """Read a snapshot produced by :func:`save_train_state`."""
+    """Read a snapshot produced by :func:`save_train_state`.
+
+    Other header keys are ignored, such as the ``extra`` dict that
+    earlier versions wrote and nothing read.
+    """
     with np.load(Path(path)) as archive:
-        meta = _train_state_meta(archive)
+        meta = json.loads(bytes(archive["__meta__"]).decode())
+        if meta.get("format_version") != _TRAIN_STATE_VERSION:
+            raise ValueError(f"unsupported train-state format: "
+                             f"{meta.get('format_version')!r}")
         model_arrays: dict[str, dict[str, np.ndarray]] = {}
         optimizer_arrays: dict[str, np.ndarray] = {}
         for key in archive.files:
@@ -268,5 +256,4 @@ def load_train_state(path: str | Path) -> TrainState:
                       optimizer_scalars=meta["optimizer"]["scalars"],
                       optimizer_arrays=optimizer_arrays,
                       optimizer_kind=meta["optimizer"]["kind"],
-                      trainer_state=meta["trainer_state"],
-                      extra=meta["extra"])
+                      trainer_state=meta["trainer_state"])

@@ -6,13 +6,16 @@ carries `L_num` on numeric rows) and/or knowledge embedding — sums the active
 losses, and updates all parameters.
 
 The step is decomposed into ``advance`` (schedule cursor), ``draw_batches``
-(consume the shuffled iterators), ``compute_losses`` (forward), and
-``finish_step`` (clip + optimizer update + logging) so that the fault-tolerant
-runtime (:mod:`repro.training.runtime`) can run the forward/backward half on
-worker processes and feed averaged gradients back through the same update
-path.  ``state_dict`` / ``load_state_dict`` capture everything the loop owns
-besides model weights and optimizer moments — RNG stream, batch cursors, step
-counter, and loss history — for bit-exact checkpoint/resume.
+(consume the shuffled iterators; the batches come with their dataset
+indices), ``compute_losses`` (forward), and ``finish_step`` (clip + optimizer
+update + logging).  ``train_on`` is the serial step over drawn batches
+(zero_grad, forward, backward, finish); the fault-tolerant runtime
+(:mod:`repro.training.runtime`) runs it too, or hands the indices to worker
+processes for the forward/backward half and feeds their averaged gradients
+back through ``finish_step``.  ``state_dict`` / ``load_state_dict`` capture
+everything the loop owns besides model weights and optimizer moments — RNG
+stream, batch cursors, step counter, and loss history — for bit-exact
+checkpoint/resume.
 """
 
 from __future__ import annotations
@@ -92,7 +95,13 @@ def compute_stage2_losses(model: KTeleBert, masker: DynamicMasker,
 
 
 class KTeleBertRetrainer:
-    """Owns the optimizer, batching, and strategy schedule for stage 2."""
+    """Owns the optimizer, batching, and strategy schedule for stage 2.
+
+    :meth:`train_step` runs one step on this process; the runtime drives
+    the same pieces (:meth:`advance`, :meth:`draw_batches`,
+    :meth:`train_on` or a worker pool plus :meth:`finish_step`), so the
+    batch stream is one whichever path a step takes.
+    """
 
     def __init__(self, model: KTeleBert, data: Stage2Data,
                  strategy: MtlStrategy, seed: int = 0,
@@ -131,21 +140,14 @@ class KTeleBertRetrainer:
         self._step += 1
         return tasks
 
-    def draw_batches(self, tasks: frozenset) -> tuple[list | None,
-                                                      list | None]:
-        """Pull the mini-batches the active tasks need from the iterators."""
-        rows, _, triples, _ = self.draw_batches_with_indices(tasks)
-        return rows, triples
-
-    def draw_batches_with_indices(
+    def draw_batches(
             self, tasks: frozenset) -> tuple[list | None, np.ndarray | None,
                                              list | None, np.ndarray | None]:
-        """Like :meth:`draw_batches` but also returns the dataset indices.
+        """Pull the mini-batches the active tasks need from the iterators.
 
-        Consumes the iterators identically (same RNG draws, same cursors),
-        so a run may switch freely between this and :meth:`draw_batches`
-        — e.g. when the runtime falls back from parallel to serial —
-        without changing the batch stream.
+        Returns ``(rows, row_indices, triples, triple_indices)``: each
+        batch (``None`` for an inactive task) with its dataset indices,
+        which the data-parallel runtime ships to its workers.
         """
         rows = row_indices = triples = triple_indices = None
         if TASK_MASK in tasks:
@@ -177,14 +179,20 @@ class KTeleBertRetrainer:
         self.log.numeric_regression.append(losses.numeric_regression)
         return value
 
-    def train_step(self) -> float:
-        """Run one step of the strategy schedule."""
-        tasks = self.advance()
-        rows, triples = self.draw_batches(tasks)
+    def train_on(self, rows: list | None,
+                 triples: list | None) -> StepLosses:
+        """The serial step over drawn batches: zero_grad, forward,
+        backward, then :meth:`finish_step`."""
         self.optimizer.zero_grad()
         losses = self.compute_losses(rows, triples)
         losses.total.backward()
-        return self.finish_step(losses)
+        self.finish_step(losses)
+        return losses
+
+    def train_step(self) -> float:
+        """Run one step of the strategy schedule; returns its loss."""
+        rows, _, triples, _ = self.draw_batches(self.advance())
+        return self.train_on(rows, triples).value
 
     def train(self) -> RetrainingLog:
         """Run the full schedule."""

@@ -8,11 +8,11 @@ capabilities the paper's longest loop needs to survive outside a notebook:
 * **Checkpoint/resume** — every ``checkpoint_every_steps`` steps the
   runtime writes a full :class:`~repro.models.checkpoint.TrainState`
   snapshot (model weights, optimizer moments, RNG stream, batch cursors,
-  step and loss history) atomically via temp-file + fsync + rename; the
-  snapshot directory is its own index.  A retention policy keeps the last
-  K snapshots plus the best-loss one.  Restoring the latest snapshot
-  continues the run *bit-exactly*: the resumed loss trajectory is
-  identical to the uninterrupted one.
+  step and loss history) atomically via temp-file + fsync + rename.  The
+  snapshot directory is its own index, keyed by the step in each file
+  name; retention keeps the newest ``keep_last`` of them.  Restoring the
+  latest snapshot continues the run *bit-exactly*: the resumed loss
+  trajectory is identical to the uninterrupted one.
 
 * **Multi-process data parallelism** — each step's batch is sharded across
   N persistent forked retrainer replicas.  Copies of the optimizer's
@@ -26,9 +26,9 @@ capabilities the paper's longest loop needs to survive outside a notebook:
   overlapping the later workers' compute, before the usual clip + Adam
   update.  A straggler timeout bounds the wait for the whole step; on
   timeout or worker failure the runtime degrades to the serial path and
-  keeps training, retrying the pool after ``pool_retry_steps`` serial
-  steps until ``pool_max_failures`` consecutive failures disable it for
-  the run.
+  keeps training, retrying the pool after :data:`POOL_RETRY_STEPS` serial
+  steps until :data:`POOL_MAX_FAILURES` consecutive failures disable it
+  for the run.
 
 * **Run journal** — every step appends a structured JSONL event (step,
   loss breakdown, tokens/sec, wall time) to ``journal.jsonl``; lifecycle
@@ -37,8 +37,12 @@ capabilities the paper's longest loop needs to survive outside a notebook:
   schema (:func:`repro.ioutil.make_event`), the one the serving metrics
   registry emits too.
 
-SIGINT/SIGTERM are trapped into a final checkpoint plus an ``interrupted``
-journal event, so a preempted run loses at most the in-flight step.
+While :meth:`TrainingRuntime.run` runs on the main thread, SIGINT/SIGTERM
+are trapped into a final checkpoint plus an ``interrupted`` journal event,
+so a preempted run loses at most the in-flight step.  A gradient worker
+resets SIGTERM to its default and ignores SIGINT before it serves a step:
+the parent, not the worker, answers a Ctrl-C, and ``terminate()`` always
+stops a stuck worker.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from repro.ioutil import append_record, make_event, read_records
 from repro.models.checkpoint import (
     TrainState,
     load_train_state,
-    read_train_state_meta,
     save_train_state,
 )
 from repro.tensor.tensor import Tensor
@@ -71,6 +74,13 @@ from repro.training.shm import PoolSharedState
 
 JOURNAL_NAME = "journal.jsonl"
 SNAPSHOT_DIR = "snapshots"
+
+#: After a pool failure, train serially for this many steps, then try to
+#: rebuild the pool.
+POOL_RETRY_STEPS = 50
+#: Consecutive pool failures after which parallelism is disabled for the
+#: rest of the run.
+POOL_MAX_FAILURES = 3
 
 #: Journal event kinds that mark a run as cleanly finished.
 _TERMINAL_KINDS = frozenset({"run_complete"})
@@ -124,12 +134,11 @@ class RunJournal:
 class SnapshotStore:
     """Directory of atomic ``step-XXXXXXXX.npz`` training snapshots.
 
-    Retention keeps the newest ``keep_last`` snapshots plus the one with
-    the best (lowest) recorded loss.  The directory is its own index: a
-    snapshot's name appears only when its atomic write completes, so the
-    rename is a save's one commit point, and each snapshot carries its
-    loss in its ``__meta__`` header, which retention and resume read
-    without loading the arrays.
+    The directory is its own index: a snapshot's name appears only when
+    its atomic write completes, so the rename is a save's one commit
+    point, and the step in the name orders the snapshots.  Retention keeps
+    the newest ``keep_last`` by step, so a save opens no file but the one
+    it writes.
     """
 
     def __init__(self, directory: str | Path, keep_last: int = 3):
@@ -141,56 +150,33 @@ class SnapshotStore:
     def path_for(self, step: int) -> Path:
         return self.directory / f"step-{step:08d}.npz"
 
-    def index(self) -> dict[str, dict]:
-        """filename → {"step": int, "loss": float} for retained snapshots.
+    def snapshots(self) -> list[Path]:
+        """Retained snapshots, oldest step first.
 
-        Lists ``step-*.npz``, skipping names whose step does not parse,
-        and reads each loss from the snapshot's own header.
+        Lists ``step-*.npz`` and skips names whose step does not parse.
         """
-        entries = {}
-        for path in sorted(self.directory.glob("step-*.npz")):
+        found = []
+        for path in self.directory.glob("step-*.npz"):
             try:
-                step = int(path.stem.split("-")[1])
+                found.append((int(path.stem.split("-")[1]), path))
             except (IndexError, ValueError):
                 continue
-            entries[path.name] = {
-                "step": step, "loss": read_train_state_meta(path)["loss"]}
-        return entries
+        return [path for _, path in sorted(found)]
 
-    # -- save / prune / load -------------------------------------------
     def save(self, model, optimizer, trainer_state: dict, *, step: int,
-             loss: float, extra: dict | None = None) -> Path:
-        """Write one snapshot, then apply retention."""
+             loss: float) -> Path:
+        """Write one snapshot, then drop all but the newest ``keep_last``."""
         path = self.path_for(step)
         save_train_state(path, model, optimizer, trainer_state,
-                         step=step, loss=loss, extra=extra)
-        self._prune(self.index())
+                         step=step, loss=loss)
+        for old in self.snapshots()[:-self.keep_last]:
+            old.unlink(missing_ok=True)
         return path
-
-    def _prune(self, entries: dict[str, dict]) -> None:
-        if len(entries) <= self.keep_last:
-            return
-        by_step = sorted(entries.items(), key=lambda kv: kv[1]["step"])
-        keep = {name for name, _ in by_step[-self.keep_last:]}
-        keep.add(min(entries.items(), key=lambda kv: kv[1]["loss"])[0])
-        for name in entries.keys() - keep:
-            (self.directory / name).unlink(missing_ok=True)
 
     def latest(self) -> Path | None:
         """Path of the newest retained snapshot, or None."""
-        entries = self.index()
-        if not entries:
-            return None
-        name = max(entries.items(), key=lambda kv: kv[1]["step"])[0]
-        return self.directory / name
-
-    def best(self) -> Path | None:
-        """Path of the lowest-loss retained snapshot, or None."""
-        entries = self.index()
-        if not entries:
-            return None
-        name = min(entries.items(), key=lambda kv: kv[1]["loss"])[0]
-        return self.directory / name
+        snapshots = self.snapshots()
+        return snapshots[-1] if snapshots else None
 
     def load_latest(self) -> TrainState | None:
         """The newest retained snapshot, loaded; None for an empty store."""
@@ -214,7 +200,14 @@ def _worker_main(conn, retrainer: KTeleBertRetrainer,
     the indices of the parameters that got no gradient.  The masking RNG
     is reseeded per ``(seed, worker_id, step)`` so runs are reproducible
     and resumable regardless of which steps each worker served before.
+
+    The fork copies the parent's signal handlers, the runtime's SIGTERM
+    trap included, under which ``terminate()`` could not stop a stuck
+    worker; so SIGTERM goes back to its default first, and SIGINT (a
+    Ctrl-C reaches the whole process group) is left to the parent.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     model, optimizer = retrainer.model, retrainer.optimizer
     mask_rows = retrainer.data.mask_rows
     triple_rows = retrainer.data.triple_rows
@@ -227,7 +220,7 @@ def _worker_main(conn, retrainer: KTeleBertRetrainer,
     while True:
         try:
             message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
+        except (EOFError, OSError):
             break
         if message[0] == "stop":
             break
@@ -468,20 +461,20 @@ class GradientWorkerPool:
 # ----------------------------------------------------------------------
 @dataclass
 class RuntimeConfig:
-    """Knobs of the fault-tolerant runtime."""
+    """Knobs of the fault-tolerant runtime, one per ``repro train`` flag.
+
+    ``workers`` below 2 trains serially; ``checkpoint_every_steps=0``
+    writes no cadence snapshots (a paused, interrupted or finished run
+    still checkpoints); ``keep_last`` snapshots are retained by step.
+    Pool recovery follows :data:`POOL_RETRY_STEPS` and
+    :data:`POOL_MAX_FAILURES`.
+    """
 
     run_dir: str | Path
     workers: int = 1
     checkpoint_every_steps: int = 50
     keep_last: int = 3
     straggler_timeout_s: float = 120.0
-    #: After a pool failure, train serially for this many steps then try to
-    #: rebuild the pool; ``0`` disables retries (first failure is final).
-    pool_retry_steps: int = 50
-    #: Consecutive pool failures after which parallelism is disabled for
-    #: the rest of the run.
-    pool_max_failures: int = 3
-    handle_signals: bool = True
 
 
 class TrainingRuntime:
@@ -520,13 +513,9 @@ class TrainingRuntime:
         retrainer = self.retrainer
         step = retrainer.step_index
         loss = retrainer.log.total[-1] if retrainer.log.total else float("inf")
-        tasks = (sorted(retrainer.strategy.tasks_at(step))
-                 if step < retrainer.strategy.total_steps else [])
         path = self.snapshots.save(
             retrainer.model, retrainer.optimizer, retrainer.state_dict(),
-            step=step, loss=loss,
-            extra={"reason": reason, "mtl_phase": tasks,
-                   "workers": self.config.workers})
+            step=step, loss=loss)
         self._last_checkpoint_step = step
         self.journal.append("checkpoint", step=step, loss=loss,
                             path=path.name, reason=reason)
@@ -538,8 +527,6 @@ class TrainingRuntime:
 
     # -- signals -------------------------------------------------------
     def _install_signals(self) -> dict:
-        if not self.config.handle_signals:
-            return {}
         previous = {}
 
         def _request_stop(signum, frame):
@@ -586,38 +573,33 @@ class TrainingRuntime:
         """Fall back to serial after a pool failure.
 
         Failures are counted consecutively (a successful parallel step
-        resets the count).  Until ``pool_max_failures`` is reached the
-        fallback is temporary: after ``pool_retry_steps`` serial steps the
-        pool is rebuilt.  ``pool_retry_steps=0`` keeps the pre-retry
-        behaviour of disabling parallelism on the first failure.
+        resets the count).  Until :data:`POOL_MAX_FAILURES` is reached the
+        fallback is temporary: after :data:`POOL_RETRY_STEPS` serial steps
+        the pool is rebuilt.
         """
         if self._pool is not None:
             self._pool.close()
             self._pool = None
         self._pool_failures += 1
-        retry_steps = self.config.pool_retry_steps
-        permanent = (retry_steps <= 0
-                     or self._pool_failures >= self.config.pool_max_failures)
+        permanent = self._pool_failures >= POOL_MAX_FAILURES
         if permanent:
             self._parallel_disabled = True
         else:
-            self._retry_countdown = retry_steps
+            self._retry_countdown = POOL_RETRY_STEPS
         self.journal.append("fallback_serial", reason=reason,
                             step=self.retrainer.step_index,
                             failures=self._pool_failures,
                             permanent=permanent,
-                            retry_in_steps=None if permanent else retry_steps)
+                            retry_in_steps=(None if permanent
+                                            else POOL_RETRY_STEPS))
 
     def train_step(self) -> StepLosses:
         """One runtime step: parallel when possible, serial otherwise."""
         retrainer = self.retrainer
         pool = self._ensure_pool()
-        tasks = retrainer.advance()
-        if pool is None:
-            rows, triples = retrainer.draw_batches(tasks)
-        else:
-            rows, row_indices, triples, triple_indices = (
-                retrainer.draw_batches_with_indices(tasks))
+        rows, row_indices, triples, triple_indices = retrainer.draw_batches(
+            retrainer.advance())
+        if pool is not None:
             try:
                 losses = pool.step(retrainer.step_index - 1, row_indices,
                                    triple_indices)
@@ -628,11 +610,7 @@ class TrainingRuntime:
                 retrainer.finish_step(losses)
                 return losses
         # The serial step, also the fallback when the pool just failed.
-        retrainer.optimizer.zero_grad()
-        losses = retrainer.compute_losses(rows, triples)
-        losses.total.backward()
-        retrainer.finish_step(losses)
-        return losses
+        return retrainer.train_on(rows, triples)
 
     # -- the loop ------------------------------------------------------
     def run(self, max_steps: int | None = None) -> RetrainingLog:

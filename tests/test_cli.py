@@ -31,6 +31,49 @@ class TestParser:
             build_parser().parse_args(["pretrain"])
 
 
+class TestTrainFlags:
+    @pytest.mark.parametrize("flags", [
+        ["--steps", "0"],
+        ["--batch-size", "0"],
+        ["--ke-batch-size", "-1"],
+        ["--keep-last", "0"],
+        ["--workers", "0"],
+        ["--workers", "two"],
+        ["--checkpoint-every", "-1"],
+        ["--stop-after", "-2"],
+        ["--learning-rate", "0"],
+        ["--straggler-timeout", "-1"],
+        ["--pool-retry-steps", "5"],
+        ["--pool-max-failures", "3"],
+    ])
+    def test_invalid_train_flags_rejected(self, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["train", "--run-dir", "r", *flags])
+        assert excinfo.value.code == 2
+
+    def test_zero_means_off_for_cadence_and_pause(self):
+        args = build_parser().parse_args(
+            ["train", "--run-dir", "r", "--checkpoint-every", "0",
+             "--stop-after", "0"])
+        assert (args.checkpoint_every, args.stop_after) == (0, 0)
+
+    def test_a_run_that_failed_to_build_pins_no_config(self, tmp_path,
+                                                       monkeypatch):
+        """``config.json`` pins a run directory's build, so it is written
+        only once the retrainer is built: a failed build leaves nothing
+        for the next invocation to reuse."""
+        import repro.cli as cli
+
+        def broken_build(config):
+            raise ValueError("injected build failure")
+
+        monkeypatch.setattr(cli, "_build_train_retrainer", broken_build)
+        run_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match="injected"):
+            main(["train", "--run-dir", str(run_dir), "--size", "smoke"])
+        assert not (run_dir / "config.json").exists()
+
+
 class TestSimulate:
     def test_prints_json_stats(self, capsys):
         code = main(["simulate", "--seed", "3", "--episodes", "5"])

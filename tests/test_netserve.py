@@ -837,6 +837,13 @@ class TestServeFlagValidation:
         ["serve-net", "--max-inflight", "0"],
         ["loadgen", "--port", "1", "--duration", "0"],
         ["loadgen", "--port", "0"],
+        ["loadgen", "--port", "1", "--sweep", "50,abc"],
+        ["loadgen", "--port", "1", "--sweep", "0"],
+        ["loadgen", "--port", "1", "--sweep", ","],
+        ["loadgen", "--port", "1", "--mix", "embed=-1"],
+        ["loadgen", "--port", "1", "--mix", "embed=x"],
+        ["loadgen", "--port", "1", "--mix", "nope=1"],
+        ["loadgen", "--port", "1", "--mix", ""],
     ])
     def test_invalid_serve_family_flags_rejected(self, flags):
         from repro.cli import build_parser
@@ -844,6 +851,17 @@ class TestServeFlagValidation:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(flags)
         assert excinfo.value.code == 2
+
+    def test_loadgen_parses_mix_and_sweep(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["loadgen", "--port", "1", "--mix", "embed=3,fct=1",
+             "--sweep", "50, 100,"])
+        assert args.mix == {"embed": 0.75, "fct": 0.25}
+        assert args.sweep == [50.0, 100.0]
+        defaults = build_parser().parse_args(["loadgen", "--port", "1"])
+        assert (defaults.mix, defaults.sweep) == ({"embed": 1.0}, None)
 
     def test_serve_parsers_share_service_flags(self):
         from repro.cli import build_parser

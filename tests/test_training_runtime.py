@@ -3,12 +3,19 @@
 Covers the three runtime pillars end to end: atomic snapshots with
 retention, bit-exact kill-and-resume (serial and data-parallel), and the
 JSONL run journal (torn-tail safe, with the serving event schema), plus
-the optimizer state round-trips the snapshots depend on.
+the optimizer state round-trips the snapshots depend on.  Every runtime
+here runs with the SIGINT/SIGTERM traps ``repro train`` runs with, and
+``TestReproTrainSignals`` sends SIGTERM to the CLI itself.
 """
 
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +33,7 @@ from repro.models import (
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD, Adam, AdamW, LinearWarmupSchedule
 from repro.serving import MetricsRegistry
+import repro.training.runtime as runtime_mod
 from repro.training import build_strategy
 from repro.training.retrainer import KTeleBertRetrainer
 from repro.training.runtime import (
@@ -251,37 +259,86 @@ class TestSnapshotStore:
         with pytest.raises(ValueError):
             SnapshotStore(tmp_path, keep_last=0)
 
-    def test_retention_keeps_recent_and_best(self, stack, tmp_path):
+    def test_retention_keeps_the_newest_by_step(self, stack, tmp_path):
+        """The newest ``keep_last`` by the step in the name survive,
+        whatever their losses: step 2's lowest loss keeps nothing."""
         retrainer = make_retrainer(stack)
         store = SnapshotStore(tmp_path / "snaps", keep_last=2)
         losses = {1: 5.0, 2: 1.0, 3: 3.0, 4: 2.0}
         for step, loss in losses.items():
             store.save(retrainer.model, retrainer.optimizer,
                        retrainer.state_dict(), step=step, loss=loss)
-        kept = {path.name for path in store.directory.glob("step-*.npz")}
-        # Newest two (3, 4) plus the best-loss snapshot (2); 1 is pruned.
-        assert kept == {"step-00000002.npz", "step-00000003.npz",
-                        "step-00000004.npz"}
-        assert set(store.index()) == kept
-        assert store.latest().name == "step-00000004.npz"
-        assert store.best().name == "step-00000002.npz"
+        kept = sorted(path.name for path in store.directory.iterdir())
+        assert kept == ["step-00000003.npz", "step-00000004.npz"]
+        assert store.snapshots() == [store.path_for(3), store.path_for(4)]
+        assert store.latest() == store.path_for(4)
+        assert store.load_latest().loss == 2.0
+
+    def test_save_opens_no_file_but_the_one_it_writes(self, stack, tmp_path,
+                                                     monkeypatch):
+        """Retention reads names, not headers: saving into a full store
+        opens no snapshot archive."""
+        retrainer = make_retrainer(stack)
+        store = SnapshotStore(tmp_path / "snaps", keep_last=3)
+        opened = []
+        real_load = np.load
+
+        def counting_load(file, *args, **kwargs):
+            opened.append(file)
+            return real_load(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting_load)
+        for step in range(1, 7):
+            store.save(retrainer.model, retrainer.optimizer,
+                       retrainer.state_dict(), step=step, loss=1.0)
+        assert opened == []
+        assert store.snapshots() == [store.path_for(step)
+                                     for step in (4, 5, 6)]
 
     def test_load_latest_round_trips_metadata(self, stack, tmp_path):
         retrainer = make_retrainer(stack)
         store = SnapshotStore(tmp_path / "snaps", keep_last=3)
         store.save(retrainer.model, retrainer.optimizer,
-                   retrainer.state_dict(), step=7, loss=1.25,
-                   extra={"reason": "test"})
+                   retrainer.state_dict(), step=7, loss=1.25)
         state = store.load_latest()
         assert state.step == 7
         assert state.loss == 1.25
-        assert state.extra["reason"] == "test"
         assert state.trainer_state["step"] == retrainer.step_index
+
+    def test_a_snapshot_of_the_earlier_format_still_loads(self, stack,
+                                                          tmp_path):
+        """Earlier versions wrote an ``extra`` dict into each header and
+        an ``index.json`` beside the snapshots; both are ignored."""
+        source = make_retrainer(stack)
+        source.train_step()
+        store = SnapshotStore(tmp_path / "snaps")
+        path = store.save(source.model, source.optimizer,
+                          source.state_dict(), step=1, loss=2.5)
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["extra"] = {"reason": "cadence", "mtl_phase": ["mask"],
+                         "workers": 2}
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        (store.directory / "index.json").write_text(
+            '{"step-00000001.npz": {"step": 1, "loss": 2.5}}')
+
+        target = make_retrainer(stack)
+        state = store.load_latest()
+        assert (state.step, state.loss) == (1, 2.5)
+        state.apply(target.model, target.optimizer)
+        target.load_state_dict(state.trainer_state)
+        assert model_fingerprint(target.model) == \
+            model_fingerprint(source.model)
+        assert target.train_step() == source.train_step()
 
     def test_empty_store(self, tmp_path):
         store = SnapshotStore(tmp_path / "snaps")
+        assert store.snapshots() == []
         assert store.latest() is None
-        assert store.best() is None
         assert store.load_latest() is None
 
     def test_a_complete_snapshot_is_found_without_any_index(self, stack,
@@ -298,12 +355,9 @@ class TestSnapshotStore:
                          retrainer.optimizer, retrainer.state_dict(),
                          step=5, loss=1.5)
         (store.directory / "step-final.npz").write_bytes(b"not a snapshot")
-        assert store.index() == {
-            "step-00000003.npz": {"step": 3, "loss": 2.0},
-            "step-00000005.npz": {"step": 5, "loss": 1.5}}
+        assert store.snapshots() == [store.path_for(3), store.path_for(5)]
         assert store.latest() == store.path_for(5)
         assert store.load_latest().step == 5
-        assert store.best() == store.path_for(5)
 
 
 # ----------------------------------------------------------------------
@@ -348,8 +402,7 @@ class TestParameterBuffer:
 def _run_to_completion(stack, run_dir, workers=1, total_steps=6):
     retrainer = make_retrainer(stack, total_steps=total_steps)
     runtime = TrainingRuntime(retrainer, RuntimeConfig(
-        run_dir=run_dir, workers=workers, checkpoint_every_steps=2,
-        handle_signals=False))
+        run_dir=run_dir, workers=workers, checkpoint_every_steps=2))
     runtime.run()
     return retrainer, runtime
 
@@ -365,8 +418,7 @@ class TestKillAndResume:
         # completed progress is lost.
         first = make_retrainer(stack)
         runtime = TrainingRuntime(first, RuntimeConfig(
-            run_dir=tmp_path / "run", workers=1, checkpoint_every_steps=2,
-            handle_signals=False))
+            run_dir=tmp_path / "run", workers=1, checkpoint_every_steps=2))
         runtime.run(max_steps=3)
         assert runtime.journal.is_interrupted()
         reasons = [e["reason"] for e in runtime.journal.events()
@@ -377,8 +429,7 @@ class TestKillAndResume:
         # built loop restored from the latest snapshot.
         second = make_retrainer(stack)
         resumed = TrainingRuntime(second, RuntimeConfig(
-            run_dir=tmp_path / "run", workers=1, checkpoint_every_steps=2,
-            handle_signals=False))
+            run_dir=tmp_path / "run", workers=1, checkpoint_every_steps=2))
         resumed_step = resumed.resume_if_available()
         assert resumed_step == 3
         resumed.run()
@@ -393,7 +444,7 @@ class TestKillAndResume:
     def test_resume_without_snapshot_is_noop(self, stack, tmp_path):
         retrainer = make_retrainer(stack)
         runtime = TrainingRuntime(retrainer, RuntimeConfig(
-            run_dir=tmp_path / "fresh", handle_signals=False))
+            run_dir=tmp_path / "fresh"))
         assert runtime.resume_if_available() is None
         assert retrainer.step_index == 0
 
@@ -407,8 +458,7 @@ class TestKillAndResume:
 
         first = make_retrainer(stack)
         runtime = TrainingRuntime(first, RuntimeConfig(
-            run_dir=tmp_path / "run", workers=2, checkpoint_every_steps=2,
-            handle_signals=False))
+            run_dir=tmp_path / "run", workers=2, checkpoint_every_steps=2))
         runtime.run(max_steps=2)
         # The cadence checkpoint already covered step 2, so the max_steps
         # exit must not write a duplicate snapshot of the same step.
@@ -418,8 +468,7 @@ class TestKillAndResume:
 
         second = make_retrainer(stack)
         resumed = TrainingRuntime(second, RuntimeConfig(
-            run_dir=tmp_path / "run", workers=2, checkpoint_every_steps=2,
-            handle_signals=False))
+            run_dir=tmp_path / "run", workers=2, checkpoint_every_steps=2))
         assert resumed.resume_if_available() == 2
         resumed.run()
 
@@ -456,7 +505,7 @@ class TestWorkerPool:
                             broken_pool)
         retrainer = make_retrainer(stack, total_steps=2)
         runtime = TrainingRuntime(retrainer, RuntimeConfig(
-            run_dir=tmp_path / "run", workers=4, handle_signals=False))
+            run_dir=tmp_path / "run", workers=4))
         log = runtime.run()
         assert len(log.total) == 2
         assert all(np.isfinite(v) for v in log.total)
@@ -469,8 +518,7 @@ class TestWorkerPool:
     def test_straggler_timeout_degrades_to_serial(self, stack, tmp_path):
         retrainer = make_retrainer(stack, total_steps=2)
         runtime = TrainingRuntime(retrainer, RuntimeConfig(
-            run_dir=tmp_path / "run", workers=2, straggler_timeout_s=0.0,
-            handle_signals=False))
+            run_dir=tmp_path / "run", workers=2, straggler_timeout_s=0.0))
         log = runtime.run()
         assert len(log.total) == 2
         events = runtime.journal.events()
@@ -485,8 +533,7 @@ class TestWorkerPool:
         pool = GradientWorkerPool(retrainer, 2, 120.0)
         try:
             tasks = retrainer.advance()
-            _, row_idx, _, triple_idx = (
-                retrainer.draw_batches_with_indices(tasks))
+            _, row_idx, _, triple_idx = retrainer.draw_batches(tasks)
             losses = pool.step(0, row_idx, triple_idx)
             assert np.isfinite(losses.value)
 
@@ -494,8 +541,7 @@ class TestWorkerPool:
             victim.kill()
             victim.join(timeout=10)
             tasks = retrainer.advance()
-            _, row_idx, _, triple_idx = (
-                retrainer.draw_batches_with_indices(tasks))
+            _, row_idx, _, triple_idx = retrainer.draw_batches(tasks)
             with pytest.raises(WorkerPoolError):
                 pool.step(1, row_idx, triple_idx)
         finally:
@@ -507,7 +553,7 @@ class TestWorkerPool:
         """The run survives a worker kill: journaled fallback, no crash."""
         retrainer = make_retrainer(stack, total_steps=4)
         runtime = TrainingRuntime(retrainer, RuntimeConfig(
-            run_dir=tmp_path / "run", workers=2, handle_signals=False))
+            run_dir=tmp_path / "run", workers=2))
         runtime.train_step()
         victim = runtime._pool._workers[0].process
         victim.kill()
@@ -519,6 +565,40 @@ class TestWorkerPool:
         kinds = [e["kind"] for e in runtime.journal.events()]
         assert "fallback_serial" in kinds
         assert kinds[-1] == "run_complete"
+
+    @pytest.mark.slow
+    @pytest.mark.timeout(120)
+    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+    def test_stuck_worker_is_stopped_under_the_runtime_traps(
+            self, stack, tmp_path, monkeypatch):
+        """Workers forked while ``run()`` traps SIGTERM still die on
+        ``terminate()``: after a straggler fallback no pool process is
+        left, so the trainer cannot hang at exit joining one."""
+        parent = os.getpid()
+        forward = runtime_mod.compute_stage2_losses
+
+        def stuck_in_a_worker(*args):
+            while os.getpid() != parent:
+                time.sleep(3600)
+            return forward(*args)
+
+        monkeypatch.setattr(runtime_mod, "compute_stage2_losses",
+                            stuck_in_a_worker)
+        retrainer = make_retrainer(stack, total_steps=2)
+        runtime = TrainingRuntime(retrainer, RuntimeConfig(
+            run_dir=tmp_path / "run", workers=2, straggler_timeout_s=1.0))
+        try:
+            log = runtime.run()
+            alive = multiprocessing.active_children()
+        finally:
+            for child in multiprocessing.active_children():
+                child.kill()
+                child.join(timeout=10)
+        assert len(log.total) == 2
+        fallbacks = [e for e in runtime.journal.events()
+                     if e["kind"] == "fallback_serial"]
+        assert fallbacks and "straggler" in fallbacks[0]["reason"]
+        assert alive == []
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_pipes_carry_only_small_control_messages(self, stack):
@@ -559,8 +639,7 @@ class TestWorkerPool:
                 handle.conn = SpyConn(handle.conn, messages)
             for step in range(2):
                 tasks = retrainer.advance()
-                _, row_idx, _, triple_idx = (
-                    retrainer.draw_batches_with_indices(tasks))
+                _, row_idx, _, triple_idx = retrainer.draw_batches(tasks)
                 pool.step(step, row_idx, triple_idx)
         finally:
             pool.close()
@@ -583,7 +662,7 @@ class TestWorkerPool:
         """
         retrainer = make_retrainer(stack, total_steps=12)
         runtime = TrainingRuntime(retrainer, RuntimeConfig(
-            run_dir=tmp_path / "run", workers=workers, handle_signals=False))
+            run_dir=tmp_path / "run", workers=workers))
         model, optimizer = retrainer.model, retrainer.optimizer
         numeric = {id(p) for name in ("anenc", "ndec", "awl", "tgc")
                    for p in model.components()[name].parameters()}
@@ -654,8 +733,7 @@ def _pool_step_and_emulation(stack, num_workers):
     pool = GradientWorkerPool(retrainer, num_workers, 120.0)
     try:
         tasks = retrainer.advance()
-        rows, row_idx, triples, triple_idx = (
-            retrainer.draw_batches_with_indices(tasks))
+        rows, row_idx, triples, triple_idx = retrainer.draw_batches(tasks)
         step = retrainer.step_index - 1
         pool.step(step, row_idx, triple_idx)
         reduced = retrainer.optimizer.grad.copy()
@@ -745,8 +823,7 @@ class TestSharedMemory:
         pool = GradientWorkerPool(retrainer, 2, 120.0)
         try:
             tasks = retrainer.advance()
-            _, row_idx, _, triple_idx = (
-                retrainer.draw_batches_with_indices(tasks))
+            _, row_idx, _, triple_idx = retrainer.draw_batches(tasks)
             assert np.isfinite(pool.step(0, row_idx, triple_idx).value)
             assert set(os.listdir("/dev/shm")) - before == set()
         finally:
@@ -768,12 +845,12 @@ class TestPoolRetry:
             calls["count"] += 1
             raise WorkerPoolError("injected failure")
 
-        monkeypatch.setattr("repro.training.runtime.GradientWorkerPool",
-                            broken_pool)
+        monkeypatch.setattr(runtime_mod, "GradientWorkerPool", broken_pool)
+        monkeypatch.setattr(runtime_mod, "POOL_RETRY_STEPS", 1)
+        monkeypatch.setattr(runtime_mod, "POOL_MAX_FAILURES", 2)
         retrainer = make_retrainer(stack, total_steps=6)
         runtime = TrainingRuntime(retrainer, RuntimeConfig(
-            run_dir=tmp_path / "run", workers=4, pool_retry_steps=1,
-            pool_max_failures=2, handle_signals=False))
+            run_dir=tmp_path / "run", workers=4))
         log = runtime.run()
         assert len(log.total) == 6
         fallbacks = [e for e in runtime.journal.events()
@@ -785,33 +862,10 @@ class TestPoolRetry:
         # good: no further build attempts after the permanent disable.
         assert calls["count"] == 2
 
-    def test_zero_retry_steps_keeps_first_failure_final(self, stack,
-                                                        tmp_path,
-                                                        monkeypatch):
-        calls = {"count": 0}
-
-        def broken_pool(*args, **kwargs):
-            calls["count"] += 1
-            raise WorkerPoolError("injected failure")
-
-        monkeypatch.setattr("repro.training.runtime.GradientWorkerPool",
-                            broken_pool)
-        retrainer = make_retrainer(stack, total_steps=4)
-        runtime = TrainingRuntime(retrainer, RuntimeConfig(
-            run_dir=tmp_path / "run", workers=4, pool_retry_steps=0,
-            handle_signals=False))
-        runtime.run()
-        fallbacks = [e for e in runtime.journal.events()
-                     if e["kind"] == "fallback_serial"]
-        assert [e["permanent"] for e in fallbacks] == [True]
-        assert calls["count"] == 1
-
     @pytest.mark.slow
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_transient_failure_reenables_parallelism(self, stack, tmp_path,
                                                      monkeypatch):
-        import repro.training.runtime as runtime_mod
-
         real_pool = GradientWorkerPool
         calls = {"count": 0}
 
@@ -822,10 +876,10 @@ class TestPoolRetry:
             return real_pool(*args, **kwargs)
 
         monkeypatch.setattr(runtime_mod, "GradientWorkerPool", flaky_pool)
+        monkeypatch.setattr(runtime_mod, "POOL_RETRY_STEPS", 1)
         retrainer = make_retrainer(stack, total_steps=5)
         runtime = TrainingRuntime(retrainer, RuntimeConfig(
-            run_dir=tmp_path / "run", workers=2, pool_retry_steps=1,
-            handle_signals=False))
+            run_dir=tmp_path / "run", workers=2))
         log = runtime.run()
         assert len(log.total) == 5
         events = runtime.journal.events()
@@ -845,8 +899,7 @@ class TestMaxStepsCheckpoint:
     def test_max_steps_exit_writes_a_checkpoint(self, stack, tmp_path):
         retrainer = make_retrainer(stack, total_steps=6)
         runtime = TrainingRuntime(retrainer, RuntimeConfig(
-            run_dir=tmp_path / "run", checkpoint_every_steps=50,
-            handle_signals=False))
+            run_dir=tmp_path / "run", checkpoint_every_steps=50))
         runtime.run(max_steps=3)
         events = runtime.journal.events()
         checkpoints = [e for e in events if e["kind"] == "checkpoint"]
@@ -871,3 +924,100 @@ class TestRunJournalOfARealRun:
         assert all(e["tokens"] > 0 and e["tokens_per_sec"] > 0
                    for e in steps)
         assert events[-1]["kind"] == "run_complete"
+
+
+# ----------------------------------------------------------------------
+# `repro train` under SIGTERM: the CLI's own signal path
+# ----------------------------------------------------------------------
+SRC = Path(__file__).resolve().parents[1] / "src"
+#: Enough steps that a run signalled after its first step is still
+#: training when the signal lands (a smoke step takes about 15 ms).
+SIGNAL_STEPS = 150
+
+
+def _repro_train(run_dir, workers: int) -> subprocess.Popen:
+    """``repro train --size smoke`` in its own session (process group);
+    its stderr is the test's, so pytest shows it on a failure."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "train", "--run-dir", str(run_dir),
+         "--size", "smoke", "--steps", str(SIGNAL_STEPS),
+         "--workers", str(workers)],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        start_new_session=True)
+
+
+def _finish(proc: subprocess.Popen) -> tuple[int, bool]:
+    """Exit code, and whether the process group emptied after the exit.
+
+    Whatever is left in the group is SIGKILLed, so a failing run leaves
+    no process behind.
+    """
+    try:
+        proc.wait(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            return proc.returncode, True
+        if time.monotonic() > deadline:
+            os.killpg(proc.pid, signal.SIGKILL)
+            return proc.returncode, False
+        time.sleep(0.05)
+
+
+def _journal(run_dir) -> list[dict]:
+    return RunJournal(Path(run_dir) / "journal.jsonl").events()
+
+
+def _step_losses(events: list[dict]) -> list[list]:
+    return [[e["step"], e["loss"], e["mask"], e["ke"],
+             e["numeric_regression"]] for e in events if e["kind"] == "step"]
+
+
+@pytest.mark.slow
+@pytest.mark.timeout(300)
+class TestReproTrainSignals:
+    @pytest.mark.parametrize("workers", [
+        1, pytest.param(2, marks=pytest.mark.skipif(
+            not HAS_FORK, reason="fork start method unavailable"))])
+    def test_sigterm_checkpoints_and_a_rerun_resumes(self, tmp_path,
+                                                     workers):
+        proc = _repro_train(tmp_path / "run", workers)
+        try:
+            deadline = time.monotonic() + 120
+            while not any(e["kind"] == "step"
+                          for e in _journal(tmp_path / "run")):
+                assert proc.poll() is None, "exited before its first step"
+                assert time.monotonic() < deadline, "no step in 120 s"
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+        finally:
+            outcome = _finish(proc)
+        assert outcome == (130, True)
+        first = _journal(tmp_path / "run")
+        assert first[-1]["kind"] == "interrupted"
+        interrupted_at = first[-1]["step"]
+        assert 0 < interrupted_at < SIGNAL_STEPS
+        checkpoint = first[-2]
+        assert checkpoint["kind"] == "checkpoint"
+        assert checkpoint["step"] == interrupted_at
+        assert checkpoint["reason"] == f"signal {int(signal.SIGTERM)}"
+
+        assert _finish(_repro_train(tmp_path / "run", workers)) == (0, True)
+        resumed = _journal(tmp_path / "run")[len(first):]
+        kinds = [e["kind"] for e in resumed]
+        assert "resume" in kinds and kinds[-1] == "run_complete"
+        assert "fallback_serial" not in kinds
+
+        assert _finish(_repro_train(tmp_path / "ref", workers)) == (0, True)
+        reference = _step_losses(_journal(tmp_path / "ref"))
+        assert len(reference) == SIGNAL_STEPS
+        assert _step_losses(first) + _step_losses(resumed) == reference
