@@ -10,7 +10,8 @@ Builds a small KTeleBERT, wraps it in the online serving façade
   lazily-fitted task adapters;
 * graceful degradation to a word-embedding fallback when the primary is
   given an impossible deadline;
-* the metrics registry dump that ``python -m repro serve --stats`` prints.
+* the metrics registry dump that ``python -m repro serve-net --stats``
+  prints at exit.
 
     python examples/serving_demo.py     (~1-2 minutes on CPU)
 """

@@ -8,17 +8,16 @@ Commands
                checkpoint directory.
 ``encode``     load a checkpoint and print service embeddings for texts.
 ``simulate``   generate a synthetic world + fault episodes and print stats.
-``serve``      long-lived JSON-lines inference loop over stdin with dynamic
-               micro-batching, a persistent embedding store, and a
-               ``--stats`` metrics dump (see :mod:`repro.serving`).
-``serve-net``  the same service behind a multi-client TCP socket frontend:
-               per-tenant API keys with token-bucket rate limits and
-               concurrency quotas, admission control with structured
-               ``retry_after_s`` rejections, and graceful drain on
-               SIGTERM (see :mod:`repro.netserve`).
+``serve-net``  the online fault-analysis service (:mod:`repro.serving`:
+               dynamic micro-batching, a persistent embedding store)
+               behind a multi-client TCP socket frontend: per-tenant API
+               keys with token-bucket rate limits and concurrency quotas,
+               admission control with structured ``retry_after_s``
+               rejections, graceful drain on SIGTERM, and a ``--stats``
+               metrics dump at exit (see :mod:`repro.netserve`).
 ``loadgen``    open/closed-loop traffic generator against a serve-net
-               endpoint: configurable op mixes, bursty arrivals, latency/
-               fairness reports, and ``--sweep`` latency-vs-load curves
+               endpoint: configurable op mixes, latency/fairness
+               reports, and ``--sweep`` latency-vs-load curves
                (see :mod:`repro.loadgen`).
 ``train``      run stage-2 re-training under the fault-tolerant runtime:
                atomic checkpoint/resume, optional multi-process gradient
@@ -55,9 +54,9 @@ def _parse_seeds(raw: str) -> list[int]:
 def _positive_float(raw: str) -> float:
     """Argparse type for strictly-positive float flags.
 
-    Timeouts, backoffs, and rates silently misbehave at zero or below
-    (a 0s backoff spins, a negative timeout raises deep inside the
-    serving stack) — reject them at the parser with a clear message.
+    Timeouts and rates silently misbehave at zero or below (a negative
+    timeout raises deep inside the serving stack) — reject them at the
+    parser with a clear message.
     """
     try:
         value = float(raw)
@@ -234,7 +233,7 @@ def _build_task_adapters(world_seed: int) -> dict:
 
 
 def _build_service(args: argparse.Namespace, adapters: dict | None = None):
-    """Construct the FaultAnalysisService shared by serve and serve-net."""
+    """Construct the FaultAnalysisService behind serve-net."""
     from repro.serving import (
         FaultAnalysisService,
         MetricsRegistry,
@@ -263,11 +262,9 @@ def _build_service(args: argparse.Namespace, adapters: dict | None = None):
                            max_wait_ms=args.max_wait_ms,
                            timeout_s=args.timeout,
                            max_retries=args.retries,
-                           backoff_s=args.backoff,
-                           flush_timeout_s=args.flush_timeout,
                            close_timeout_s=args.close_timeout)
     index = None
-    if getattr(args, "index", None):
+    if args.index:
         from repro.index import VectorIndex
 
         index = VectorIndex(args.index, fingerprint=fingerprint)
@@ -277,26 +274,6 @@ def _build_service(args: argparse.Namespace, adapters: dict | None = None):
                                 fingerprint=fingerprint,
                                 index=index,
                                 **(adapters or {}))
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.netserve.protocol import serve_loop
-
-    with _build_service(args) as service:
-        metrics = service.metrics
-        serve_loop(service, sys.stdin, sys.stdout)
-        if args.stats:
-            stats = service.stats()
-            latency = stats["latency"]
-            print(metrics.render(), file=sys.stderr)
-            print(f"requests: {stats['requests']}", file=sys.stderr)
-            print(f"cache hit rate: {stats['cache']['hit_rate']:.3f} "
-                  f"(hits={stats['cache']['hits']} "
-                  f"misses={stats['cache']['misses']})", file=sys.stderr)
-            print(f"latency p50: {latency['p50'] * 1000:.3f}ms  "
-                  f"p95: {latency['p95'] * 1000:.3f}ms  "
-                  f"p99: {latency['p99'] * 1000:.3f}ms", file=sys.stderr)
-    return 0
 
 
 def _cmd_serve_net(args: argparse.Namespace) -> int:
@@ -331,13 +308,10 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
     with _build_service(args, adapters=adapters) as service:
         admission = AdmissionController(
             AdmissionConfig(max_inflight=args.max_inflight,
-                            max_queue_depth=args.max_queue_depth,
-                            min_headroom_s=args.min_headroom,
-                            retry_after_s=args.retry_after),
+                            max_queue_depth=args.max_queue_depth),
             metrics=service.metrics,
             queue_depth_fn=lambda: service.batcher.stats()["pending"])
         config = NetServeConfig(host=args.host, port=args.port,
-                                default_deadline_s=args.default_deadline,
                                 close_timeout_s=args.close_timeout)
         with TeleServer(service, tenants, admission=admission,
                         config=config) as server:
@@ -368,7 +342,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         mode=args.mode, duration_s=args.duration,
         rate_per_s=args.rate, workers=args.workers,
         concurrency=args.concurrency, mix=args.mix,
-        bursty=args.bursty, burst_factor=args.burst_factor,
         seed=args.seed, world_seed=args.world_seed,
         timeout_s=args.timeout,
         deadline_ms=args.deadline_ms)
@@ -521,47 +494,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_serve_args(parser: argparse.ArgumentParser) -> None:
-    """Service flags shared by ``serve`` (stdin) and ``serve-net`` (TCP)."""
-    parser.add_argument("--checkpoint", default=None,
-                        help="KTeleBERT checkpoint directory; omit for the "
-                             "deterministic stub encoder")
-    parser.add_argument("--dim", type=_positive_int, default=32,
-                        help="embedding dim of the stub encoder")
-    parser.add_argument("--store", default=None,
-                        help="directory for the persistent embedding store")
-    parser.add_argument("--index", default=None,
-                        help="directory for the ANN vector index; enables "
-                             "the knn/retrieve op (built or synced from "
-                             "the store/provider, keyed by the checkpoint "
-                             "fingerprint)")
-    parser.add_argument("--max-batch-size", type=_positive_int, default=32)
-    parser.add_argument("--max-wait-ms", type=_positive_float, default=5.0)
-    parser.add_argument("--timeout", type=_positive_float, default=30.0,
-                        help="per-attempt deadline in seconds (the total "
-                             "request budget is timeout x (retries + 1) "
-                             "plus backoff)")
-    parser.add_argument("--retries", type=int, default=2)
-    parser.add_argument("--backoff", type=_positive_float, default=0.05,
-                        help="first-retry backoff in seconds; doubles per "
-                             "attempt")
-    parser.add_argument("--flush-timeout", type=_positive_float,
-                        default=None,
-                        help="watchdog bound on one encoder flush inside "
-                             "the micro-batcher (seconds; defaults to "
-                             "--timeout)")
-    parser.add_argument("--close-timeout", type=_positive_float,
-                        default=5.0,
-                        help="upper bound on shutdown: a hung encoder "
-                             "cannot hold process exit hostage longer "
-                             "than this")
-    parser.add_argument("--fallback", action="store_true",
-                        help="degrade to a word-embedding provider when "
-                             "the primary is exhausted")
-    parser.add_argument("--stats", action="store_true",
-                        help="dump the metrics registry to stderr at exit")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser with all subcommands."""
     parser = argparse.ArgumentParser(
@@ -603,15 +535,42 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--episodes", type=int, default=50)
     simulate.set_defaults(func=_cmd_simulate)
 
-    serve = sub.add_parser("serve",
-                           help="JSON-lines inference loop over stdin")
-    _add_serve_args(serve)
-    serve.set_defaults(func=_cmd_serve)
-
     serve_net = sub.add_parser(
         "serve-net",
         help="TCP socket frontend with tenant auth and admission control")
-    _add_serve_args(serve_net)
+    serve_net.add_argument("--checkpoint", default=None,
+                           help="KTeleBERT checkpoint directory; omit for "
+                                "the deterministic stub encoder")
+    serve_net.add_argument("--dim", type=_positive_int, default=32,
+                           help="embedding dim of the stub encoder")
+    serve_net.add_argument("--store", default=None,
+                           help="directory for the persistent embedding "
+                                "store")
+    serve_net.add_argument("--index", default=None,
+                           help="directory for the ANN vector index; "
+                                "enables the knn/retrieve op (built or "
+                                "synced from the store/provider, keyed by "
+                                "the checkpoint fingerprint)")
+    serve_net.add_argument("--max-batch-size", type=_positive_int,
+                           default=32)
+    serve_net.add_argument("--max-wait-ms", type=_positive_float,
+                           default=5.0)
+    serve_net.add_argument("--timeout", type=_positive_float, default=30.0,
+                           help="per-attempt deadline in seconds (the "
+                                "total request budget is timeout x "
+                                "(retries + 1) plus backoff)")
+    serve_net.add_argument("--retries", type=int, default=2)
+    serve_net.add_argument("--close-timeout", type=_positive_float,
+                           default=5.0,
+                           help="upper bound on shutdown: a hung encoder "
+                                "cannot hold process exit hostage longer "
+                                "than this")
+    serve_net.add_argument("--fallback", action="store_true",
+                           help="degrade to a word-embedding provider when "
+                                "the primary is exhausted")
+    serve_net.add_argument("--stats", action="store_true",
+                           help="dump the metrics registry to stderr at "
+                                "exit")
     serve_net.add_argument("--host", default="127.0.0.1")
     serve_net.add_argument("--port", type=int, default=0,
                            help="0 binds an ephemeral port; the bound "
@@ -640,17 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default=256,
                            help="admission: reject when this many names "
                                 "are queued behind the batcher")
-    serve_net.add_argument("--min-headroom", type=float, default=0.01,
-                           help="admission: reject requests with less "
-                                "deadline headroom than this (seconds)")
-    serve_net.add_argument("--retry-after", type=_positive_float,
-                           default=0.1,
-                           help="retry_after_s hint on non-rate-limit "
-                                "rejections (seconds)")
-    serve_net.add_argument("--default-deadline", type=_positive_float,
-                           default=30.0,
-                           help="budget for requests without deadline_ms "
-                                "(seconds)")
     serve_net.add_argument("--adapters", action="store_true",
                            help="fit tiny-world rca/eap/fct adapters so "
                                 "task ops answer without a checkpoint")
@@ -680,11 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--mix", type=_mix, default="embed=1",
                          help="op mix, e.g. 'embed=8,fct=2' over "
                               "embed/rca/eap/fct")
-    loadgen.add_argument("--bursty", action="store_true",
-                         help="half-second on/off arrival windows")
-    loadgen.add_argument("--burst-factor", type=_positive_float,
-                         default=4.0,
-                         help="on-window rate multiplier with --bursty")
     loadgen.add_argument("--seed", type=int, default=0)
     loadgen.add_argument("--world-seed", type=int, default=11,
                          help="world seed for rca/eap/fct payloads "

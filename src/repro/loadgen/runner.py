@@ -5,8 +5,7 @@ Two shapes of load:
 * **open-loop** — arrivals follow a precomputed schedule at a configured
   offered rate, independent of response latency (the honest way to
   measure saturation: a slow server does not slow the offered load
-  down).  ``bursty`` alternates half-second on/off windows, with the
-  on-window rate multiplied by ``burst_factor``.
+  down).
 * **closed-loop** — ``concurrency`` workers issue requests back-to-back,
   a new one the moment the previous answer lands (models N retrying
   clients rather than an arrival process).
@@ -191,11 +190,6 @@ class LoadgenConfig:
     #: closed-loop concurrent workers
     concurrency: int = 4
     mix: dict[str, float] = field(default_factory=lambda: {"embed": 1.0})
-    #: alternate half-second on/off windows instead of steady arrivals
-    bursty: bool = False
-    #: on-window rate multiplier; off-window rate is
-    #: ``rate * max(0, 2 - burst_factor)`` (mean preserved up to 2x)
-    burst_factor: float = 4.0
     seed: int = 0
     #: world seed for task-op payloads (match ``serve-net --adapters``)
     world_seed: int = 11
@@ -213,8 +207,6 @@ class LoadgenConfig:
             raise ValueError("rate_per_s must be positive")
         if self.workers < 1 or self.concurrency < 1:
             raise ValueError("workers/concurrency must be >= 1")
-        if self.burst_factor < 1:
-            raise ValueError("burst_factor must be >= 1")
         if not self.api_keys:
             raise ValueError("at least one api_key is required")
         if self.timeout_s <= 0:
@@ -356,24 +348,9 @@ class LoadReport:
 
 def _arrival_times(config: LoadgenConfig) -> list[float]:
     """Offsets (seconds) of every open-loop arrival in the run window."""
-    times: list[float] = []
-    if not config.bursty:
-        step = 1.0 / config.rate_per_s
-        count = int(config.duration_s * config.rate_per_s)
-        return [i * step for i in range(count)]
-    window = 0.5
-    on_rate = config.rate_per_s * config.burst_factor
-    off_rate = config.rate_per_s * max(0.0, 2.0 - config.burst_factor)
-    start, on = 0.0, True
-    while start < config.duration_s:
-        rate = on_rate if on else off_rate
-        if rate > 0:
-            step = 1.0 / rate
-            count = int(window * rate)
-            times.extend(start + i * step for i in range(count))
-        start += window
-        on = not on
-    return [t for t in times if t < config.duration_s]
+    step = 1.0 / config.rate_per_s
+    count = int(config.duration_s * config.rate_per_s)
+    return [i * step for i in range(count)]
 
 
 def _record_request(client: NetClient, factory: RequestFactory,

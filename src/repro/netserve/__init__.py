@@ -2,10 +2,9 @@
 
 Layers (bottom-up):
 
-* :mod:`repro.netserve.protocol` — the transport-agnostic request
-  language: parse/dispatch one JSON request against
-  :class:`FaultAnalysisService`.  The stdin loop
-  (``python -m repro serve``) and the socket server share this core.
+* :mod:`repro.netserve.protocol` — the request language: dispatch one
+  JSON request against :class:`FaultAnalysisService`, classify its
+  failure, build the error envelope.
 * :mod:`repro.netserve.tenants` — API keys resolving to per-tenant
   token buckets and concurrency quotas.
 * :mod:`repro.netserve.admission` — the request gate: bounded inflight,
@@ -22,10 +21,8 @@ from repro.netserve.protocol import (
     CODE_INTERNAL,
     CODE_UNAVAILABLE,
     RETRYABLE_CODES,
-    dispatch_line,
     error_envelope,
     handle_request,
-    serve_loop,
 )
 from repro.netserve.tenants import (
     TenantRegistry,
@@ -60,8 +57,6 @@ __all__ = [
     "TenantSpec",
     "TenantState",
     "TokenBucket",
-    "dispatch_line",
     "error_envelope",
     "handle_request",
-    "serve_loop",
 ]

@@ -9,8 +9,9 @@ touching the provider — and rejects with a structured, machine-actionable
 ``retry_after_s`` instead of queueing:
 
 ``deadline``
-    The request's propagated deadline has less than ``min_headroom_s``
-    remaining — executing it could only produce a timeout.
+    The request's propagated deadline has less than
+    :data:`MIN_HEADROOM_S` remaining — executing it could only produce a
+    timeout.
 ``queue_full``
     The micro-batcher's pending queue (via ``queue_depth_fn``) is at
     ``max_queue_depth`` — the stage underneath is saturated.
@@ -51,6 +52,12 @@ REJECT_RATE_LIMIT = "rate_limit"
 REJECT_CODES = (REJECT_DEADLINE, REJECT_QUEUE_FULL, REJECT_OVERLOAD,
                 REJECT_CONCURRENCY, REJECT_RATE_LIMIT)
 
+#: Reject requests whose deadline has less than this left (seconds).
+MIN_HEADROOM_S = 0.01
+#: ``retry_after_s`` of every rejection but ``rate_limit``, which names
+#: the time to the tenant's next token instead (seconds).
+RETRY_AFTER_S = 0.1
+
 
 class AdmissionRejected(RuntimeError):
     """Request refused at the door; carries the structured rejection."""
@@ -69,20 +76,12 @@ class AdmissionConfig:
     max_inflight: int = 64
     #: reject when the stage underneath reports this many queued names
     max_queue_depth: int = 256
-    #: reject requests whose deadline has less than this left (seconds)
-    min_headroom_s: float = 0.01
-    #: default ``retry_after_s`` for non-rate-limit rejections (seconds)
-    retry_after_s: float = 0.1
 
     def __post_init__(self):
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be positive")
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be positive")
-        if self.min_headroom_s < 0:
-            raise ValueError("min_headroom_s must be non-negative")
-        if self.retry_after_s <= 0:
-            raise ValueError("retry_after_s must be positive")
 
 
 class AdmissionTicket:
@@ -143,13 +142,11 @@ class AdmissionController:
     def admit(self, tenant: TenantState,
               deadline: Deadline | None = None) -> AdmissionTicket:
         """Run every gate; returns a ticket or raises AdmissionRejected."""
-        retry_s = self.config.retry_after_s
-        if deadline is not None and \
-                deadline.remaining() < self.config.min_headroom_s:
+        if deadline is not None and deadline.remaining() < MIN_HEADROOM_S:
             raise self._reject(
                 tenant, REJECT_DEADLINE,
-                f"deadline headroom below {self.config.min_headroom_s:g}s "
-                f"— executing could only time out", retry_s)
+                f"deadline headroom below {MIN_HEADROOM_S:g}s "
+                f"— executing could only time out", RETRY_AFTER_S)
         # Sampled before taking the admission lock: the batcher holds its
         # own lock for this, and nesting the two would couple admission
         # latency to flush latency.
@@ -159,7 +156,7 @@ class AdmissionController:
                 raise self._reject(
                     tenant, REJECT_QUEUE_FULL,
                     f"{depth} names queued behind the batcher "
-                    f"(limit {self.config.max_queue_depth})", retry_s)
+                    f"(limit {self.config.max_queue_depth})", RETRY_AFTER_S)
         with self._lock:
             if self._inflight >= self.config.max_inflight:
                 overloaded = True
@@ -171,14 +168,14 @@ class AdmissionController:
             raise self._reject(
                 tenant, REJECT_OVERLOAD,
                 f"{self.config.max_inflight} requests already in flight",
-                retry_s)
+                RETRY_AFTER_S)
         # From here on a failed gate must return the global slot.
         try:
             if not tenant.try_start():
                 raise self._reject(
                     tenant, REJECT_CONCURRENCY,
                     f"tenant {tenant.name!r} is at its concurrency quota "
-                    f"({tenant.spec.max_concurrency})", retry_s)
+                    f"({tenant.spec.max_concurrency})", RETRY_AFTER_S)
             try:
                 granted, bucket_retry = tenant.bucket.try_acquire()
                 if not granted:

@@ -1,24 +1,23 @@
-"""Shared request-dispatch core for every serving frontend.
+"""The request language of the ``serve-net`` socket frontend.
 
-``python -m repro serve`` (stdin JSON-lines) and ``python -m repro
-serve-net`` (the TCP socket server) speak the same request language:
-one JSON object per line, an ``op`` field selecting the call, and a
-response that always carries ``"ok"``.  This module is the single
-implementation both frontends dispatch through — op validation, payload
-parsing, the error envelope, and the bad-request metrics live here, so
-the two transports cannot drift apart.
+One JSON object per line, an ``op`` field selecting the call, and a
+response that always carries ``"ok"``.  :func:`handle_request` is the
+one dispatch: op validation, payload parsing and the service call;
+:func:`failure_code` classifies what it raises and records the
+bad-request metrics, and :func:`error_envelope` builds the failure
+reply.  :mod:`repro.netserve.server` frames the lines, authenticates,
+admits and answers.
 
 The envelope contract::
 
     success  {"ok": true, "op": <op>, ...payload}
-    failure  {"ok": false, "error": <repr>}            # stdin loop
-    failure  {"ok": false, "error": ..., "code": ...,  # socket server
+    failure  {"ok": false, "error": ..., "code": ...,
               "retry_after_s": ..., "id": ...}
 
-The stdin loop's failure shape predates the socket server and is kept
-byte-compatible; the socket server adds the machine-actionable fields
-(``code`` for programmatic handling, ``retry_after_s`` for admission
-rejections, ``id`` echoing the request's correlation id).
+``code`` is always present (for programmatic handling);
+``retry_after_s`` comes with admission rejections and retryable
+outages, and ``id`` echoes the request's correlation id when it sent
+one.
 
 Dispatch accepts an optional :class:`~repro.serving.deadline.Deadline`
 that is propagated into the service, so a frontend-issued budget bounds
@@ -27,9 +26,7 @@ every wait underneath (retries, backoff, batcher) end to end.
 
 from __future__ import annotations
 
-import json
 import math
-from typing import IO
 
 import numpy as np
 
@@ -121,7 +118,7 @@ def parse_count(request: dict, field: str, default: int | None = None
 
     An absent field gives ``default``.  Any other value — null, a bool, a
     float, a string, a list, an object, or an integer below 1 — raises
-    ``ValueError``, which every frontend answers as a bad request.
+    ``ValueError``, which the server answers as a bad request.
     """
     if field not in request:
         return default
@@ -219,21 +216,16 @@ def handle_request(service: FaultAnalysisService, request: dict,
     raise ValueError(f"unknown op: {op!r}")
 
 
-def error_envelope(error: BaseException | str, *, code: str | None = None,
+def error_envelope(error: BaseException | str, *, code: str,
                    request_id=None,
                    retry_after_s: float | None = None) -> dict:
-    """The failure response shape shared by every frontend.
-
-    With only ``error`` set this is byte-compatible with the historical
-    stdin-loop envelope (``{"ok": false, "error": repr(error)}``); the
-    socket server layers on ``code`` / ``retry_after_s`` / ``id``.
-    """
+    """The failure response: ``ok``, ``error`` and ``code``, plus
+    ``retry_after_s`` and ``id`` when given."""
     response: dict = {
         "ok": False,
         "error": error if isinstance(error, str) else repr(error),
+        "code": code,
     }
-    if code is not None:
-        response["code"] = code
     if retry_after_s is not None:
         response["retry_after_s"] = round(float(retry_after_s), 4)
     if request_id is not None:
@@ -248,8 +240,7 @@ def failure_code(metrics: MetricsRegistry, error: Exception) -> str:
     ``serving.bad_requests`` with a ``bad_request`` event.  An exhausted
     budget, or a degraded service with no fallback (``DeadlineExceeded``,
     ``FlushTimeout``, ``ServingError``), is ``unavailable``.  Anything
-    else is ``internal``, with an ``internal_error`` event.  Both
-    frontends classify through here and build their own envelopes.
+    else is ``internal``, with an ``internal_error`` event.
     """
     if isinstance(error, ValueError):
         metrics.counter(mn.SERVING_BAD_REQUESTS).inc()
@@ -259,37 +250,3 @@ def failure_code(metrics: MetricsRegistry, error: Exception) -> str:
         return CODE_UNAVAILABLE
     metrics.emit("internal_error", error=repr(error))
     return CODE_INTERNAL
-
-
-def dispatch_line(service: FaultAnalysisService, line: str) -> dict:
-    """Parse and dispatch one JSON request line; never raises.
-
-    This is the stdin loop's whole per-line pipeline: JSON parse, object
-    check, :func:`handle_request`, :func:`failure_code` and the legacy
-    error envelope.  The socket server shares the same parsing, dispatch
-    and classification but builds richer envelopes (auth/admission), so
-    it calls the pieces directly instead of this convenience wrapper.
-    """
-    try:
-        request = json.loads(line)
-        if not isinstance(request, dict):
-            raise ValueError("request must be a JSON object")
-        return handle_request(service, request)
-    except Exception as error:  # noqa: BLE001 — reported, loop survives
-        failure_code(service.metrics, error)
-        return error_envelope(error)
-
-
-def serve_loop(service: FaultAnalysisService, input_stream: IO[str],
-               output_stream: IO[str]) -> int:
-    """Run requests from ``input_stream`` until EOF; returns served count."""
-    served = 0
-    for line in input_stream:
-        line = line.strip()
-        if not line:
-            continue
-        response = dispatch_line(service, line)
-        served += 1
-        output_stream.write(json.dumps(response, ensure_ascii=False) + "\n")
-        output_stream.flush()
-    return served

@@ -1,8 +1,10 @@
 """Threaded TCP socket frontend over :class:`FaultAnalysisService`.
 
-Transport: newline-delimited JSON over TCP, the same request language as
-the stdin loop (:mod:`repro.netserve.protocol`) plus three socket-only
-fields on every request:
+This is the service's one frontend: ``python -m repro serve-net`` runs
+it, and ``repro loadgen``, the smoke targets and the benchmark drive it.
+
+Transport: newline-delimited JSON over TCP, the request language of
+:mod:`repro.netserve.protocol`, plus three fields on every request:
 
 ``api_key``
     Tenant credential, resolved through :class:`TenantRegistry`.
@@ -12,7 +14,7 @@ fields on every request:
     Client-declared budget for this request; the server turns it into a
     :class:`~repro.serving.deadline.Deadline` at receipt and propagates
     it through admission and every service wait underneath.  Defaults to
-    ``NetServeConfig.default_deadline_s``.
+    :data:`DEFAULT_DEADLINE_S`.
 ``id``
     Opaque correlation value echoed back on the response line.
 
@@ -42,7 +44,11 @@ import time
 from dataclasses import dataclass
 
 from repro.netserve import protocol
-from repro.netserve.admission import AdmissionController, AdmissionRejected
+from repro.netserve.admission import (
+    RETRY_AFTER_S,
+    AdmissionController,
+    AdmissionRejected,
+)
 from repro.netserve.tenants import TenantRegistry
 from repro.serving import metric_names as mn
 from repro.serving.deadline import Deadline
@@ -57,6 +63,8 @@ _DRAIN_POLL_S = 0.02
 MAX_REQUEST_BYTES = 1_000_000
 #: Listen backlog for connection bursts.
 REQUEST_QUEUE_SIZE = 128
+#: Budget of a request that sends no ``deadline_ms`` (seconds).
+DEFAULT_DEADLINE_S = 30.0
 
 
 @dataclass
@@ -66,15 +74,11 @@ class NetServeConfig:
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (reported by :meth:`TeleServer.start`)
     port: int = 0
-    #: budget attached to requests that do not send ``deadline_ms``
-    default_deadline_s: float = 30.0
     #: bound on :meth:`TeleServer.drain`: in-flight requests get this
     #: long to finish after the accept loop stops
     close_timeout_s: float = 5.0
 
     def __post_init__(self):
-        if self.default_deadline_s <= 0:
-            raise ValueError("default_deadline_s must be positive")
         if self.close_timeout_s <= 0:
             raise ValueError("close_timeout_s must be positive")
 
@@ -82,10 +86,11 @@ class NetServeConfig:
 class _LineReader:
     """Buffered newline framing over a socket with bounded reads.
 
-    ``readline`` returns one decoded line, ``None`` on a poll timeout
-    (caller re-checks the draining flag), or ``""`` at EOF.  The buffer
-    is owned by this reader — a poll timeout never loses partial input,
-    which a ``makefile()``-based reader could not guarantee.
+    ``readline`` returns one decoded line (``""`` for a blank one) or
+    ``None`` on a poll timeout (caller re-checks the draining flag), and
+    raises ``EOFError`` at EOF.  The buffer is owned by this reader — a
+    poll timeout never loses partial input, which a ``makefile()``-based
+    reader could not guarantee.
     """
 
     def __init__(self, sock: socket.socket, max_bytes: int):
@@ -109,7 +114,7 @@ class _LineReader:
                 return None
             if not chunk:
                 # EOF: a trailing unterminated line is not a request.
-                return ""
+                raise EOFError
             self._buffer.extend(chunk)
 
 
@@ -257,13 +262,13 @@ class TeleServer:
                     self._send(sock, protocol.error_envelope(
                         error, code=protocol.CODE_BAD_REQUEST))
                     return
+                except EOFError:              # client closed
+                    return
                 if line is None:              # poll tick
                     if self._draining.is_set():
                         return
                     continue
-                if line == "":                # client closed
-                    return
-                if not line.strip():
+                if not line.strip():          # blank line: no reply
                     continue
                 response = self._serve_line(line)
                 if not self._send(sock, response):
@@ -346,7 +351,7 @@ class TeleServer:
             except Exception as error:  # noqa: BLE001 — reported, survives
                 code = protocol.failure_code(self.metrics, error)
                 # A degraded service, not a malformed request: retry.
-                retry_after_s = (self.admission.config.retry_after_s
+                retry_after_s = (RETRY_AFTER_S
                                  if code == protocol.CODE_UNAVAILABLE
                                  else None)
                 return protocol.error_envelope(
@@ -355,7 +360,7 @@ class TeleServer:
     def _request_deadline(self, request: dict) -> Deadline:
         raw = request.get("deadline_ms")
         if raw is None:
-            return Deadline.after(self.config.default_deadline_s)
+            return Deadline.after(DEFAULT_DEADLINE_S)
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ValueError("deadline_ms must be a positive, finite number")
         try:

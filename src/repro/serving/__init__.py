@@ -28,8 +28,9 @@ imply (Sec. V-A3) and that industrial tele-PLM systems build around:
 * :class:`MetricsRegistry` — counters, gauges, latency histograms with
   p50/p95/p99, and structured event logging.
 
-The request language and the stdin/stdout loop behind
-``python -m repro serve`` live in :mod:`repro.netserve.protocol`.
+The request language lives in :mod:`repro.netserve.protocol`, and the
+one frontend, the TCP server behind ``python -m repro serve-net``, in
+:mod:`repro.netserve`.
 """
 
 from repro.serving.batcher import MicroBatcher

@@ -8,8 +8,8 @@ literals anywhere else in ``src/repro``; import the constant, or use the
 ``*_for`` helpers for per-operation families.
 
 Naming convention: ``serving.*`` for the online stack (service facade,
-micro-batcher, worker pool, stdin loop), ``netserve.*`` for the TCP
-socket frontend (connections, tenancy, admission control) and
+request protocol, micro-batcher, worker pool), ``netserve.*`` for the
+TCP socket frontend (connections, tenancy, admission control) and
 ``index.*`` for the ANN retrieval tier (:mod:`repro.index`).  Training
 records no metrics here: its run journal holds events of the same
 schema as :meth:`~repro.serving.metrics.MetricsRegistry.emit`

@@ -5,8 +5,8 @@ observability triple — request counters, state gauges, and latency
 histograms with tail percentiles — without pulling in a metrics client the
 container does not ship.  Everything here is dependency-free and
 thread-safe: the micro-batcher's worker thread, the façade's caller
-threads, and the stdin request loop all write to one shared
-:class:`MetricsRegistry`.
+threads, and the socket frontend's connection threads all write to one
+shared :class:`MetricsRegistry`.
 
 Histograms keep a bounded ring of recent observations; percentiles use
 linear interpolation between closest ranks (the same convention as

@@ -84,6 +84,9 @@ POOL_MAX_FAILURES = 3
 
 #: Journal event kinds that mark a run as cleanly finished.
 _TERMINAL_KINDS = frozenset({"run_complete"})
+#: How long :meth:`GradientWorkerPool.close` waits for all its workers to
+#: stop, and again for the survivors after terminating them (seconds).
+_CLOSE_JOIN_S = 2.0
 
 
 class WorkerPoolError(RuntimeError):
@@ -254,6 +257,13 @@ def _worker_main(conn, retrainer: KTeleBertRetrainer,
                        losses.tokens, untouched))
         except Exception:  # surfaced to the parent as WorkerPoolError
             conn.send(("err", step, traceback.format_exc()))
+
+
+def _join_all(processes: list, timeout_s: float) -> None:
+    """Join ``processes`` against one deadline ``timeout_s`` away."""
+    deadline = time.monotonic() + timeout_s
+    for process in processes:
+        process.join(timeout=max(deadline - time.monotonic(), 0.0))
 
 
 @dataclass
@@ -430,19 +440,25 @@ class GradientWorkerPool:
     def close(self) -> None:
         """Stop and join every worker, then drop the shared mapping.
 
-        Idempotent, and safe after worker crashes: the mapping has no
-        name, so nothing outlives the processes that map it.
+        The workers get one shared :data:`_CLOSE_JOIN_S` to stop; the
+        survivors (stuck in a step) are terminated together and get one
+        more, so closing a pool of N stuck workers takes about
+        2 x :data:`_CLOSE_JOIN_S`, whatever N.  Idempotent, and safe
+        after worker crashes: the mapping has no name, so nothing
+        outlives the processes that map it.
         """
         for handle in self._workers:
             try:
                 handle.conn.send(("stop",))
             except (OSError, ValueError):
                 pass
+        processes = [handle.process for handle in self._workers]
+        _join_all(processes, _CLOSE_JOIN_S)
+        survivors = [process for process in processes if process.is_alive()]
+        for process in survivors:
+            process.terminate()
+        _join_all(survivors, _CLOSE_JOIN_S)
         for handle in self._workers:
-            handle.process.join(timeout=2.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=2.0)
             handle.conn.close()
         self._workers = []
         if self._shared is not None:

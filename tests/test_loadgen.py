@@ -83,21 +83,6 @@ class TestArrivalSchedule:
         steps = [b - a for a, b in zip(times, times[1:])]
         assert all(step == pytest.approx(0.01) for step in steps)
 
-    def test_bursty_on_off_windows(self):
-        config = LoadgenConfig(port=1, rate_per_s=40.0, duration_s=2.0,
-                               bursty=True, burst_factor=4.0)
-        times = _arrival_times(config)
-        on_windows = [t for t in times if (t // 0.5) % 2 == 0]
-        off_windows = [t for t in times if (t // 0.5) % 2 == 1]
-        assert len(on_windows) == 160          # 2 windows x 0.5s x 160/s
-        assert not off_windows                 # factor >= 2: silent gaps
-
-    def test_bursty_mean_preserving_below_two(self):
-        config = LoadgenConfig(port=1, rate_per_s=40.0, duration_s=2.0,
-                               bursty=True, burst_factor=1.5)
-        times = _arrival_times(config)
-        assert len(times) == pytest.approx(80, abs=4)
-
 
 class TestLoadReport:
     def _records(self):

@@ -222,8 +222,7 @@ class TestAdmissionController:
         return TenantRegistry([TenantSpec(**spec)]).authenticate("k")
 
     def test_deadline_headroom_gate(self):
-        controller = AdmissionController(
-            AdmissionConfig(min_headroom_s=0.05))
+        controller = AdmissionController()    # MIN_HEADROOM_S = 0.01
         tenant = self._tenant()
         with pytest.raises(AdmissionRejected) as excinfo:
             controller.admit(tenant, Deadline.after(0.001))
@@ -693,34 +692,34 @@ def test_serve_net_cli_sigterm_drains_cleanly(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Shared dispatch core: the stdin loop stays byte-compatible
+# Failure classification and the error envelope
 # ----------------------------------------------------------------------
 class TestSharedDispatchCore:
-    def test_stdin_envelope_has_no_socket_fields(self):
-        with FaultAnalysisService(RandomProvider(dim=4, seed=0),
-                                  config=_tight_config()) as service:
-            response = protocol.dispatch_line(service, "not json")
-            assert response["ok"] is False
-            assert set(response) == {"ok", "error"}, \
-                "stdin envelope must stay byte-compatible"
-
-    def test_outage_is_not_a_bad_request(self):
+    @pytest.mark.timeout(30)
+    def test_outage_is_not_a_bad_request(self, server_factory):
         class DownProvider(RandomProvider):
             def encode_names(self, names):
                 raise RuntimeError("encoder down")
 
-        with FaultAnalysisService(DownProvider(dim=4, seed=0),
-                                  config=_tight_config()) as service:
-            outage = protocol.dispatch_line(
-                service, '{"op": "embed", "names": ["x"]}')
-            unknown = protocol.dispatch_line(service, '{"op": "nope"}')
-            assert set(outage) == set(unknown) == {"ok", "error"}
-            assert "ServingError" in outage["error"]
-            assert service.metrics.counter(
-                "serving.bad_requests").value == 1
-            bad = [e for e in service.metrics.events
-                   if e["kind"] == "bad_request"]
-            assert len(bad) == 1 and "unknown op" in bad[0]["error"]
+        service, _, address = server_factory(
+            provider=DownProvider(dim=4, seed=0))
+        client = _Client(address)
+        try:
+            outage = client.request({"op": "embed", "names": ["x"],
+                                     "api_key": "k-test"})
+            unknown = client.request({"op": "nope", "api_key": "k-test"})
+        finally:
+            client.close()
+        assert outage["code"] == "unavailable"
+        assert "ServingError" in outage["error"]
+        assert outage["retry_after_s"] > 0
+        assert unknown["code"] == "bad_request"
+        assert "retry_after_s" not in unknown
+        # serving.bad_requests counts only the unknown op
+        assert service.metrics.counter("serving.bad_requests").value == 1
+        bad = [e for e in service.metrics.events
+               if e["kind"] == "bad_request"]
+        assert len(bad) == 1 and "unknown op" in bad[0]["error"]
 
     def test_failure_codes(self):
         metrics = MetricsRegistry()
@@ -736,8 +735,11 @@ class TestSharedDispatchCore:
             ["bad_request", "internal_error"]
 
     def test_error_envelope_shapes(self):
-        legacy = protocol.error_envelope(ValueError("x"))
-        assert set(legacy) == {"ok", "error"}
+        bare = protocol.error_envelope(ValueError("x"), code="bad_request")
+        assert bare == {"ok": False, "error": "ValueError('x')",
+                        "code": "bad_request"}
+        with pytest.raises(TypeError):
+            protocol.error_envelope(ValueError("x"))    # code is required
         rich = protocol.error_envelope(
             "busy", code="overload", request_id=3, retry_after_s=0.125)
         assert rich == {"ok": False, "error": "busy", "code": "overload",
@@ -825,16 +827,17 @@ class TestRoundRows:
 # ----------------------------------------------------------------------
 class TestServeFlagValidation:
     @pytest.mark.parametrize("flags", [
-        ["serve", "--backoff", "0"],
-        ["serve", "--backoff", "-1"],
-        ["serve", "--flush-timeout", "-0.5"],
-        ["serve", "--close-timeout", "0"],
-        ["serve", "--timeout", "nope"],
-        ["serve-net", "--backoff", "0"],
         ["serve-net", "--close-timeout", "0"],
-        ["serve-net", "--retry-after", "0"],
-        ["serve-net", "--default-deadline", "-2"],
+        ["serve-net", "--timeout", "nope"],
         ["serve-net", "--max-inflight", "0"],
+        # deleted flags: unknown options, whatever their value
+        ["serve-net", "--backoff", "0.05"],
+        ["serve-net", "--flush-timeout", "1.5"],
+        ["serve-net", "--min-headroom", "0.01"],
+        ["serve-net", "--retry-after", "0.1"],
+        ["serve-net", "--default-deadline", "30"],
+        ["loadgen", "--port", "1", "--bursty"],
+        ["loadgen", "--port", "1", "--burst-factor", "4"],
         ["loadgen", "--port", "1", "--duration", "0"],
         ["loadgen", "--port", "0"],
         ["loadgen", "--port", "1", "--sweep", "50,abc"],
@@ -863,12 +866,10 @@ class TestServeFlagValidation:
         defaults = build_parser().parse_args(["loadgen", "--port", "1"])
         assert (defaults.mix, defaults.sweep) == ({"embed": 1.0}, None)
 
-    def test_serve_parsers_share_service_flags(self):
-        from repro.cli import build_parser
+    def test_serve_is_an_unknown_command(self, capsys):
+        from repro.cli import main
 
-        parser = build_parser()
-        for command in ("serve", "serve-net"):
-            args = parser.parse_args([command, "--backoff", "0.5",
-                                      "--flush-timeout", "1.5"])
-            assert args.backoff == 0.5
-            assert args.flush_timeout == 1.5
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--dim", "4"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err

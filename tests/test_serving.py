@@ -2,11 +2,14 @@
 
 import base64
 import contextlib
-import io
 import json
+import os
+import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from repro.serving import (
     ServiceConfig,
     ServingError,
 )
-from repro.netserve.protocol import handle_request, serve_loop
+from repro.netserve.protocol import handle_request
 from repro.serving.metrics import Histogram
 from repro.service import RandomProvider
 
@@ -1248,23 +1251,26 @@ class TestFaultAnalysisFacade:
 
 
 class TestServerLoop:
+    @pytest.mark.timeout(30)
     def test_serve_loop_roundtrip(self):
         with FaultAnalysisService(RandomProvider(dim=4, seed=0),
                                   config=_fast_config()) as service:
-            requests = "\n".join([
+            replies, server_stats = _tcp_session(service, [
                 json.dumps({"op": "ping"}),
-                json.dumps({"op": "embed", "names": ["a", "b"]}),
+                json.dumps({"op": "embed", "names": ["a", "b"],
+                            "api_key": "k-test"}),
                 "",                                   # blank lines skipped
-                json.dumps({"op": "embed", "names": ["a"]}),
-                json.dumps({"op": "stats"}),
+                "   ",
+                json.dumps({"op": "embed", "names": ["a"],
+                            "api_key": "k-test"}),
+                json.dumps({"op": "stats", "api_key": "k-test"}),
                 "not json",
-                json.dumps({"op": "embed", "names": []}),
+                json.dumps({"op": "embed", "names": [],
+                            "api_key": "k-test"}),
+                json.dumps({"op": "ping"}),   # the connection survived
             ])
-            output = io.StringIO()
-            served = serve_loop(service, io.StringIO(requests), output)
-            responses = [json.loads(line)
-                         for line in output.getvalue().splitlines()]
-        assert served == 6
+        responses = [json.loads(line) for line in replies]
+        assert server_stats["requests"] == 7
         assert responses[0] == {"ok": True, "op": "ping"}
         assert len(responses[1]["embeddings"]) == 2
         # Same name, same vector across requests (cache coherent).
@@ -1272,7 +1278,9 @@ class TestServerLoop:
         stats = responses[3]
         assert stats["requests"] == 2 and stats["cache"]["hits"] == 1
         assert stats["latency"]["count"] == 2
-        assert not responses[4]["ok"] and not responses[5]["ok"]
+        assert [r["code"] for r in responses[4:6]] == \
+            ["bad_request", "bad_request"]
+        assert responses[6] == {"ok": True, "op": "ping"}
 
     def test_handle_request_rejects_bad_shapes(self):
         with FaultAnalysisService(RandomProvider(dim=4, seed=0),
@@ -1384,32 +1392,41 @@ def _refuse_constant(name):
     raise AssertionError(f"reply carries the non-JSON constant {name}")
 
 
-def _tcp_exchange(service, line: str) -> str:
-    """One raw request line through a fresh socket server; the reply."""
+def _tcp_session(service, lines: list[str]) -> tuple[list[str], dict]:
+    """Raw request lines through one connection to a fresh socket server;
+    the reply lines (a blank request gets none) and the server's stats."""
     import socket
 
     from repro.netserve import NetServeConfig, TeleServer, TenantRegistry
 
+    expected = sum(1 for line in lines if line.strip())
     server = TeleServer(service, TenantRegistry.single("k-test"),
                         config=NetServeConfig(close_timeout_s=2.0))
     try:
         with socket.create_connection(server.start(), timeout=10.0) as sock:
-            sock.sendall(line.encode() + b"\n")
+            sock.sendall("".join(line + "\n" for line in lines).encode())
             reply = b""
-            while not reply.endswith(b"\n"):
+            while reply.count(b"\n") < expected:
                 chunk = sock.recv(65536)
                 assert chunk, "server closed the connection"
                 reply += chunk
+        stats = server.stats()
     finally:
         server.close(timeout_s=2.0)
-    return reply.decode()
+    return reply.decode().splitlines(), stats
+
+
+def _tcp_exchange(service, line: str) -> str:
+    """One raw request line through a fresh socket server; the reply."""
+    (reply,), _ = _tcp_session(service, [line])
+    return reply
 
 
 class TestNonFiniteNumbers:
     """``json.loads`` reads ``NaN``, ``Infinity`` and ``-Infinity``, and
-    integers no float can hold: a request carrying one is a bad request
-    on both frontends, never a retryable rejection, a dropped connection
-    or an ``"ok"`` reply scored from it."""
+    integers no float can hold: a request carrying one is a bad request,
+    never a retryable rejection, a dropped connection or an ``"ok"``
+    reply scored from it."""
 
     @pytest.mark.timeout(60)
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
@@ -1438,50 +1455,90 @@ class TestNonFiniteNumbers:
         reply = json.loads(_tcp_exchange(service, line),
                            parse_constant=_refuse_constant)
         assert reply["ok"] is False and reply["code"] == "bad_request"
-        if field == "deadline_ms":
-            return  # the stdin loop reads no deadline
-        bad_requests = service.metrics.counter("serving.bad_requests")
-        before = bad_requests.value
-        output = io.StringIO()
-        serve_loop(service, io.StringIO(line + "\n"), output)
-        reply = json.loads(output.getvalue(), parse_constant=_refuse_constant)
-        assert reply["ok"] is False
-        assert bad_requests.value == before + 1
 
 
+def _serve_net_session(flags: list[str], requests: list[dict]
+                       ) -> tuple[list[dict], str]:
+    """Boot ``repro serve-net`` with ``flags``, send ``requests`` on one
+    connection, SIGTERM it; returns the replies and the server's stderr.
+    """
+    import socket
+
+    repo = Path(__file__).resolve().parents[1]
+    with subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve-net", "--port", "0",
+             "--api-key", "k-cli", *flags],
+            stderr=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env={**os.environ,
+                 "PYTHONPATH": os.pathsep.join(
+                     filter(None, [str(repo / "src"),
+                                   os.environ.get("PYTHONPATH")]))},
+            cwd=repo) as process:
+        try:
+            banner = process.stderr.readline()
+            assert "netserve listening on " in banner, banner
+            host, _, port = banner.rsplit(" ", 1)[-1].strip().partition(":")
+            with socket.create_connection((host, int(port)), timeout=10.0) \
+                    as sock, sock.makefile("rw", encoding="utf-8") as stream:
+                replies = []
+                for request in requests:
+                    stream.write(json.dumps({**request, "api_key": "k-cli"})
+                                 + "\n")
+                    stream.flush()
+                    replies.append(json.loads(stream.readline()))
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+            return replies, process.stderr.read()
+        finally:
+            if process.poll() is None:
+                process.kill()
+
+
+@pytest.mark.timeout(120)
 class TestServeCli:
-    def test_serve_stats_reports_metrics(self, capsys, monkeypatch):
-        from repro.cli import main
+    def test_serve_stats_reports_metrics(self):
+        replies, stderr = _serve_net_session(
+            ["--dim", "8", "--max-wait-ms", "2", "--stats"],
+            [{"op": "ping"},
+             {"op": "embed", "names": ["link failure", "storm"]},
+             {"op": "embed", "names": ["link failure"]},
+             {"op": "stats"}])
+        assert all(r["ok"] for r in replies)
+        assert replies[-1]["requests"] == 2
+        assert replies[-1]["cache"]["hits"] == 1
+        # --stats dumps the registry at exit: counters and p50/p95.
+        assert "== serving stats ==" in stderr
+        assert "counter   serving.requests: 2" in stderr
+        assert "histogram serving.latency: count=2" in stderr
+        assert "p50" in stderr and "p95" in stderr
 
-        requests = "\n".join([
-            json.dumps({"op": "ping"}),
-            json.dumps({"op": "embed", "names": ["link failure", "storm"]}),
-            json.dumps({"op": "embed", "names": ["link failure"]}),
-            json.dumps({"op": "stats"}),
-        ]) + "\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(requests))
-        code = main(["serve", "--dim", "8", "--max-wait-ms", "2", "--stats"])
-        captured = capsys.readouterr()
-        assert code == 0
-        responses = [json.loads(line)
-                     for line in captured.out.strip().splitlines()]
-        assert all(r["ok"] for r in responses)
-        # Acceptance: request count, cache hit rate, p50/p95 latency.
-        assert "requests: 2" in captured.err
-        assert "cache hit rate:" in captured.err
-        assert "p50" in captured.err and "p95" in captured.err
-        assert "== serving stats ==" in captured.err
+    def test_serve_with_store_and_fallback_flags(self, tmp_path,
+                                                 monkeypatch):
+        from repro.cli import _build_service, build_parser
+        from repro.service import WordEmbeddingProvider
 
-    def test_serve_with_store_and_fallback_flags(self, capsys, monkeypatch,
-                                                 tmp_path):
-        from repro.cli import main
-
-        line = json.dumps({"op": "embed", "names": ["alarm"]}) + "\n"
-        for _ in range(2):  # second run warms from the persisted store
-            monkeypatch.setattr("sys.stdin", io.StringIO(line))
-            assert main(["serve", "--dim", "4", "--store", str(tmp_path),
-                         "--fallback", "--max-wait-ms", "2"]) == 0
-        out_lines = capsys.readouterr().out.strip().splitlines()
-        first, second = (json.loads(l) for l in out_lines)
+        flags = ["--dim", "4", "--store", str(tmp_path / "store"),
+                 "--fallback", "--max-wait-ms", "2"]
+        embed = {"op": "embed", "names": ["alarm"]}
+        # the second boot warms from the persisted store
+        (first,), _ = _serve_net_session(flags, [embed])
+        (second, stats), _ = _serve_net_session(flags, [embed,
+                                                        {"op": "stats"}])
         assert first["embeddings"] == second["embeddings"]
-        assert (tmp_path / "embeddings.jsonl").exists()
+        assert stats["cache"]["hits"] == 1
+        assert (tmp_path / "store" / "embeddings.jsonl").exists()
+
+        # --fallback answers when the primary encoder is down
+        def down(provider, names):
+            raise RuntimeError("encoder down")
+
+        monkeypatch.setattr(RandomProvider, "encode_names", down)
+        args = build_parser().parse_args(
+            ["serve-net", "--dim", "4", "--fallback", "--retries", "0",
+             "--max-wait-ms", "2"])
+        with _build_service(args) as service:
+            vectors = service.embed(["alarm"])
+            assert service.metrics.counter("serving.fallbacks").value == 1
+        expected = WordEmbeddingProvider(dim=4, seed=0).encode_names(
+            ["alarm"])
+        np.testing.assert_array_equal(vectors, expected)

@@ -600,6 +600,42 @@ class TestWorkerPool:
         assert fallbacks and "straggler" in fallbacks[0]["reason"]
         assert alive == []
 
+    @pytest.mark.slow
+    @pytest.mark.timeout(120)
+    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+    def test_closing_stuck_workers_waits_one_shared_deadline(
+            self, stack, monkeypatch):
+        """Three workers stuck in a step are joined against one deadline
+        and terminated together: ``close()`` takes about 2 s, not 2 s per
+        worker."""
+        parent = os.getpid()
+        forward = runtime_mod.compute_stage2_losses
+
+        def stuck_in_a_worker(*args):
+            while os.getpid() != parent:
+                time.sleep(3600)
+            return forward(*args)
+
+        monkeypatch.setattr(runtime_mod, "compute_stage2_losses",
+                            stuck_in_a_worker)
+        retrainer = make_retrainer(stack)
+        pool = GradientWorkerPool(retrainer, 3, 0.5)
+        try:
+            tasks = retrainer.advance()
+            _, row_idx, _, triple_idx = retrainer.draw_batches(tasks)
+            with pytest.raises(WorkerPoolError, match="straggler"):
+                pool.step(0, row_idx, triple_idx)
+            started = time.monotonic()
+            pool.close()
+            elapsed = time.monotonic() - started
+            alive = multiprocessing.active_children()
+        finally:
+            for child in multiprocessing.active_children():
+                child.kill()
+                child.join(timeout=10)
+        assert alive == []
+        assert elapsed < 3.0, f"close() took {elapsed:.1f}s"
+
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_pipes_carry_only_small_control_messages(self, stack):
         """The hot path never pickles arrays: control tuples only."""
